@@ -54,6 +54,19 @@ class Dataset:
         targets = self.targets[indices] if self.targets.ndim == 1 else self.targets[:, indices]
         return Dataset(self.features[:, indices], targets, self.kind, self.normalization)
 
+    def standardized(self, stats=None) -> "Dataset":
+        """Features shifted and scaled per row to zero mean / unit variance.
+
+        `stats` is a (mean, scale) pair from another split to reuse; by
+        default both come from this dataset.
+        """
+        if stats is None:
+            mean = self.features.mean(axis=1)
+            stats = (mean, np.sqrt(np.maximum(self.features.var(axis=1), VARIANCE_FLOOR)))
+        mean, scale = stats
+        features = (self.features - mean[:, None]) / scale[:, None]
+        return Dataset(features, self.targets, self.kind, stats)
+
     def head(self, n: int) -> "Dataset":
         """First n samples (desk-scale subsetting)."""
         return self.take(np.arange(min(n, self.num_samples)))
@@ -172,17 +185,10 @@ def load_csv(path, target_column: str, standardize: bool = False, norm_stats=Non
     targets = table[:, t_idx].reshape(1, -1)
     features = np.delete(table, t_idx, axis=1).T
 
-    normalization = None
-    if norm_stats is not None:
-        mean, scale = norm_stats
-        features = (features - mean[:, None]) / scale[:, None]
-        normalization = (mean, scale)
-    elif standardize:
-        mean = features.mean(axis=1)
-        scale = np.sqrt(np.maximum(features.var(axis=1), VARIANCE_FLOOR))
-        features = (features - mean[:, None]) / scale[:, None]
-        normalization = (mean, scale)
-    return Dataset(features, targets, REGRESSION, normalization)
+    ds = Dataset(features, targets, REGRESSION)
+    if norm_stats is not None or standardize:
+        ds = ds.standardized(norm_stats)
+    return ds
 
 
 def synth_regression(seed, n: int, d: int, noise_sd: float) -> tuple[Dataset, Matrix]:

@@ -16,18 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .model import (
-    NetworkModel,
-    batch_loss,
-    block_loss_and_gradients,
-    glorot_init,
-    leaky_relu,
-)
-from .numerics import Matrix, expand
+from .model import NetworkModel, block_loss_and_gradients, glorot_init, leaky_relu
+from .numerics import Matrix
 from .stepsize import (
     ARM_FULL,
     GradFeatures,
     StepSizeKind,
+    candidate_weights,
     compose_step,
     project_unit,
     project_unit_derivative,
@@ -167,6 +162,8 @@ def meta_gradients(
     step; the candidate weights w' = w - step (*) g are substituted into
     the network; the loss on `meta_batch` is differentiated back through
     the substitution, the composition, the unit projection and the MLP.
+    A bypassed model has no meta step: the adaptive engine skips this
+    pass for it.
 
     Args:
         block: layer indices the step size serves (weights/grads align).
@@ -174,29 +171,11 @@ def meta_gradients(
         eta0: initial step values, shaped like the step size.
     """
     block = tuple(block)
-    weights = list(weights)
-    grads = list(grads)
-    for w, g in zip(weights, grads):
-        if w.shape != g.shape:
-            raise ShapeError(f"weight {w.shape} and gradient {g.shape} shapes differ")
-
-    if psi.bypass:
-        outs = psi_forward(psi, d)
-        value, _, _ = compose_step(arm, outs.beta, eta0, outs.eta_hat)
-        w_prime = {
-            l: w - expand(value, w.shape) * g for l, w, g in zip(block, weights, grads)
-        }
-        zero = tuple(np.zeros_like(m) for m in psi.weights)
-        loss = batch_loss(net.with_layers(w_prime), meta_batch)
-        return MetaStep(zero, outs.beta, outs.eta_hat, value, w_prime, loss)
-
     d_col = d.as_column()
     beta, eta_hat, cache = _psi_forward_cached(psi, d_col)
     step_cand, dstep_dbeta, dstep_deta = compose_step(arm, beta, eta0, eta_hat)
 
-    w_prime = {
-        l: w - expand(step_cand, w.shape) * g for l, w, g in zip(block, weights, grads)
-    }
+    w_prime = candidate_weights(block, weights, grads, step_cand)
     meta_loss, dW = block_loss_and_gradients(net.with_layers(w_prime), meta_batch, block)
 
     dstep = np.zeros(psi.head_shape)

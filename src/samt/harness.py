@@ -19,7 +19,6 @@ from . import theory
 from .data import (
     CLASSIFICATION,
     Dataset,
-    REGRESSION,
     load_csv,
     load_idx,
     meta_subset,
@@ -27,8 +26,15 @@ from .data import (
     synth_regression,
 )
 from .errors import ConfigError
-from .etamodel import init_eta_model, meta_gradients
-from .model import MSE, SOFTMAX_CE, NetworkModel, block_loss_and_gradients, init_network
+from .etamodel import _psi_forward_cached, init_eta_model, meta_gradients
+from .model import (
+    MSE,
+    SOFTMAX_CE,
+    NetworkModel,
+    batch_loss,
+    block_loss_and_gradients,
+    init_network,
+)
 from .numerics import make_rng, spawn_rngs
 from .optim import AdamEngine, HdEngine, OagdEngine, OagdState, SgdEngine
 from .stepsize import (
@@ -36,6 +42,8 @@ from .stepsize import (
     PROJECTION_STYLES,
     StepSize,
     StepSizeKind,
+    candidate_weights,
+    compose_step,
     grad_features,
 )
 from .trainer import block_partition, evaluate, train_epoch, TrainRunState
@@ -296,16 +304,8 @@ def load_datasets(config: TrainConfig) -> tuple[Dataset, Dataset]:
     idx = np.arange(n)
     train, test = full.take(idx[: n - n_test]), full.take(idx[n - n_test :])
     if config.csv_standardize:
-        mean = train.features.mean(axis=1)
-        scale = np.sqrt(np.maximum(train.features.var(axis=1), 1e-12))
-        train = Dataset(
-            (train.features - mean[:, None]) / scale[:, None],
-            train.targets, REGRESSION, (mean, scale),
-        )
-        test = Dataset(
-            (test.features - mean[:, None]) / scale[:, None],
-            test.targets, REGRESSION, (mean, scale),
-        )
+        train = train.standardized()
+        test = test.standardized(train.normalization)
     return train, test
 
 
@@ -337,8 +337,6 @@ def build_state(config: TrainConfig, train_ds: Dataset) -> TrainRunState:
         elif config.optimizer == "hd":
             engines.append(HdEngine.fresh(net, block, config.eta0, config.hd_hyper_rate))
         else:
-            if kind is not StepSizeKind.SCALAR and len(block) > 1:
-                raise ConfigError("non-scalar step sizes support single-layer blocks only")
             layer_shape = net.layer_weights[block[0]].shape
             psi = init_eta_model(
                 kind,
@@ -527,8 +525,6 @@ def _rel_err(analytic: float, numeric: float) -> float:
 
 def fd_layer_gradients(net: NetworkModel, batch, h: float = 1e-5) -> float:
     """Worst relative error between backprop and central differences."""
-    from .model import batch_loss
-
     worst = 0.0
     block = tuple(range(net.num_layers))
     _, grads = block_loss_and_gradients(net, batch, block)
@@ -548,20 +544,12 @@ def fd_layer_gradients(net: NetworkModel, batch, h: float = 1e-5) -> float:
 
 def fd_meta_gradients(psi, feats, block, weights, grads, eta0, meta_batch, net, arm="full", h: float = 1e-5) -> float:
     """Worst relative error between the meta chain and central differences."""
-    from .model import batch_loss
-    from .numerics import expand
-    from .stepsize import compose_step
-    from .etamodel import _psi_forward_cached
-
     meta = meta_gradients(psi, feats, block, weights, grads, eta0, meta_batch, net, arm=arm)
 
     def meta_loss_with(psi_variant) -> float:
         beta, eta_hat, _ = _psi_forward_cached(psi_variant, feats.as_column())
         value, _, _ = compose_step(arm, beta, eta0, eta_hat)
-        updates = {
-            l: w - expand(value, w.shape) * g for l, w, g in zip(block, weights, grads)
-        }
-        return batch_loss(net.with_layers(updates), meta_batch)
+        return batch_loss(net.with_layers(candidate_weights(block, weights, grads, value)), meta_batch)
 
     worst = 0.0
     for name, analytic in zip(("w1", "w2", "w3"), meta.psi_grads):

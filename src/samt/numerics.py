@@ -1,9 +1,9 @@
-"""Dense matrix kernels and seeded randomness.
+"""Matrix coercion, the step-size broadcast rule and seeded randomness.
 
 Every numeric value in the package is a 2-D row-major float64 array
-(vectors are n x 1).  The functions here are the small set of exact
-kernels the rest of the package builds on; they validate shapes and
-never let NaN/Inf escape.
+(vectors are n x 1).  `matrix` validates shape and finiteness of its
+input; `expand` materializes a step under the restricted broadcast rule
+(shapes (1,1), (m,n), (m,1) or (1,n) against an (m,n) matrix).
 """
 
 from __future__ import annotations
@@ -44,33 +44,9 @@ def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
 
 
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Matrix product with an explicit inner-dimension check."""
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    out = a @ b
-    require_finite(out, "matmul result")
-    return out
-
-
 def _broadcastable(step_shape: tuple[int, int], g_shape: tuple[int, int]) -> bool:
     m, n = g_shape
     return step_shape in ((1, 1), (m, n), (m, 1), (1, n))
-
-
-def hadamard_broadcast(step: Matrix, g: Matrix) -> Matrix:
-    """Elementwise product after tiling `step` along its size-1 axes.
-
-    `step` must have shape (1,1), (m,n), (m,1) or (1,n) for g of shape
-    (m,n); anything else raises ShapeError.
-    """
-    if step.ndim != 2 or g.ndim != 2 or not _broadcastable(step.shape, g.shape):
-        raise ShapeError(
-            f"cannot broadcast step of shape {step.shape} onto gradient of shape {g.shape}"
-        )
-    out = step * g
-    require_finite(out, "hadamard_broadcast result")
-    return out
 
 
 def expand(step: Matrix, target_shape: tuple[int, int]) -> Matrix:
@@ -78,12 +54,3 @@ def expand(step: Matrix, target_shape: tuple[int, int]) -> Matrix:
     if not _broadcastable(step.shape, tuple(target_shape)):
         raise ShapeError(f"cannot expand shape {step.shape} to {tuple(target_shape)}")
     return np.broadcast_to(step, target_shape).copy()
-
-
-def scale_add(a: Matrix, alpha: float, b: Matrix) -> Matrix:
-    """Return a + alpha * b (shapes must match exactly)."""
-    if a.shape != b.shape:
-        raise ShapeError(f"scale_add shape mismatch: {a.shape} vs {b.shape}")
-    out = a + alpha * b
-    require_finite(out, "scale_add result")
-    return out

@@ -1,10 +1,12 @@
 """Per-block update engines.
 
-Two families live here: the adaptive engines that carry a trainable
-step size and its meta model (scalar and non-scalar variants), and the
-fixed-recipe baselines (plain SGD, Adam, and a hypergradient rate
-adapter).  Engines are pure: a step returns the new network, the new
-engine state and the pre-update mini-batch loss.
+Every engine takes `step(net, block, main_batch, meta_batch, trace)` and
+returns the new network, the engine for the next step and the pre-update
+mini-batch loss.  The fixed-recipe baselines (plain SGD, Adam and a
+hypergradient rate adapter) are immutable: a step builds a new engine.
+The adaptive engine carries a trainable step size and its step model
+psi; psi is state the engine owns and mutates, because `psi_step`
+updates psi's weight arrays in place.
 """
 
 from __future__ import annotations
@@ -13,76 +15,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ShapeError
-from .etamodel import EtaModel, MetaStep, meta_gradients, psi_forward, psi_step
+from .etamodel import EtaModel, meta_gradients, psi_forward, psi_step
 from .model import block_loss_and_gradients
-from .numerics import Matrix, expand
-from .stepsize import ARM_FULL, StepSize, StepSizeKind, compose_step, grad_features
-
-
-def sgd_step(w: Matrix, g: Matrix, eta: float) -> Matrix:
-    """w - eta * g."""
-    if w.shape != g.shape:
-        raise ShapeError(f"sgd_step shape mismatch: {w.shape} vs {g.shape}")
-    if eta <= 0:
-        raise ValueError(f"step size must be positive, got {eta}")
-    return w - eta * g
-
-
-@dataclass(frozen=True)
-class AdamState:
-    """First/second moment accumulators for one parameter matrix."""
-
-    m: Matrix
-    v: Matrix
-    t: int = 0
-    rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-    @staticmethod
-    def zeros_like(w: Matrix, rate: float = 1e-3) -> "AdamState":
-        return AdamState(m=np.zeros_like(w), v=np.zeros_like(w), rate=rate)
-
-
-def adam_step(state: AdamState, w: Matrix, g: Matrix) -> tuple[Matrix, AdamState]:
-    """One bias-corrected Adam update."""
-    if w.shape != g.shape or w.shape != state.m.shape:
-        raise ShapeError(
-            f"adam_step shape mismatch: w {w.shape}, g {g.shape}, m {state.m.shape}"
-        )
-    t = state.t + 1
-    m = state.beta1 * state.m + (1 - state.beta1) * g
-    v = state.beta2 * state.v + (1 - state.beta2) * (g * g)
-    m_hat = m / (1 - state.beta1 ** t)
-    v_hat = v / (1 - state.beta2 ** t)
-    w_new = w - state.rate * m_hat / (np.sqrt(v_hat) + state.eps)
-    return w_new, replace(state, m=m, v=v, t=t)
-
-
-@dataclass(frozen=True)
-class HdState:
-    """Scalar rate adapted by the inner product of consecutive gradients."""
-
-    g_prev: Matrix
-    rate: float
-    hyper_rate: float = 1e-4
-    rate_floor: float = 1e-8
-
-    @staticmethod
-    def fresh(w: Matrix, rate: float, hyper_rate: float = 1e-4) -> "HdState":
-        return HdState(g_prev=np.zeros_like(w), rate=rate, hyper_rate=hyper_rate)
-
-
-def hd_step(state: HdState, w: Matrix, g: Matrix) -> tuple[Matrix, HdState]:
-    """Adapt the rate from <g, g_prev>, then take the descent step."""
-    if w.shape != g.shape or w.shape != state.g_prev.shape:
-        raise ShapeError(
-            f"hd_step shape mismatch: w {w.shape}, g {g.shape}, g_prev {state.g_prev.shape}"
-        )
-    rate = max(state.rate_floor, state.rate + state.hyper_rate * float(np.vdot(g, state.g_prev)))
-    return w - rate * g, replace(state, g_prev=g.copy(), rate=rate)
+from .numerics import Matrix
+from .stepsize import (
+    ARM_FULL,
+    StepSize,
+    StepSizeKind,
+    candidate_weights,
+    compose_step,
+    grad_features,
+)
 
 
 @dataclass(frozen=True)
@@ -110,86 +53,24 @@ def _block_features(grads_in_order):
     return grad_features(stacked)
 
 
-def _oagd_step(state, net, block, main_batch, meta_batch, trace):
-    block = tuple(block)
-    loss, grads = block_loss_and_gradients(net, main_batch, block)
-    g_list = [grads[l] for l in block]
-    w_list = [net.layer_weights[l] for l in block]
-    feats = _block_features(g_list)
-    eta0 = state.step.init_values
-
-    if state.psi.bypass:
-        outs = psi_forward(state.psi, feats)
-        step_cand, _, _ = compose_step(state.arm, outs.beta, eta0, outs.eta_hat)
-        beta, eta_hat = outs.beta, outs.eta_hat
-        meta: MetaStep | None = None
-        psi_new = state.psi
-    else:
-        meta = meta_gradients(
-            state.psi, feats, block, w_list, g_list, eta0, meta_batch, net, arm=state.arm
-        )
-        psi_new = psi_step(state.psi, meta.psi_grads)
-        step_cand, beta, eta_hat = meta.step_candidate, meta.beta, meta.eta_hat
-
-    commit = step_cand if state.meta_lag == 0 else state.step.values
-    if state.meta_lag == 0 and meta is not None:
-        updates = meta.w_prime
-    else:
-        updates = {
-            l: w - expand(commit, w.shape) * g for l, w, g in zip(block, w_list, g_list)
-        }
-    if trace is not None:
-        trace(
-            {
-                "event": "oagd_step",
-                "block": block,
-                "arm": state.arm,
-                "loss": loss,
-                "batch_sum": float(main_batch[0].sum()),
-                "meta_batch_sum": float(meta_batch[0].sum()),
-                "beta": beta.copy(),
-                "eta_hat": eta_hat.copy(),
-                "step": step_cand.copy(),
-                "weight_sums": tuple(float(w.sum()) for w in net.layer_weights),
-            }
-        )
-    state_new = replace(state, step=state.step.with_values(step_cand), psi=psi_new)
-    return net.with_layers(updates), state_new, loss
-
-
-def oagd_s_step(state: OagdState, net, block, main_batch, meta_batch, trace=None):
-    """One adaptive step with a scalar step size (single layer or group)."""
-    if state.step.kind is not StepSizeKind.SCALAR:
-        raise ValueError(f"scalar engine got step kind {state.step.kind}")
-    return _oagd_step(state, net, block, main_batch, meta_batch, trace)
-
-
-def oagd_ns_step(state: OagdState, net, block, main_batch, meta_batch, trace=None):
-    """One adaptive step with an element / row / column step size."""
-    if state.step.kind is StepSizeKind.SCALAR:
-        raise ValueError("non-scalar engine got a scalar step size")
-    if len(tuple(block)) != 1:
-        raise ValueError("non-scalar step sizes serve single-layer blocks only")
-    return _oagd_step(state, net, block, main_batch, meta_batch, trace)
-
-
-# ---------------------------------------------------------------------------
-# Per-block engines with a uniform step interface for the training loop.
-# ---------------------------------------------------------------------------
-
-
 @dataclass(frozen=True)
 class SgdEngine:
+    """Plain SGD with a fixed positive rate."""
+
     eta: float
 
     needs_meta_batch = False
+
+    def __post_init__(self):
+        if not self.eta > 0:
+            raise ValueError(f"step size must be positive, got {self.eta}")
 
     def step(self, net, block, main_batch, meta_batch=None, trace=None):
         loss, grads = block_loss_and_gradients(net, main_batch, block)
         if trace is not None:
             trace({"event": "sgd_step", "block": tuple(block), "loss": loss,
                    "weight_sums": tuple(float(w.sum()) for w in net.layer_weights)})
-        updates = {l: sgd_step(net.layer_weights[l], grads[l], self.eta) for l in block}
+        updates = {l: net.layer_weights[l] - self.eta * grads[l] for l in block}
         return net.with_layers(updates), self, loss
 
     def eta_snapshot(self) -> np.ndarray:
@@ -198,31 +79,48 @@ class SgdEngine:
 
 @dataclass(frozen=True)
 class AdamEngine:
-    states: tuple[AdamState, ...]  # aligned with the block's layer order
+    """Bias-corrected Adam; the moments align with the block's layer order."""
+
+    m: tuple[Matrix, ...]
+    v: tuple[Matrix, ...]
+    rate: float = 1e-3
+    t: int = 0
+    beta1: float = 0.9
+    beta2: float = 0.999
+    eps: float = 1e-8
 
     needs_meta_batch = False
 
     @staticmethod
     def fresh(net, block, rate: float) -> "AdamEngine":
-        return AdamEngine(
-            tuple(AdamState.zeros_like(net.layer_weights[l], rate) for l in block)
-        )
+        zeros = tuple(np.zeros_like(net.layer_weights[l]) for l in block)
+        return AdamEngine(zeros, zeros, rate)
 
     def step(self, net, block, main_batch, meta_batch=None, trace=None):
         loss, grads = block_loss_and_gradients(net, main_batch, block)
-        updates, new_states = {}, []
-        for st, l in zip(self.states, block):
-            w_new, st_new = adam_step(st, net.layer_weights[l], grads[l])
-            updates[l] = w_new
-            new_states.append(st_new)
-        return net.with_layers(updates), AdamEngine(tuple(new_states)), loss
+        t = self.t + 1
+        b1, b2 = self.beta1, self.beta2
+        updates, ms, vs = {}, [], []
+        for l, m, v in zip(block, self.m, self.v):
+            g = grads[l]
+            m = b1 * m + (1 - b1) * g
+            v = b2 * v + (1 - b2) * (g * g)
+            m_hat = m / (1 - b1 ** t)
+            v_hat = v / (1 - b2 ** t)
+            updates[l] = net.layer_weights[l] - self.rate * m_hat / (np.sqrt(v_hat) + self.eps)
+            ms.append(m)
+            vs.append(v)
+        new = replace(self, m=tuple(ms), v=tuple(vs), t=t)
+        return net.with_layers(updates), new, loss
 
     def eta_snapshot(self) -> np.ndarray:
-        return np.array([self.states[0].rate])
+        return np.array([self.rate])
 
 
 @dataclass(frozen=True)
 class HdEngine:
+    """One rate per block, adapted by the inner product of consecutive gradients."""
+
     g_prev: tuple[Matrix, ...]
     rate: float
     hyper_rate: float = 1e-4
@@ -252,16 +150,56 @@ class HdEngine:
 
 @dataclass(frozen=True)
 class OagdEngine:
+    """Adaptive engine: one trainable step size and its step model psi."""
+
     state: OagdState
 
     needs_meta_batch = True
 
     def step(self, net, block, main_batch, meta_batch, trace=None):
-        if self.state.step.kind is StepSizeKind.SCALAR:
-            net2, st2, loss = oagd_s_step(self.state, net, block, main_batch, meta_batch, trace)
+        state = self.state
+        block = tuple(block)
+        if state.step.kind is not StepSizeKind.SCALAR and len(block) != 1:
+            raise ValueError("non-scalar step sizes serve single-layer blocks only")
+        loss, grads = block_loss_and_gradients(net, main_batch, block)
+        g_list = [grads[l] for l in block]
+        w_list = [net.layer_weights[l] for l in block]
+        feats = _block_features(g_list)
+        eta0 = state.step.init_values
+
+        updates = None
+        if state.psi.bypass:
+            outs = psi_forward(state.psi, feats)
+            step_cand, _, _ = compose_step(state.arm, outs.beta, eta0, outs.eta_hat)
+            beta, eta_hat = outs.beta, outs.eta_hat
         else:
-            net2, st2, loss = oagd_ns_step(self.state, net, block, main_batch, meta_batch, trace)
-        return net2, OagdEngine(st2), loss
+            meta = meta_gradients(
+                state.psi, feats, block, w_list, g_list, eta0, meta_batch, net, arm=state.arm
+            )
+            psi_step(state.psi, meta.psi_grads)
+            step_cand, beta, eta_hat = meta.step_candidate, meta.beta, meta.eta_hat
+            if state.meta_lag == 0:
+                updates = meta.w_prime
+        if updates is None:
+            commit = step_cand if state.meta_lag == 0 else state.step.values
+            updates = candidate_weights(block, w_list, g_list, commit)
+        if trace is not None:
+            trace(
+                {
+                    "event": "oagd_step",
+                    "block": block,
+                    "arm": state.arm,
+                    "loss": loss,
+                    "batch_sum": float(main_batch[0].sum()),
+                    "meta_batch_sum": float(meta_batch[0].sum()),
+                    "beta": beta.copy(),
+                    "eta_hat": eta_hat.copy(),
+                    "step": step_cand.copy(),
+                    "weight_sums": tuple(float(w.sum()) for w in net.layer_weights),
+                }
+            )
+        new = OagdEngine(replace(state, step=state.step.with_values(step_cand)))
+        return net.with_layers(updates), new, loss
 
     def eta_snapshot(self) -> np.ndarray:
         return self.state.step.values.ravel().copy()

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ShapeError
-from .numerics import Matrix, expand
+from .numerics import Matrix, _broadcastable, expand
 
 # Projections are clipped to this open interval so saturation can never
 # emit exactly 0.0 or 1.0 in float64.
@@ -59,7 +59,7 @@ class StepSize:
                 f"values {self.values.shape} and init_values {self.init_values.shape} differ"
             )
         for name, v in (("values", self.values), ("init_values", self.init_values)):
-            if (v <= 0.0).any() or (v >= 1.0).any():
+            if not ((v > 0.0) & (v < 1.0)).all():
                 raise ValueError(f"step {name} must lie strictly in (0,1)")
 
     @staticmethod
@@ -131,11 +131,6 @@ def project_unit_derivative(u: Matrix, style: str) -> Matrix:
     raise ValueError(f"projection style must be one of {PROJECTION_STYLES}, got {style!r}")
 
 
-def _conforming(shape, target) -> bool:
-    m, n = target
-    return tuple(shape) in ((1, 1), (m, n), (m, 1), (1, n))
-
-
 def step_update(beta: Matrix, eta0: Matrix, eta_hat: Matrix) -> Matrix:
     """Convex combination beta * eta0 + (1 - beta) * eta_hat.
 
@@ -151,12 +146,28 @@ def step_update(beta: Matrix, eta0: Matrix, eta_hat: Matrix) -> Matrix:
             f"eta0 {eta0.shape}, eta_hat {eta_hat.shape}"
         ) from None
     for name, a in (("beta", beta), ("eta0", eta0), ("eta_hat", eta_hat)):
-        if not _conforming(a.shape, target):
+        if not _broadcastable(a.shape, target):
             raise ShapeError(f"{name} shape {a.shape} does not conform to {target}")
     for name, a in (("beta", beta), ("eta_hat", eta_hat)):
-        if (a < 0.0).any() or (a > 1.0).any():
+        if not ((a >= 0.0) & (a <= 1.0)).all():
             raise ValueError(f"{name} entries must lie in [0,1]")
     return beta * eta0 + (1.0 - beta) * eta_hat
+
+
+def candidate_weights(block, weights, grads, step: Matrix) -> dict[int, Matrix]:
+    """The candidate update w' = w - step (*) g for every layer of a block.
+
+    `block`, `weights` and `grads` align; the step multiplies each
+    gradient by broadcasting, so it must conform to every layer's shape.
+    """
+    updates = {}
+    for l, w, g in zip(block, weights, grads):
+        if w.shape != g.shape or not _broadcastable(step.shape, w.shape):
+            raise ShapeError(
+                f"step {step.shape} does not conform to weight {w.shape} and gradient {g.shape}"
+            )
+        updates[l] = w - step * g
+    return updates
 
 
 def reduce_to_kind(full_grad: Matrix, kind: StepSizeKind) -> Matrix:

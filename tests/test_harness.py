@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from samt.cli import main as cli_main
+from samt.data import load_csv
 from samt.errors import ConfigError
+from samt.numerics import make_rng
 from samt.harness import (
     CSV_HEADER,
     TrainConfig,
@@ -81,6 +83,26 @@ def quick_config(**kw):
     )
     base.update(kw)
     return TrainConfig(**base)
+
+
+class TestLoadDatasets:
+    def test_csv_splits_standardized_with_train_statistics(self, tmp_path):
+        rng = make_rng(5)
+        table = rng.normal(3.0, 2.0, (10, 4))
+        table[:, 2] = 7.0  # a constant column meets the variance floor
+        p = tmp_path / "d.csv"
+        p.write_text("a,b,c,y\n" + "".join(",".join(repr(float(v)) for v in r) + "\n" for r in table))
+        cfg = TrainConfig(dataset="csv", csv_path=str(p), csv_target="y", csv_test_fraction=0.2)
+        train, test = load_datasets(cfg)
+
+        raw = load_csv(p, "y").features
+        x_train, x_test = raw[:, np.arange(8)], raw[:, np.arange(8, 10)]
+        mean = x_train.mean(axis=1)
+        scale = np.sqrt(np.maximum(x_train.var(axis=1), 1e-12))
+        assert train.features.tobytes() == ((x_train - mean[:, None]) / scale[:, None]).tobytes()
+        assert test.features.tobytes() == ((x_test - mean[:, None]) / scale[:, None]).tobytes()
+        for stats in (train.normalization, test.normalization):
+            assert stats[0].tobytes() == mean.tobytes() and stats[1].tobytes() == scale.tobytes()
 
 
 class TestRunExperiment:

@@ -4,103 +4,81 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from samt.errors import ShapeError
-from samt.numerics import (
-    expand,
-    hadamard_broadcast,
-    make_rng,
-    matmul,
-    matrix,
-    scale_add,
-)
+from samt.numerics import expand, make_rng, matrix
+from samt.stepsize import StepSizeKind, candidate_weights
 
 
-class TestMatmul:
-    def test_identity(self):
-        out = matmul(np.eye(2), matrix([[5.0], [6.0]]))
-        assert np.array_equal(out, [[5.0], [6.0]])
-
-    def test_hand_product(self):
-        out = matmul(matrix([[1.0, 2.0], [3.0, 4.0]]), matrix([[5.0], [6.0]]))
-        assert np.array_equal(out, [[17.0], [39.0]])
-
-    def test_zero_left_factor(self):
-        out = matmul(np.zeros((2, 3)), np.ones((3, 4)))
-        assert np.array_equal(out, np.zeros((2, 4)))
-
-    def test_dimension_mismatch_names_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-    @settings(max_examples=50)
-    @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32 - 1))
-    def test_associativity(self, a, b, c, d, seed):
-        rng = make_rng(seed)
-        x = rng.uniform(-1, 1, (a, b))
-        y = rng.uniform(-1, 1, (b, c))
-        z = rng.uniform(-1, 1, (c, d))
-        left = matmul(matmul(x, y), z)
-        right = matmul(x, matmul(y, z))
-        assert np.max(np.abs(left - right)) <= 1e-12
+def candidate(w, g, step):
+    """The candidate update w - step (*) g of one single-layer block."""
+    return candidate_weights((0,), [w], [g], step)[0]
 
 
 class TestHadamardBroadcast:
+    """The step (*) gradient product inside the candidate update."""
+
     def test_scalar_step(self):
-        out = hadamard_broadcast(matrix([[2.0]]), matrix([[1.0, 2.0], [3.0, 4.0]]))
-        assert np.array_equal(out, [[2.0, 4.0], [6.0, 8.0]])
+        out = candidate(np.zeros((2, 2)), matrix([[1.0, 2.0], [3.0, 4.0]]), matrix([[2.0]]))
+        assert np.array_equal(out, [[-2.0, -4.0], [-6.0, -8.0]])
 
     def test_row_step(self):
-        out = hadamard_broadcast(matrix([[0.1], [0.2]]), matrix([[1.0, 2.0], [3.0, 4.0]]))
-        assert np.allclose(out, [[0.1, 0.2], [0.6, 0.8]], atol=1e-15)
+        out = candidate(np.zeros((2, 2)), matrix([[1.0, 2.0], [3.0, 4.0]]), matrix([[0.1], [0.2]]))
+        assert np.allclose(out, [[-0.1, -0.2], [-0.6, -0.8]], atol=1e-15)
 
     def test_column_step(self):
-        out = hadamard_broadcast(matrix([[1.0, 0.0]]), matrix([[5.0, 7.0]]))
-        assert np.array_equal(out, [[5.0, 0.0]])
+        out = candidate(np.zeros((1, 2)), matrix([[5.0, 7.0]]), matrix([[1.0, 0.0]]))
+        assert np.array_equal(out, [[-5.0, 0.0]])
 
     def test_rejects_other_shapes(self):
         with pytest.raises(ShapeError):
-            hadamard_broadcast(np.ones((2, 2)), np.ones((3, 3)))
+            candidate(np.ones((3, 3)), np.ones((3, 3)), np.ones((2, 2)))
         with pytest.raises(ShapeError):
-            hadamard_broadcast(np.ones((2, 3)), np.ones((2, 2)))
+            candidate(np.ones((2, 2)), np.ones((2, 2)), np.ones((2, 3)))
 
     @settings(max_examples=60)
     @given(
         st.integers(1, 5),
         st.integers(1, 5),
-        st.sampled_from(["scalar", "full", "row", "column"]),
+        st.sampled_from(list(StepSizeKind)),
         st.integers(0, 2**32 - 1),
     )
-    def test_matches_materialized_broadcast(self, m, n, mode, seed):
+    def test_matches_materialized_broadcast(self, m, n, kind, seed):
         rng = make_rng(seed)
+        w = rng.uniform(-2, 2, (m, n))
         g = rng.uniform(-2, 2, (m, n))
-        shape = {"scalar": (1, 1), "full": (m, n), "row": (m, 1), "column": (1, n)}[mode]
-        step = rng.uniform(-2, 2, shape)
-        assert np.array_equal(
-            hadamard_broadcast(step, g), hadamard_broadcast(expand(step, (m, n)), g)
-        )
+        step = rng.uniform(0, 1, kind.shape_for((m, n)))
+        out = candidate(w, g, step)
+        assert out.tobytes() == (w - expand(step, (m, n)) * g).tobytes()
+        with pytest.raises(ShapeError):
+            candidate(w, g, np.full((m + 1, n), 0.5))
 
 
 class TestScaleAdd:
+    """The candidate update as a scale-add: w - step * g."""
+
     def test_zero_coefficient(self):
-        x, y = matrix([[1.0, 2.0]]), matrix([[9.0, 9.0]])
-        assert np.array_equal(scale_add(x, 0.0, y), x)
+        w, g = matrix([[1.0, 2.0]]), matrix([[9.0, 9.0]])
+        assert np.array_equal(candidate(w, g, matrix([[0.0]])), w)
 
     def test_cancellation(self):
-        assert np.array_equal(scale_add(matrix([[1.0]]), -1.0, matrix([[1.0]])), [[0.0]])
+        assert np.array_equal(candidate(matrix([[1.0]]), matrix([[1.0]]), matrix([[1.0]])), [[0.0]])
 
     def test_hand_sum(self):
-        out = scale_add(matrix([[1.0, 2.0]]), 0.5, matrix([[4.0, 6.0]]))
+        out = candidate(matrix([[1.0, 2.0]]), matrix([[-4.0, -6.0]]), matrix([[0.5]]))
         assert np.array_equal(out, [[3.0, 5.0]])
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            scale_add(np.ones((2, 2)), 1.0, np.ones((2, 3)))
+            candidate(np.ones((2, 2)), np.ones((2, 3)), matrix([[0.5]]))
 
 
 def test_operations_are_pure():
     rng = make_rng(7)
-    a, b = rng.uniform(-1, 1, (3, 3)), rng.uniform(-1, 1, (3, 3))
-    assert np.array_equal(matmul(a, b), matmul(a, b))
-    assert np.array_equal(scale_add(a, 0.3, b), scale_add(a, 0.3, b))
+    w, g, step = rng.uniform(-1, 1, (3, 3)), rng.uniform(-1, 1, (3, 3)), rng.uniform(0, 1, (3, 1))
+    before = (w.copy(), g.copy(), step.copy())
+    assert np.array_equal(candidate(w, g, step), candidate(w, g, step))
+    assert np.array_equal(expand(step, (3, 3)), expand(step, (3, 3)))
+    for a, b in zip((w, g, step), before):
+        assert np.array_equal(a, b)
 
 
 def test_rng_determinism():

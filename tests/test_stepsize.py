@@ -109,6 +109,12 @@ class TestStepUpdate:
         with pytest.raises(ShapeError):
             step_update(np.full((2, 3), 0.5), np.full((2, 2), 0.1), np.full((2, 2), 0.5))
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="beta"):
+            step_update(np.array([[0.5, np.nan]]), matrix([[0.1]]), np.full((1, 2), 0.5))
+        with pytest.raises(ValueError, match="eta_hat"):
+            step_update(np.full((1, 2), 0.5), matrix([[0.1]]), np.array([[np.nan, 0.5]]))
+
     @settings(max_examples=60)
     @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32 - 1))
     def test_result_between_endpoints(self, m, n, seed):
@@ -172,6 +178,12 @@ class TestStepSizeType:
             StepSize.initial(StepSizeKind.SCALAR, (1, 1), 1.0)
         with pytest.raises(ValueError):
             StepSize(StepSizeKind.SCALAR, matrix([[0.0]]), matrix([[0.1]]))
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError):
+            StepSize(StepSizeKind.SCALAR, np.array([[np.nan]]), np.array([[0.1]]))
+        with pytest.raises(ValueError):
+            StepSize(StepSizeKind.ROW, np.array([[0.1], [0.2]]), np.array([[0.1], [np.nan]]))
 
 
 class TestComposeArms:

@@ -8,7 +8,7 @@ from samt.errors import PlanError
 from samt.etamodel import init_eta_model
 from samt.model import MSE, NetworkModel, block_gradient, init_network
 from samt.numerics import make_rng, matrix
-from samt.optim import OagdEngine, OagdState, SgdEngine, sgd_step
+from samt.optim import OagdEngine, OagdState, SgdEngine
 from samt.stepsize import StepSize, StepSizeKind
 from samt.trainer import TrainRunState, block_partition, evaluate, train_epoch
 
@@ -86,7 +86,7 @@ class TestTrainEpoch:
             batch = sample_minibatch(ds, 8, rng)
             grads = block_gradient(reference, batch, (0, 1))
             reference = reference.with_layers(
-                {l: sgd_step(reference.layer_weights[l], g, 0.1) for l, g in grads.items()}
+                {l: reference.layer_weights[l] - 0.1 * g for l, g in grads.items()}
             )
         worst = max(
             np.max(np.abs(a - b))
