@@ -1,7 +1,9 @@
 """Command-line entry points.
 
 Exit codes: 0 success, 1 configuration or data error, 2 a verification
-suite found a violated inequality (or a gradient check failed).
+suite found a violated inequality (or a gradient check failed), 3 a
+training run diverged (a step's loss or meta loss was not finite; the
+metrics CSV keeps the epochs completed before it).
 """
 
 from __future__ import annotations
@@ -9,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import ConfigError, DataFormatError, PlanError
+from .errors import ConfigError, DataFormatError, DivergenceError, PlanError
 from .harness import parse_config, run_experiment, run_gradcheck, run_matrix, run_theory_suite
 
 
@@ -61,6 +63,9 @@ def main(argv=None) -> int:
     except (ConfigError, DataFormatError, PlanError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except DivergenceError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 3
     return 0
 
 

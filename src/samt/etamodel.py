@@ -31,11 +31,19 @@ from .stepsize import (
 
 NUM_FEATURES = 5
 DEFAULT_HIDDEN = 64
+# Rows of a psi weight matrix updated per pass of `psi_step`; the
+# scratch buffer is PSI_CHUNK_ROWS x hidden.
+PSI_CHUNK_ROWS = 512
 
 
 @dataclass(frozen=True)
 class EtaModel:
-    """Three weight matrices plus the head bookkeeping for one block."""
+    """Three weight matrices plus the head bookkeeping for one block.
+
+    The weight arrays are owned by the one training loop that holds the
+    model and are mutated in place by `psi_step`; `frozen` freezes only
+    the attribute bindings, not the arrays behind them.
+    """
 
     w1: Matrix  # hidden x 5
     w2: Matrix  # hidden x hidden
@@ -135,9 +143,15 @@ def psi_forward(psi: EtaModel, d: GradFeatures) -> EtaOutputs:
 
 @dataclass
 class MetaStep:
-    """Everything one meta-gradient evaluation produces."""
+    """Everything one meta-gradient evaluation produces.
 
-    psi_grads: tuple[Matrix, Matrix, Matrix]
+    The model's input is one feature column, so each of its weight
+    gradients is an outer product: `psi_grads` holds one factor pair
+    (u, v) per layer, whose gradient is u @ v.T.  The (2k x hidden)
+    output-layer gradient is never built.
+    """
+
+    psi_grads: tuple[tuple[Matrix, Matrix], ...]
     beta: Matrix
     eta_hat: Matrix
     step_candidate: Matrix
@@ -183,36 +197,49 @@ def meta_gradients(
         dstep += reduce_to_kind(-dW[l] * g, psi.kind)
 
     k = psi.entry_count
-    dbeta = (dstep * dstep_dbeta).reshape(k, 1)
-    deta = (dstep * dstep_deta).reshape(k, 1)
-    d_raw_beta = dbeta * project_unit_derivative(cache.raw_beta, psi.projection_style)
-    d_raw_eta = deta * project_unit_derivative(cache.raw_eta, psi.projection_style)
-    du3 = np.vstack([d_raw_beta, d_raw_eta])
+    du3 = np.empty((2 * k, 1))
+    for head, dstep_dhead, raw in (
+        (du3[:k], dstep_dbeta, cache.raw_beta),
+        (du3[k:], dstep_deta, cache.raw_eta),
+    ):
+        np.multiply(dstep.reshape(k, 1), dstep_dhead.reshape(k, 1), out=head)
+        head *= project_unit_derivative(raw, psi.projection_style)
 
-    dw3 = du3 @ cache.h2.T
     dh2 = psi.w3.T @ du3
     _, a2 = leaky_relu(cache.u2, psi.activation_slope)
     du2 = dh2 * a2
-    dw2 = du2 @ cache.h1.T
     dh1 = psi.w2.T @ du2
     _, a1 = leaky_relu(cache.u1, psi.activation_slope)
     du1 = dh1 * a1
-    dw1 = du1 @ d_col.T
 
-    return MetaStep((dw1, dw2, dw3), beta, eta_hat, step_cand, w_prime, meta_loss)
+    psi_grads = ((du1, d_col), (du2, cache.h1), (du3, cache.h2))
+    return MetaStep(psi_grads, beta, eta_hat, step_cand, w_prime, meta_loss)
 
 
 def psi_step(psi: EtaModel, grads) -> EtaModel:
     """One plain gradient-descent step on the model's three matrices.
 
-    The weight arrays are updated in place (the model belongs to exactly
-    one training loop); the returned object is the updated model.
+    `grads` holds one factor pair (u, v) per matrix, as in
+    `MetaStep.psi_grads`.  Each matrix w becomes w - lr * (u @ v.T),
+    rounded exactly as that expression rounds, computed PSI_CHUNK_ROWS
+    rows at a time so that no full-size temporary exists.  The weight
+    arrays are owned by the one training loop that holds the model and
+    are mutated in place; the returned object is that same model.
     """
-    g1, g2, g3 = grads
-    for got, want in ((g1, psi.w1), (g2, psi.w2), (g3, psi.w3)):
-        if got.shape != want.shape:
-            raise ShapeError(f"gradient shape {got.shape} does not match weight {want.shape}")
+    for (u, v), w in zip(grads, psi.weights, strict=True):
+        if u.shape != (w.shape[0], 1) or v.shape != (w.shape[1], 1):
+            raise ShapeError(
+                f"gradient factors {u.shape} x {v.shape} do not match weight {w.shape}"
+            )
     lr = psi.meta_learning_rate
-    for w, g in ((psi.w1, g1), (psi.w2, g2), (psi.w3, g3)):
-        w -= lr * g
+    for (u, v), w in zip(grads, psi.weights):
+        rows = min(PSI_CHUNK_ROWS, w.shape[0])
+        buf = np.empty((rows, w.shape[1]))
+        for s in range(0, w.shape[0], rows):
+            e = min(s + rows, w.shape[0])
+            chunk = buf[: e - s]
+            # a K=1 matmul rounds one product per entry; then scale, subtract
+            np.multiply(u[s:e], v.T, out=chunk)
+            chunk *= lr
+            w[s:e] -= chunk
     return psi

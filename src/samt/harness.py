@@ -25,7 +25,7 @@ from .data import (
     synth_classification,
     synth_regression,
 )
-from .errors import ConfigError
+from .errors import ConfigError, DivergenceError
 from .etamodel import _psi_forward_cached, init_eta_model, meta_gradients
 from .model import (
     MSE,
@@ -391,29 +391,35 @@ def write_metrics_csv(path, rows) -> None:
 def run_experiment(config: TrainConfig, trace=None):
     """Train per the config, write the metrics CSV, print a summary line.
 
-    Returns (rows, csv_path).
+    Returns (rows, csv_path).  When a step diverges, the CSV gets the
+    rows of the epochs completed before it and `DivergenceError` is
+    re-raised.
     """
     train_ds, test_ds = load_datasets(config)
     state = build_state(config, train_ds)
     rows: list[MetricsRow] = []
-    for _ in range(config.epochs):
-        t0 = time.perf_counter()
-        state, stats = train_epoch(state, train_ds, config.train_batch, trace)
-        wall_ms = (time.perf_counter() - t0) * 1000.0
-        for split, ds in (("train", train_ds), ("test", test_ds)):
-            loss, metric = evaluate(state.net, ds, config.eval_batch)
-            rows.append(
-                MetricsRow(
-                    epoch=state.epoch,
-                    split=split,
-                    loss=loss,
-                    metric=metric,
-                    wall_ms=wall_ms,
-                    eta_mean=stats["eta_mean"],
-                    eta_min=stats["eta_min"],
-                    eta_max=stats["eta_max"],
+    try:
+        for _ in range(config.epochs):
+            t0 = time.perf_counter()
+            state, stats = train_epoch(state, train_ds, config.train_batch, trace)
+            wall_ms = (time.perf_counter() - t0) * 1000.0
+            for split, ds in (("train", train_ds), ("test", test_ds)):
+                loss, metric = evaluate(state.net, ds, config.eval_batch)
+                rows.append(
+                    MetricsRow(
+                        epoch=state.epoch,
+                        split=split,
+                        loss=loss,
+                        metric=metric,
+                        wall_ms=wall_ms,
+                        eta_mean=stats["eta_mean"],
+                        eta_min=stats["eta_min"],
+                        eta_max=stats["eta_max"],
+                    )
                 )
-            )
+    except DivergenceError:
+        write_metrics_csv(config.out_csv, rows)
+        raise
     write_metrics_csv(config.out_csv, rows)
     final = rows[-1]
     metric_name = "acc" if train_ds.kind == CLASSIFICATION else "mse"
@@ -552,7 +558,8 @@ def fd_meta_gradients(psi, feats, block, weights, grads, eta0, meta_batch, net, 
         return batch_loss(net.with_layers(candidate_weights(block, weights, grads, value)), meta_batch)
 
     worst = 0.0
-    for name, analytic in zip(("w1", "w2", "w3"), meta.psi_grads):
+    for name, (u, v) in zip(("w1", "w2", "w3"), meta.psi_grads):
+        analytic = u @ v.T
         w = getattr(psi, name)
         for i in range(w.shape[0]):
             for j in range(w.shape[1]):

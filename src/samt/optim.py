@@ -6,11 +6,14 @@ mini-batch loss.  The fixed-recipe baselines (plain SGD, Adam and a
 hypergradient rate adapter) are immutable: a step builds a new engine.
 The adaptive engine carries a trainable step size and its step model
 psi; psi is state the engine owns and mutates, because `psi_step`
-updates psi's weight arrays in place.
+updates psi's weight arrays in place.  The adaptive engine raises
+`FloatingPointError` when its meta loss is not finite, before psi's
+weights are touched.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -176,6 +179,8 @@ class OagdEngine:
             meta = meta_gradients(
                 state.psi, feats, block, w_list, g_list, eta0, meta_batch, net, arm=state.arm
             )
+            if not math.isfinite(meta.meta_loss):
+                raise FloatingPointError(f"meta loss is {meta.meta_loss}")
             psi_step(state.psi, meta.psi_grads)
             step_cand, beta, eta_hat = meta.step_candidate, meta.beta, meta.eta_hat
             if state.meta_lag == 0:

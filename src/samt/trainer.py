@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import CLASSIFICATION, Dataset, MetaSubset, sample_minibatch
-from .errors import PlanError
+from .errors import DivergenceError, PlanError
 from .model import NetworkModel, forward, mse_loss, softmax_ce_loss
 
 
@@ -88,7 +88,9 @@ def train_epoch(state: TrainRunState, dataset: Dataset, batch_size: int, trace=N
     """Run ceil(N / batch_size) outer iterations; returns (state, stats).
 
     stats holds the mean pre-update mini-batch loss over the epoch's
-    engine steps and the current step-size snapshot.
+    engine steps and the current step-size snapshot.  A step whose
+    pre-update loss is not finite, or an engine step that raises
+    `FloatingPointError`, raises `DivergenceError`.
     """
     if dataset.num_samples == 0:
         raise ValueError("dataset is empty")
@@ -98,7 +100,7 @@ def train_epoch(state: TrainRunState, dataset: Dataset, batch_size: int, trace=N
         )
     iterations = math.ceil(dataset.num_samples / batch_size)
     losses = []
-    for _ in range(iterations):
+    for it in range(iterations):
         for bi, block in enumerate(state.plan.blocks):
             engine = state.engines[bi]
             for _ in range(state.plan.inner_steps):
@@ -108,9 +110,16 @@ def train_epoch(state: TrainRunState, dataset: Dataset, batch_size: int, trace=N
                     if state.meta_source is None:
                         raise ValueError("adaptive engine needs a meta_source subset")
                     meta_batch = sample_minibatch(state.meta_source, batch_size, state.rng_meta)
-                state.net, engine, loss = engine.step(
-                    state.net, block, main_batch, meta_batch, trace
-                )
+                try:
+                    state.net, engine, loss = engine.step(
+                        state.net, block, main_batch, meta_batch, trace
+                    )
+                    if not math.isfinite(loss):
+                        raise FloatingPointError(f"loss is {loss}")
+                except FloatingPointError as e:
+                    raise DivergenceError(
+                        state.epoch + 1, it + 1, tuple(block), type(engine).__name__, str(e)
+                    ) from None
                 losses.append(loss)
             state.engines[bi] = engine
     state.epoch += 1

@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from dataclasses import replace
 
+from samt.errors import ShapeError
 from samt.etamodel import (
+    PSI_CHUNK_ROWS,
     init_eta_model,
     meta_gradients,
     psi_forward,
@@ -78,8 +82,8 @@ class TestMetaGradients:
         net, psi, feats, block, weights, _, eta0, meta_batch = make_setup(StepSizeKind.ELEMENT)
         zero_g = [np.zeros_like(w) for w in weights]
         meta = meta_gradients(psi, grad_features(zero_g[0]), block, weights, zero_g, eta0, meta_batch, net)
-        for g in meta.psi_grads:
-            assert not g.any()
+        for u, v in meta.psi_grads:
+            assert not (u @ v.T).any()
         assert np.array_equal(meta.w_prime[block[0]], weights[0])
 
     def test_scalar_chain_hand_value(self):
@@ -111,18 +115,99 @@ class TestMetaGradients:
         assert meta.meta_loss == pytest.approx(direct)
 
 
+def factors_like(psi, fill):
+    """One (u, v) pair per psi matrix, every entry equal to `fill`."""
+    return tuple(
+        (np.full((w.shape[0], 1), fill), np.full((w.shape[1], 1), fill)) for w in psi.weights
+    )
+
+
 class TestPsiStep:
     def test_zero_grads_fixed_point(self):
         psi = init_eta_model(StepSizeKind.SCALAR, (2, 2), make_rng(0), hidden=4)
-        updated = psi_step(psi, tuple(np.zeros_like(w) for w in psi.weights))
-        for a, b in zip(psi.weights, updated.weights):
+        before = [w.copy() for w in psi.weights]
+        updated = psi_step(psi, factors_like(psi, 0.0))
+        for a, b in zip(before, updated.weights):
             assert np.array_equal(a, b)
 
     def test_zero_rate_fixed_point(self):
         psi = init_eta_model(StepSizeKind.SCALAR, (2, 2), make_rng(1), hidden=4, meta_learning_rate=0.0)
-        updated = psi_step(psi, tuple(np.ones_like(w) for w in psi.weights))
-        for a, b in zip(psi.weights, updated.weights):
+        before = [w.copy() for w in psi.weights]
+        updated = psi_step(psi, factors_like(psi, 1.0))
+        for a, b in zip(before, updated.weights):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [PSI_CHUNK_ROWS - 2, PSI_CHUNK_ROWS, 2 * PSI_CHUNK_ROWS, 2 * PSI_CHUNK_ROWS + 6],
+    )
+    def test_in_place_update_is_bitwise_the_dense_update(self, rows):
+        # w3 has `rows` rows: below, equal to and above the chunk size,
+        # the last not a multiple of it
+        rng = make_rng(rows)
+        psi = init_eta_model(
+            StepSizeKind.ELEMENT, (rows // 2, 1), rng, hidden=7, meta_learning_rate=0.37
+        )
+        assert psi.w3.shape == (rows, 7)
+        grads = tuple(
+            (
+                rng.standard_normal((w.shape[0], 1)) * 10.0 ** rng.uniform(-3, 3, (w.shape[0], 1)),
+                rng.standard_normal((w.shape[1], 1)) * 10.0 ** rng.uniform(-3, 3, (w.shape[1], 1)),
+            )
+            for w in psi.weights
+        )
+        expected = [w - 0.37 * (u @ v.T) for w, (u, v) in zip(psi.weights, grads)]
+        ids = [id(w) for w in psi.weights]
+        updated = psi_step(psi, grads)
+        assert [id(w) for w in updated.weights] == ids
+        for got, want in zip(updated.weights, expected):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            lambda u, v: (v, u),  # factors swapped
+            lambda u, v: (u.T, v.T),  # rows instead of columns
+            lambda u, v: (u[:-1], v),  # one entry short
+            lambda u, v: (u @ v.T, v),  # a dense gradient
+        ],
+    )
+    def test_mismatched_factors_raise(self, bad):
+        psi = init_eta_model(StepSizeKind.ROW, (3, 4), make_rng(2), hidden=5)
+        before = [w.copy() for w in psi.weights]
+        grads = list(factors_like(psi, 1.0))
+        grads[2] = bad(*grads[2])
+        with pytest.raises(ShapeError):
+            psi_step(psi, tuple(grads))
+        for a, b in zip(before, psi.weights):
+            assert np.array_equal(a, b)
+
+    def test_meta_and_psi_step_never_hold_a_dense_output_gradient(self):
+        # w3 of an element head on a 100x784 layer is 156,800 x hidden;
+        # a dense gradient or a full-size temporary would put the peak
+        # above w3.nbytes.  The head's own arrays (beta, eta_hat, the
+        # step, w', du3 and their temporaries) are about a dozen
+        # 78,400-entry arrays whatever `hidden` is, so hidden=24 keeps
+        # them below half of w3.
+        rng = make_rng(40)
+        net = init_network((784, 100, 10), rng)
+        w = net.layer_weights[0]
+        x = rng.standard_normal((784, 8))
+        y = rng.integers(0, 10, 8)
+        _, grads = block_loss_and_gradients(net, (x, y), (0,))
+        psi = init_eta_model(StepSizeKind.ELEMENT, w.shape, rng, hidden=24)
+        eta0 = StepSize.initial(StepSizeKind.ELEMENT, w.shape, 0.1).init_values
+        feats = grad_features(grads[0])
+        meta_batch = (rng.standard_normal((784, 8)), rng.integers(0, 10, 8))
+        tracemalloc.start()
+        try:
+            meta = meta_gradients(psi, feats, (0,), [w], [grads[0]], eta0, meta_batch, net)
+            psi_step(psi, meta.psi_grads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert psi.w3.shape == (156_800, 24)
+        assert peak < psi.w3.nbytes / 2
 
     def test_one_step_reduces_meta_loss(self):
         net, psi, feats, block, weights, g_list, eta0, meta_batch = make_setup(

@@ -3,7 +3,8 @@ import pytest
 
 from samt.cli import main as cli_main
 from samt.data import load_csv
-from samt.errors import ConfigError
+from samt import harness
+from samt.errors import ConfigError, DivergenceError
 from samt.numerics import make_rng
 from samt.harness import (
     CSV_HEADER,
@@ -144,6 +145,22 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match="feature dimension"):
             run_experiment(cfg)
 
+    def test_divergence_keeps_completed_epochs(self, tmp_path, monkeypatch):
+        real_train_epoch = harness.train_epoch
+
+        def diverge_in_epoch_two(state, *args):
+            if state.epoch == 1:
+                raise DivergenceError(2, 1, (0,), "OagdEngine", "loss is nan")
+            return real_train_epoch(state, *args)
+
+        monkeypatch.setattr(harness, "train_epoch", diverge_in_epoch_two)
+        path = tmp_path / "m.csv"
+        with pytest.raises(DivergenceError, match="epoch 2"):
+            run_experiment(quick_config(epochs=3, out_csv=str(path)))
+        lines = path.read_text().splitlines()
+        assert lines[0] == CSV_HEADER
+        assert [line.split(",")[:2] for line in lines[1:]] == [["1", "train"], ["1", "test"]]
+
 
 class TestRunMatrix:
     def test_ablation_matrix_from_one_invocation(self, tmp_path):
@@ -230,6 +247,23 @@ class TestCli:
             ]
         )
         assert code == 0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "args,engine",
+        [
+            (["widths=10,50,1", "optimizer=sgd", "sgd_rate=5"], "SgdEngine"),
+            (["widths=10,32,32,1", "optimizer=samt_e", "seed=0"], "OagdEngine"),
+        ],
+    )
+    def test_diverging_run_exits_three_without_nan_rows(self, args, engine, tmp_path, capsys):
+        path = tmp_path / "m.csv"
+        code = cli_main(["train", "dataset=synthetic", *args, "epochs=2", f"out_csv={path}"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "diverged at epoch 1" in err and engine in err
+        text = path.read_text()
+        assert text.startswith(CSV_HEADER) and "nan" not in text.lower()
 
     def test_gradcheck_passes(self, capsys):
         assert cli_main(["gradcheck", "--seed=1"]) == 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from samt.data import CLASSIFICATION, Dataset, meta_subset, sample_minibatch
-from samt.errors import PlanError
+from samt.errors import DivergenceError, PlanError
 from samt.etamodel import init_eta_model
 from samt.model import MSE, NetworkModel, block_gradient, init_network
 from samt.numerics import make_rng, matrix
@@ -165,6 +165,30 @@ class TestTrainEpoch:
         iterations = math.ceil(20 / 10)
         assert stats["steps"] == iterations * len(plan.blocks) * plan.inner_steps
         assert len(events) == stats["steps"]
+
+    def test_non_finite_loss_raises_divergence_error(self):
+        class NanAtStep(SgdEngine):
+            calls = 0
+
+            def step(self, net, block, main_batch, meta_batch=None, trace=None):
+                NanAtStep.calls += 1
+                net, engine, loss = super().step(net, block, main_batch, meta_batch, trace)
+                return net, engine, float("nan") if NanAtStep.calls == 6 else loss
+
+        ds = class_dataset(24, n=20, d=4, classes=2)
+        state = TrainRunState(
+            net=init_network((4, 3, 2), make_rng(25)),
+            plan=block_partition(2),
+            engines=[NanAtStep(0.05), NanAtStep(0.05)],
+            rng_main=make_rng(26),
+            rng_meta=make_rng(27),
+        )
+        train_epoch(state, ds, batch_size=10)  # steps 1-4, all finite
+        with pytest.raises(DivergenceError) as info:
+            train_epoch(state, ds, batch_size=10)
+        e = info.value
+        assert (e.epoch, e.iteration, e.block, e.engine) == (2, 1, (1,), "NanAtStep")
+        assert isinstance(e, ArithmeticError) and not isinstance(e, ValueError)
 
     def test_batch_larger_than_dataset_rejected(self):
         ds = class_dataset(20, n=5)
