@@ -31,9 +31,9 @@ from .stepsize import (
 
 NUM_FEATURES = 5
 DEFAULT_HIDDEN = 64
-# Rows of a psi weight matrix updated per pass of `psi_step`; the
-# scratch buffer is PSI_CHUNK_ROWS x hidden.
-PSI_CHUNK_ROWS = 512
+# Scratch entries of one pass of `psi_step` (512 rows of a 64-wide
+# matrix); a pass updates as many whole columns as fit, at least one.
+PSI_CHUNK_ENTRIES = 512 * 64
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,7 @@ class EtaModel:
 
     w1: Matrix  # hidden x 5
     w2: Matrix  # hidden x hidden
-    w3: Matrix  # 2k x hidden
+    w3: Matrix  # 2k x hidden, column-major: each column is contiguous
     kind: StepSizeKind
     head_shape: tuple[int, int]  # shape both heads are reshaped to
     activation_slope: float = 0.01
@@ -92,7 +92,8 @@ def init_eta_model(
     return EtaModel(
         w1=glorot_init((hidden, NUM_FEATURES), rng),
         w2=glorot_init((hidden, hidden), rng),
-        w3=glorot_init((2 * k, hidden), rng),
+        # drawn as its transpose: a column-major view, no copy
+        w3=glorot_init((hidden, 2 * k), rng).T,
         kind=kind,
         head_shape=head_shape,
         activation_slope=activation_slope,
@@ -221,10 +222,13 @@ def psi_step(psi: EtaModel, grads) -> EtaModel:
 
     `grads` holds one factor pair (u, v) per matrix, as in
     `MetaStep.psi_grads`.  Each matrix w becomes w - lr * (u @ v.T),
-    rounded exactly as that expression rounds, computed PSI_CHUNK_ROWS
-    rows at a time so that no full-size temporary exists.  The weight
-    arrays are owned by the one training loop that holds the model and
-    are mutated in place; the returned object is that same model.
+    rounded exactly as that expression rounds, computed a block of whole
+    columns at a time (at most PSI_CHUNK_ENTRIES entries, at least one
+    column) so that no full-size temporary exists.  Any layout is
+    updated correctly; on the column-major output layer each block is
+    one contiguous slab.  The weight arrays are owned by the one
+    training loop that holds the model and are mutated in place; the
+    returned object is that same model.
     """
     for (u, v), w in zip(grads, psi.weights, strict=True):
         if u.shape != (w.shape[0], 1) or v.shape != (w.shape[1], 1):
@@ -233,13 +237,14 @@ def psi_step(psi: EtaModel, grads) -> EtaModel:
             )
     lr = psi.meta_learning_rate
     for (u, v), w in zip(grads, psi.weights):
-        rows = min(PSI_CHUNK_ROWS, w.shape[0])
-        buf = np.empty((rows, w.shape[1]))
-        for s in range(0, w.shape[0], rows):
-            e = min(s + rows, w.shape[0])
-            chunk = buf[: e - s]
+        rows, cols = w.shape
+        width = max(1, min(cols, PSI_CHUNK_ENTRIES // rows))
+        buf = np.empty((rows, width), order="F")
+        for s in range(0, cols, width):
+            e = min(s + width, cols)
+            chunk = buf[:, : e - s]
             # a K=1 matmul rounds one product per entry; then scale, subtract
-            np.multiply(u[s:e], v.T, out=chunk)
+            np.multiply(u, v[s:e].T, out=chunk)
             chunk *= lr
-            w[s:e] -= chunk
+            w[:, s:e] -= chunk
     return psi

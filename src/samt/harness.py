@@ -247,6 +247,14 @@ def validate_config(config: TrainConfig) -> None:
         raise ConfigError(f"meta_lag must be 0 or 1, got {config.meta_lag}")
     if config.epochs < 1:
         raise ConfigError(f"epochs must be >= 1, got {config.epochs}")
+    # written as `not x >= 0` so that NaN fails too
+    for key in ("meta_learning_rate", "hd_hyper_rate"):
+        if not getattr(config, key) >= 0.0:
+            raise ConfigError(f"{key} must be >= 0, got {getattr(config, key)}")
+    if not config.adam_rate > 0.0:
+        raise ConfigError(f"adam_rate must be > 0, got {config.adam_rate}")
+    if config.psi_hidden < 1:
+        raise ConfigError(f"psi_hidden must be >= 1, got {config.psi_hidden}")
     if config.dataset == "idx":
         missing = [
             k

@@ -1,9 +1,11 @@
 """Matrix coercion, the step-size broadcast rule and seeded randomness.
 
-Every numeric value in the package is a 2-D row-major float64 array
-(vectors are n x 1).  `matrix` validates shape and finiteness of its
-input; `expand` materializes a step under the restricted broadcast rule
-(shapes (1,1), (m,n), (m,1) or (1,n) against an (m,n) matrix).
+Every numeric value in the package is a 2-D float64 array (vectors are
+n x 1), row-major except the step-size model's output layer, which is
+column-major (see `etamodel`).  `matrix` validates shape and finiteness
+of its input; `expand` materializes a step under the restricted
+broadcast rule (shapes (1,1), (m,n), (m,1) or (1,n) against an (m,n)
+matrix).
 """
 
 from __future__ import annotations

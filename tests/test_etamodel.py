@@ -6,14 +6,15 @@ from dataclasses import replace
 
 from samt.errors import ShapeError
 from samt.etamodel import (
-    PSI_CHUNK_ROWS,
+    NUM_FEATURES,
+    PSI_CHUNK_ENTRIES,
     init_eta_model,
     meta_gradients,
     psi_forward,
     psi_step,
 )
 from samt.harness import fd_meta_gradients
-from samt.model import batch_loss, block_loss_and_gradients, init_network
+from samt.model import batch_loss, block_loss_and_gradients, glorot_init, init_network
 from samt.numerics import make_rng
 from samt.stepsize import StepSize, StepSizeKind, grad_features, reduce_to_kind
 
@@ -77,6 +78,35 @@ class TestPsiForward:
         assert (out.beta == 1.0).all() and (out.eta_hat == 0.5).all()
 
 
+class TestInitEtaModel:
+    def test_output_layer_is_column_major(self):
+        psi = init_eta_model(StepSizeKind.ELEMENT, (3, 4), make_rng(0), hidden=5)
+        assert psi.w3.shape == (24, 5)
+        assert psi.w3.flags.f_contiguous and not psi.w3.flags.c_contiguous
+
+    def test_consumes_the_draws_of_a_row_major_init(self):
+        # later psis and the network in build_state draw from the same rng
+        k, hidden = 12, 5
+        rng = make_rng(1)
+        init_eta_model(StepSizeKind.ELEMENT, (3, 4), rng, hidden=hidden)
+        reference = make_rng(1)
+        glorot_init((hidden, NUM_FEATURES), reference)
+        glorot_init((hidden, hidden), reference)
+        glorot_init((2 * k, hidden), reference)
+        assert rng.random() == reference.random()
+
+    def test_desk_element_head_allocates_no_transient_copy(self):
+        # w3 of an element head on a 100x784 layer is 156,800 x 64 (80 MB)
+        tracemalloc.start()
+        try:
+            psi = init_eta_model(StepSizeKind.ELEMENT, (100, 784), make_rng(2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert psi.w3.shape == (156_800, 64)
+        assert peak <= psi.w3.nbytes + 2**20
+
+
 class TestMetaGradients:
     def test_zero_gradient_kills_sensitivity(self):
         net, psi, feats, block, weights, _, eta0, meta_batch = make_setup(StepSizeKind.ELEMENT)
@@ -137,31 +167,38 @@ class TestPsiStep:
         for a, b in zip(before, updated.weights):
             assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize(
-        "rows",
-        [PSI_CHUNK_ROWS - 2, PSI_CHUNK_ROWS, 2 * PSI_CHUNK_ROWS, 2 * PSI_CHUNK_ROWS + 6],
-    )
+    @pytest.mark.parametrize("rows", [510, 512, 1024, 1030, 10_000, 40_000])
     def test_in_place_update_is_bitwise_the_dense_update(self, rows):
-        # w3 has `rows` rows: below, equal to and above the chunk size,
-        # the last not a multiple of it
-        rng = make_rng(rows)
-        psi = init_eta_model(
-            StepSizeKind.ELEMENT, (rows // 2, 1), rng, hidden=7, meta_learning_rate=0.37
-        )
-        assert psi.w3.shape == (rows, 7)
+        # w3 is rows x 7 and a pass of psi_step takes PSI_CHUNK_ENTRIES //
+        # rows whole columns: up to 1,030 rows all seven in one pass,
+        # 10,000 rows 3 + 3 + 1 columns, 40,000 rows one column per pass
+        assert PSI_CHUNK_ENTRIES // 1030 >= 7
+        assert PSI_CHUNK_ENTRIES // 10_000 == 3 and PSI_CHUNK_ENTRIES // 40_000 == 0
+
+        def fresh():
+            return init_eta_model(
+                StepSizeKind.ELEMENT, (rows // 2, 1), make_rng(rows), hidden=7, meta_learning_rate=0.37
+            )
+
+        column_major, psi = fresh(), fresh()
+        row_major = replace(psi, w3=np.ascontiguousarray(psi.w3))
+        assert column_major.w3.shape == (rows, 7)
+        rng = make_rng(rows + 1)
         grads = tuple(
             (
                 rng.standard_normal((w.shape[0], 1)) * 10.0 ** rng.uniform(-3, 3, (w.shape[0], 1)),
                 rng.standard_normal((w.shape[1], 1)) * 10.0 ** rng.uniform(-3, 3, (w.shape[1], 1)),
             )
-            for w in psi.weights
+            for w in column_major.weights
         )
-        expected = [w - 0.37 * (u @ v.T) for w, (u, v) in zip(psi.weights, grads)]
-        ids = [id(w) for w in psi.weights]
-        updated = psi_step(psi, grads)
-        assert [id(w) for w in updated.weights] == ids
-        for got, want in zip(updated.weights, expected):
-            assert got.tobytes() == want.tobytes()
+        for psi, layout in ((column_major, "F_CONTIGUOUS"), (row_major, "C_CONTIGUOUS")):
+            assert psi.w3.flags[layout]
+            expected = [w - 0.37 * (u @ v.T) for w, (u, v) in zip(psi.weights, grads)]
+            ids = [id(w) for w in psi.weights]
+            updated = psi_step(psi, grads)
+            assert [id(w) for w in updated.weights] == ids
+            for got, want in zip(updated.weights, expected):
+                assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize(
         "bad",

@@ -265,6 +265,27 @@ class TestCli:
         text = path.read_text()
         assert text.startswith(CSV_HEADER) and "nan" not in text.lower()
 
+    @pytest.mark.parametrize(
+        "args,key",
+        [
+            (["optimizer=samt_e", "meta_learning_rate=nan"], "meta_learning_rate"),
+            (["optimizer=samt_e", "meta_learning_rate=-1"], "meta_learning_rate"),
+            (["optimizer=adam", "adam_rate=nan"], "adam_rate"),
+            (["optimizer=adam", "adam_rate=0"], "adam_rate"),
+            (["optimizer=hd", "hd_hyper_rate=nan"], "hd_hyper_rate"),
+            (["optimizer=hd", "hd_hyper_rate=-1"], "hd_hyper_rate"),
+            (["optimizer=samt_e", "psi_hidden=0"], "psi_hidden"),
+        ],
+    )
+    def test_bad_rate_or_width_exits_one_naming_the_key(self, args, key, tmp_path, capsys):
+        path = tmp_path / "m.csv"
+        code = cli_main(
+            ["train", "dataset=synthetic", "widths=10,1", "epochs=2", *args, f"out_csv={path}"]
+        )
+        assert code == 1
+        assert key in capsys.readouterr().err
+        assert not path.exists()
+
     def test_gradcheck_passes(self, capsys):
         assert cli_main(["gradcheck", "--seed=1"]) == 0
         out = capsys.readouterr().out
