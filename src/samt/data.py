@@ -44,12 +44,6 @@ class Dataset:
     def num_samples(self) -> int:
         return self.features.shape[1]
 
-    @property
-    def num_classes(self) -> int:
-        if self.kind != CLASSIFICATION:
-            raise ValueError("num_classes is only defined for classification data")
-        return int(self.targets.max()) + 1
-
     def take(self, indices) -> "Dataset":
         targets = self.targets[indices] if self.targets.ndim == 1 else self.targets[:, indices]
         return Dataset(self.features[:, indices], targets, self.kind, self.normalization)
@@ -66,10 +60,6 @@ class Dataset:
         mean, scale = stats
         features = (self.features - mean[:, None]) / scale[:, None]
         return Dataset(features, self.targets, self.kind, stats)
-
-    def head(self, n: int) -> "Dataset":
-        """First n samples (desk-scale subsetting)."""
-        return self.take(np.arange(min(n, self.num_samples)))
 
 
 @dataclass(frozen=True)
@@ -100,9 +90,9 @@ def load_idx(images_path, labels_path, limit: int | None = None) -> Dataset:
     """Decode a big-endian IDX image/label file pair.
 
     Pixels are scaled to [0,1] by /255 and flattened row-major into
-    feature columns.  Bad magic numbers, truncation, or an image/label
-    count mismatch raise DataFormatError without producing a partial
-    dataset.
+    feature columns; `limit` keeps only the first samples.  Bad magic
+    numbers, truncation, or an image/label count mismatch raise
+    DataFormatError without producing a partial dataset.
     """
     with open(images_path, "rb") as f:
         img_buf = f.read()
@@ -135,7 +125,7 @@ def load_idx(images_path, labels_path, limit: int | None = None) -> Dataset:
     features = (pixels.reshape(n, rows * cols).T / 255.0).astype(np.float64)
     labels = np.frombuffer(lab_buf, dtype=np.uint8, count=n, offset=8).astype(np.int64)
     ds = Dataset(features, labels, CLASSIFICATION)
-    return ds.head(limit) if limit is not None else ds
+    return ds if limit is None else ds.take(np.arange(min(limit, n)))
 
 
 def write_idx(images_path, labels_path, images: np.ndarray, labels: np.ndarray) -> None:
@@ -149,12 +139,11 @@ def write_idx(images_path, labels_path, images: np.ndarray, labels: np.ndarray) 
         f.write(np.ascontiguousarray(labels, dtype=np.uint8).tobytes())
 
 
-def load_csv(path, target_column: str, standardize: bool = False, norm_stats=None) -> Dataset:
+def load_csv(path, target_column: str) -> Dataset:
     """Load a numeric CSV with a header row as a regression dataset.
 
-    Features may be standardized to zero mean / unit variance; pass
-    `norm_stats` from a previously loaded split to reuse its statistics.
-    Targets stay in their raw units.
+    Features and targets stay in their raw units; `Dataset.standardized`
+    scales the features.
     """
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
@@ -185,10 +174,7 @@ def load_csv(path, target_column: str, standardize: bool = False, norm_stats=Non
     targets = table[:, t_idx].reshape(1, -1)
     features = np.delete(table, t_idx, axis=1).T
 
-    ds = Dataset(features, targets, REGRESSION)
-    if norm_stats is not None or standardize:
-        ds = ds.standardized(norm_stats)
-    return ds
+    return Dataset(features, targets, REGRESSION)
 
 
 def synth_regression(seed, n: int, d: int, noise_sd: float) -> tuple[Dataset, Matrix]:

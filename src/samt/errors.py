@@ -37,7 +37,3 @@ class DivergenceError(ArithmeticError):
         self.iteration = iteration
         self.block = block
         self.engine = engine
-
-
-class SuiteFailure(AssertionError):
-    """A verification suite found a violated inequality."""

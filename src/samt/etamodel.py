@@ -2,11 +2,13 @@
 a scale factor and a candidate step.
 
 For a block whose step size has k entries, the model is a three-layer
-MLP (5 -> hidden -> hidden -> 2k).  The first k outputs become the
-scale factor beta, the last k the candidate step; both heads pass
-through a unit-interval projection and are reshaped to the step-size
-kind's shape.  The model is trained by plain gradient descent on the
-loss a candidate weight update achieves on a held-aside mini-batch.
+MLP (5 -> hidden -> hidden -> 2k) that reads the (5, 1) feature column
+of `stepsize.grad_features`.  The first k outputs become the scale
+factor beta, the last k the candidate step; both heads pass through a
+unit-interval projection and are reshaped to the step-size kind's
+shape.  The model is trained by plain gradient descent on the loss a
+candidate weight update achieves on a held-aside mini-batch.  Bypass
+is not the model's concern: a bypassed adaptive engine never calls it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .model import NetworkModel, block_loss_and_gradients, glorot_init, leaky_re
 from .numerics import Matrix
 from .stepsize import (
     ARM_FULL,
-    GradFeatures,
     StepSizeKind,
     candidate_weights,
     compose_step,
@@ -53,7 +54,6 @@ class EtaModel:
     activation_slope: float = 0.01
     projection_style: str = "tanh"
     meta_learning_rate: float = 1e-3
-    bypass: bool = False
 
     def __post_init__(self):
         k = self.head_shape[0] * self.head_shape[1]
@@ -71,12 +71,6 @@ class EtaModel:
         return (self.w1, self.w2, self.w3)
 
 
-@dataclass(frozen=True)
-class EtaOutputs:
-    beta: Matrix
-    eta_hat: Matrix
-
-
 def init_eta_model(
     kind: StepSizeKind,
     layer_shape: tuple[int, int],
@@ -85,7 +79,6 @@ def init_eta_model(
     activation_slope: float = 0.01,
     projection_style: str = "tanh",
     meta_learning_rate: float = 1e-3,
-    bypass: bool = False,
 ) -> EtaModel:
     head_shape = kind.shape_for(layer_shape)
     k = head_shape[0] * head_shape[1]
@@ -99,7 +92,6 @@ def init_eta_model(
         activation_slope=activation_slope,
         projection_style=projection_style,
         meta_learning_rate=meta_learning_rate,
-        bypass=bypass,
     )
 
 
@@ -114,7 +106,9 @@ class _PsiCache:
     raw_eta: Matrix
 
 
-def _psi_forward_cached(psi: EtaModel, d_col: Matrix) -> tuple[Matrix, Matrix, _PsiCache]:
+def psi_forward(psi: EtaModel, d_col: Matrix) -> tuple[Matrix, Matrix, _PsiCache]:
+    """Scale factor beta, candidate step eta_hat and the backward cache
+    for one (5, 1) feature column; both heads have the step's shape."""
     u1 = psi.w1 @ d_col
     h1, _ = leaky_relu(u1, psi.activation_slope)
     u2 = psi.w2 @ h1
@@ -126,20 +120,6 @@ def _psi_forward_cached(psi: EtaModel, d_col: Matrix) -> tuple[Matrix, Matrix, _
     eta_hat = project_unit(raw_eta, psi.projection_style).reshape(psi.head_shape)
     cache = _PsiCache(d_col, u1, h1, u2, h2, raw_beta, raw_eta)
     return beta, eta_hat, cache
-
-
-def psi_forward(psi: EtaModel, d: GradFeatures) -> EtaOutputs:
-    """Scale factor and candidate step for one gradient's statistics.
-
-    In bypass mode the outputs are pinned to beta = 1 (so the composed
-    step stays at its initial value forever) and eta_hat = 0.5.
-    """
-    if psi.bypass:
-        return EtaOutputs(
-            beta=np.ones(psi.head_shape), eta_hat=np.full(psi.head_shape, 0.5)
-        )
-    beta, eta_hat, _ = _psi_forward_cached(psi, d.as_column())
-    return EtaOutputs(beta=beta, eta_hat=eta_hat)
 
 
 @dataclass
@@ -162,7 +142,7 @@ class MetaStep:
 
 def meta_gradients(
     psi: EtaModel,
-    d: GradFeatures,
+    d_col: Matrix,
     block,
     weights,
     grads,
@@ -177,17 +157,15 @@ def meta_gradients(
     step; the candidate weights w' = w - step (*) g are substituted into
     the network; the loss on `meta_batch` is differentiated back through
     the substitution, the composition, the unit projection and the MLP.
-    A bypassed model has no meta step: the adaptive engine skips this
-    pass for it.
 
     Args:
+        d_col: the (5, 1) feature column of the block's gradient.
         block: layer indices the step size serves (weights/grads align).
         weights, grads: per-layer current weights and main-batch gradients.
         eta0: initial step values, shaped like the step size.
     """
     block = tuple(block)
-    d_col = d.as_column()
-    beta, eta_hat, cache = _psi_forward_cached(psi, d_col)
+    beta, eta_hat, cache = psi_forward(psi, d_col)
     step_cand, dstep_dbeta, dstep_deta = compose_step(arm, beta, eta0, eta_hat)
 
     w_prime = candidate_weights(block, weights, grads, step_cand)

@@ -10,6 +10,7 @@ writes one CSV row per epoch and split with the exact header
 from __future__ import annotations
 
 import time
+import typing
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from .data import (
     synth_regression,
 )
 from .errors import ConfigError, DivergenceError
-from .etamodel import _psi_forward_cached, init_eta_model, meta_gradients
+from .etamodel import init_eta_model, meta_gradients, psi_forward
 from .model import (
     MSE,
     SOFTMAX_CE,
@@ -146,43 +147,30 @@ def _optional(convert):
     return inner
 
 
-_CONVERTERS = {
+# Keys whose values are not plain int, float, bool or str; every other key
+# is parsed by the type of its TrainConfig field.
+_SPECIAL_CONVERTERS = {
     "dataset": _enum(DATASETS),
     "widths": _parse_widths,
     "optimizer": _enum(OPTIMIZERS),
-    "eta0": float,
     "projection_style": _enum(PROJECTION_STYLES),
     "ablation": _enum(ABLATION_ARMS),
-    "inner_steps": int,
-    "meta_lag": int,
-    "meta_learning_rate": float,
-    "psi_hidden": int,
-    "psi_bypass": _parse_bool,
-    "activation_slope": float,
-    "train_batch": int,
-    "eval_batch": int,
-    "epochs": int,
-    "seed": int,
     "grouping": _parse_grouping,
-    "sgd_rate": _optional(float),
-    "adam_rate": float,
-    "hd_hyper_rate": float,
-    "n_train": _optional(int),
-    "n_test": _optional(int),
-    "synth_d": int,
-    "synth_noise_sd": float,
-    "img_side": int,
-    "img_classes": int,
-    "img_noise_sd": float,
-    "idx_train_images": _optional(str),
-    "idx_train_labels": _optional(str),
-    "idx_test_images": _optional(str),
-    "idx_test_labels": _optional(str),
-    "csv_path": _optional(str),
-    "csv_target": _optional(str),
-    "csv_standardize": _parse_bool,
-    "csv_test_fraction": float,
-    "out_csv": str,
+}
+_TYPE_CONVERTERS = {int: int, float: float, bool: _parse_bool, str: str}
+
+
+def _converter(hint):
+    # `X | None` parses "none" (or an empty value) to None
+    args = [a for a in typing.get_args(hint) if a is not type(None)]
+    if args:
+        return _optional(_TYPE_CONVERTERS[args[0]])
+    return _TYPE_CONVERTERS[hint]
+
+
+_CONVERTERS = {
+    key: _SPECIAL_CONVERTERS.get(key) or _converter(hint)
+    for key, hint in typing.get_type_hints(TrainConfig).items()
 }
 
 
@@ -255,6 +243,12 @@ def validate_config(config: TrainConfig) -> None:
         raise ConfigError(f"adam_rate must be > 0, got {config.adam_rate}")
     if config.psi_hidden < 1:
         raise ConfigError(f"psi_hidden must be >= 1, got {config.psi_hidden}")
+    for key in ("n_train", "n_test"):
+        value = getattr(config, key)
+        if value is not None and value < 1:
+            raise ConfigError(f"{key} must be >= 1, got {value}")
+    if not 0.0 < config.csv_test_fraction < 1.0:
+        raise ConfigError(f"csv_test_fraction must be in (0,1), got {config.csv_test_fraction}")
     if config.dataset == "idx":
         missing = [
             k
@@ -279,16 +273,16 @@ def validate_config(config: TrainConfig) -> None:
 def load_datasets(config: TrainConfig) -> tuple[Dataset, Dataset]:
     """(train, test) pair for the configured source."""
     if config.dataset == "synthetic":
-        n_train = config.n_train or 2000
-        n_test = config.n_test or 1000
+        n_train = 2000 if config.n_train is None else config.n_train
+        n_test = 1000 if config.n_test is None else config.n_test
         full, _ = synth_regression(
             config.seed, n_train + n_test, config.synth_d, config.synth_noise_sd
         )
         idx = np.arange(full.num_samples)
         return full.take(idx[:n_train]), full.take(idx[n_train:])
     if config.dataset == "synthetic_images":
-        n_train = config.n_train or 10000
-        n_test = config.n_test or 2000
+        n_train = 10000 if config.n_train is None else config.n_train
+        n_test = 2000 if config.n_test is None else config.n_test
         images, labels = synth_classification(
             config.seed,
             n_train + n_test,
@@ -306,7 +300,7 @@ def load_datasets(config: TrainConfig) -> tuple[Dataset, Dataset]:
         test = load_idx(config.idx_test_images, config.idx_test_labels, limit=config.n_test)
         return train, test
     # csv: split the tail off as the test set, standardize with train stats
-    full = load_csv(config.csv_path, config.csv_target, standardize=False)
+    full = load_csv(config.csv_path, config.csv_target)
     n = full.num_samples
     n_test = max(1, int(n * config.csv_test_fraction))
     idx = np.arange(n)
@@ -354,12 +348,12 @@ def build_state(config: TrainConfig, train_ds: Dataset) -> TrainRunState:
                 activation_slope=config.activation_slope,
                 projection_style=config.projection_style,
                 meta_learning_rate=config.meta_learning_rate,
-                bypass=config.psi_bypass,
             )
             step = StepSize.initial(kind, layer_shape, config.eta0)
-            engines.append(
-                OagdEngine(OagdState(step, psi, meta_lag=config.meta_lag, arm=config.ablation))
+            oagd = OagdState(
+                step, psi, meta_lag=config.meta_lag, arm=config.ablation, bypass=config.psi_bypass
             )
+            engines.append(OagdEngine(oagd))
     meta_source = meta_subset(train_ds) if kind is not None else None
     return TrainRunState(
         net=net,
@@ -396,7 +390,7 @@ def write_metrics_csv(path, rows) -> None:
             )
 
 
-def run_experiment(config: TrainConfig, trace=None):
+def run_experiment(config: TrainConfig):
     """Train per the config, write the metrics CSV, print a summary line.
 
     Returns (rows, csv_path).  When a step diverges, the CSV gets the
@@ -409,7 +403,7 @@ def run_experiment(config: TrainConfig, trace=None):
     try:
         for _ in range(config.epochs):
             t0 = time.perf_counter()
-            state, stats = train_epoch(state, train_ds, config.train_batch, trace)
+            state, stats = train_epoch(state, train_ds, config.train_batch)
             wall_ms = (time.perf_counter() - t0) * 1000.0
             for split, ds in (("train", train_ds), ("test", test_ds)):
                 loss, metric = evaluate(state.net, ds, config.eval_batch)
@@ -561,7 +555,7 @@ def fd_meta_gradients(psi, feats, block, weights, grads, eta0, meta_batch, net, 
     meta = meta_gradients(psi, feats, block, weights, grads, eta0, meta_batch, net, arm=arm)
 
     def meta_loss_with(psi_variant) -> float:
-        beta, eta_hat, _ = _psi_forward_cached(psi_variant, feats.as_column())
+        beta, eta_hat, _ = psi_forward(psi_variant, feats)
         value, _, _ = compose_step(arm, beta, eta0, eta_hat)
         return batch_loss(net.with_layers(candidate_weights(block, weights, grads, value)), meta_batch)
 

@@ -157,13 +157,6 @@ def softmax_ce_loss(logits: Matrix, labels) -> tuple[float, Matrix]:
     return loss, dlogits / b
 
 
-def softmax_columns(logits: Matrix) -> Matrix:
-    """Column-wise softmax (shift-stabilized); columns sum to 1."""
-    shifted = logits - logits.max(axis=0, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=0, keepdims=True)
-
-
 def batch_loss(net: NetworkModel, batch) -> float:
     """Loss of the network on (x, y) under its own loss kind."""
     x, y = batch
@@ -204,8 +197,3 @@ def block_loss_and_gradients(net: NetworkModel, batch, block) -> tuple[float, di
             _, d_act = leaky_relu(cache.pre_activations[l - 1], net.activation_slope)
             delta = (net.layer_weights[l].T @ delta) * d_act
     return loss, grads
-
-
-def block_gradient(net: NetworkModel, batch, block) -> dict[int, Matrix]:
-    """Per-layer gradients for the block (see block_loss_and_gradients)."""
-    return block_loss_and_gradients(net, batch, block)[1]

@@ -1,11 +1,10 @@
-"""Matrix coercion, the step-size broadcast rule and seeded randomness.
+"""The matrix type, the step-size broadcast rule and seeded randomness.
 
 Every numeric value in the package is a 2-D float64 array (vectors are
 n x 1), row-major except the step-size model's output layer, which is
-column-major (see `etamodel`).  `matrix` validates shape and finiteness
-of its input; `expand` materializes a step under the restricted
-broadcast rule (shapes (1,1), (m,n), (m,1) or (1,n) against an (m,n)
-matrix).
+column-major (see `etamodel`).  `expand` materializes a step under the
+restricted broadcast rule (shapes (1,1), (m,n), (m,1) or (1,n) against
+an (m,n) matrix).
 """
 
 from __future__ import annotations
@@ -16,24 +15,6 @@ from .errors import ShapeError
 
 # A "matrix" everywhere in this package is a 2-D float64 ndarray.
 Matrix = np.ndarray
-
-
-def matrix(values) -> Matrix:
-    """Coerce nested sequences / arrays to a validated 2-D float64 array."""
-    a = np.array(values, dtype=np.float64, order="C")
-    if a.ndim == 1:
-        a = a.reshape(-1, 1)
-    if a.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix, got ndim={a.ndim}")
-    if a.size == 0:
-        raise ShapeError(f"matrix must be non-empty, got shape {a.shape}")
-    require_finite(a, "matrix")
-    return a
-
-
-def require_finite(a: Matrix, label: str) -> None:
-    if not np.isfinite(a).all():
-        raise FloatingPointError(f"{label} contains non-finite entries")
 
 
 def make_rng(seed) -> np.random.Generator:

@@ -6,7 +6,9 @@ mini-batch loss.  The fixed-recipe baselines (plain SGD, Adam and a
 hypergradient rate adapter) are immutable: a step builds a new engine.
 The adaptive engine carries a trainable step size and its step model
 psi; psi is state the engine owns and mutates, because `psi_step`
-updates psi's weight arrays in place.  The adaptive engine raises
+updates psi's weight arrays in place.  A bypassed adaptive engine pins
+beta = 1 and eta_hat = 0.5 itself and never consults psi, so its step
+stays at the initial value.  The adaptive engine raises
 `FloatingPointError` when its meta loss is not finite, before psi's
 weights are touched.
 """
@@ -18,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .etamodel import EtaModel, meta_gradients, psi_forward, psi_step
+from .etamodel import EtaModel, meta_gradients, psi_step
 from .model import block_loss_and_gradients
 from .numerics import Matrix
 from .stepsize import (
@@ -33,12 +35,16 @@ from .stepsize import (
 
 @dataclass(frozen=True)
 class OagdState:
-    """Joint state of one adaptive block: its step size and step model."""
+    """Joint state of one adaptive block: its step size and step model.
+
+    `bypass` leaves psi untouched and keeps the step at its initial value.
+    """
 
     step: StepSize
     psi: EtaModel
     meta_lag: int = 0
     arm: str = ARM_FULL
+    bypass: bool = False
 
     def __post_init__(self):
         if self.meta_lag not in (0, 1):
@@ -47,13 +53,6 @@ class OagdState:
             raise ValueError(
                 f"step kind {self.step.kind} does not match model kind {self.psi.kind}"
             )
-
-
-def _block_features(grads_in_order):
-    if len(grads_in_order) == 1:
-        return grad_features(grads_in_order[0])
-    stacked = np.concatenate([g.ravel() for g in grads_in_order]).reshape(-1, 1)
-    return grad_features(stacked)
 
 
 @dataclass(frozen=True)
@@ -167,15 +166,15 @@ class OagdEngine:
         loss, grads = block_loss_and_gradients(net, main_batch, block)
         g_list = [grads[l] for l in block]
         w_list = [net.layer_weights[l] for l in block]
-        feats = _block_features(g_list)
         eta0 = state.step.init_values
 
         updates = None
-        if state.psi.bypass:
-            outs = psi_forward(state.psi, feats)
-            step_cand, _, _ = compose_step(state.arm, outs.beta, eta0, outs.eta_hat)
-            beta, eta_hat = outs.beta, outs.eta_hat
+        if state.bypass:
+            beta, eta_hat = np.ones(eta0.shape), np.full(eta0.shape, 0.5)
+            step_cand, _, _ = compose_step(state.arm, beta, eta0, eta_hat)
         else:
+            # psi reads the statistics of all the block's gradients at once
+            feats = grad_features(np.concatenate([g.ravel() for g in g_list]))
             meta = meta_gradients(
                 state.psi, feats, block, w_list, g_list, eta0, meta_batch, net, arm=state.arm
             )

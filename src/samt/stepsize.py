@@ -4,6 +4,9 @@ A step size is a small matrix of values in the open interval (0,1) that
 multiplies a layer gradient through broadcasting.  Four kinds are
 shipped: one value for the whole layer (scalar), one per entry
 (element), one per output row (row) and one per input column (column).
+The step-size model reads a gradient as a (5, 1) column of summary
+statistics, and its two heads are composed into a step per ablation
+arm; the candidate update w - step * g lives here too.
 """
 
 from __future__ import annotations
@@ -40,10 +43,6 @@ class StepSizeKind(enum.Enum):
             StepSizeKind.COLUMN: (1, n),
         }[self]
 
-    def entry_count(self, layer_shape: tuple[int, int]) -> int:
-        s = self.shape_for(layer_shape)
-        return s[0] * s[1]
-
 
 @dataclass(frozen=True)
 class StepSize:
@@ -73,33 +72,16 @@ class StepSize:
         return replace(self, values=values)
 
 
-@dataclass(frozen=True)
-class GradFeatures:
-    """Five summary statistics of a gradient, fed to the step-size model."""
+def grad_features(g: Matrix) -> Matrix:
+    """The step-size model's input: a (5, 1) column of statistics of `g`.
 
-    mean: float
-    variance: float
-    max: float
-    min: float
-    norm: float
-
-    def as_column(self) -> Matrix:
-        return np.array(
-            [[self.mean], [self.variance], [self.max], [self.min], [self.norm]]
-        )
-
-
-def grad_features(g: Matrix) -> GradFeatures:
-    """Mean, population variance, max, min and Frobenius norm of `g`."""
+    Rows in order: mean, population variance, max, min, Frobenius norm.
+    """
     if g.size == 0:
         raise ShapeError("gradient must be non-empty")
     flat = g.ravel()
-    return GradFeatures(
-        mean=float(flat.mean()),
-        variance=float(flat.var()),
-        max=float(flat.max()),
-        min=float(flat.min()),
-        norm=float(np.sqrt(np.sum(flat * flat))),
+    return np.array(
+        [[flat.mean()], [flat.var()], [flat.max()], [flat.min()], [np.sqrt(np.sum(flat * flat))]]
     )
 
 

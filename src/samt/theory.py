@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import Matrix
+from .numerics import Matrix, spawn_rngs
 
 
 # ---------------------------------------------------------------------------
@@ -269,35 +269,16 @@ class ErrorTrace:
     """Per-sweep summed squared distance to the optimum."""
 
     errors: np.ndarray  # length steps + 1, errors[0] is the initial error
-    etas: np.ndarray  # length steps
 
     def plateau(self, fraction: float = 0.2) -> float:
         tail = max(1, int(len(self.errors) * fraction))
         return float(np.mean(self.errors[-tail:]))
 
-    def fitted_decay(self) -> float:
-        """Log-linear decay constant of the transient above the plateau."""
-        floor = self.plateau()
-        excess = self.errors - floor
-        usable = np.nonzero(excess > max(floor, 1e-300))[0]
-        if len(usable) < 2:
-            return float("inf")
-        t = usable.astype(float)
-        y = np.log(excess[usable])
-        slope = np.polyfit(t, y, 1)[0]
-        return float(-slope)
-
-
-def _eta_at(eta_schedule, t: int) -> float:
-    if np.isscalar(eta_schedule):
-        return float(eta_schedule)
-    return float(eta_schedule[t])
-
 
 def stochastic_am_run(
     problem: QuadraticProblem,
     balls,
-    eta_schedule,
+    eta: float,
     steps: int,
     rng,
     exact_gradients: bool = False,
@@ -311,11 +292,8 @@ def stochastic_am_run(
     blocks = [b.center.copy() for b in balls]
     w_star = problem.w_star
     errors = np.empty(steps + 1)
-    etas = np.empty(steps)
     errors[0] = sum(float(np.sum((w - s) ** 2)) for w, s in zip(blocks, w_star))
     for t in range(steps):
-        eta = _eta_at(eta_schedule, t)
-        etas[t] = eta
         for d in range(problem.num_blocks):
             if exact_gradients:
                 g = full_gradient(problem, blocks, d)
@@ -323,7 +301,7 @@ def stochastic_am_run(
                 g = sample_gradient(problem, blocks, d, rng)
             blocks[d] = ball_project(blocks[d] - eta * g, balls[d])
         errors[t + 1] = sum(float(np.sum((w - s) ** 2)) for w, s in zip(blocks, w_star))
-    return ErrorTrace(errors=errors, etas=etas)
+    return ErrorTrace(errors=errors)
 
 
 # ---------------------------------------------------------------------------
@@ -486,15 +464,13 @@ class RecursionReport:
 def recursion_check(
     problem: QuadraticProblem,
     eta: float,
-    traces=None,
     mc_runs: int = 30,
     steps: int = 500,
     seed: int = 0,
 ) -> RecursionReport:
     """Assert the one-step error recursion at every sweep.
 
-    Runs `mc_runs` independently seeded trajectories (unless traces are
-    supplied), then checks
+    Runs `mc_runs` independently seeded trajectories, then checks
         mean err(t+1) <= ratio * mean err(t) + noise_term
     within 3 standard errors of the per-run slack.  The coupling must
     satisfy gamma < 2*xi/(3*(L-1)) so the ratio is below one; the step
@@ -526,15 +502,12 @@ def recursion_check(
                 violations.append(t)
         return RecursionReport(eta, ratio, noise_term, rows, violations)
 
-    if traces is None:
-        seeds = np.random.SeedSequence(seed).spawn(mc_runs)
-        traces = []
-        for s in seeds:
-            rng = np.random.default_rng(s)
-            traces.append(
-                stochastic_am_run(problem, default_balls(problem, rng), eta, steps, rng)
-            )
-    errs = np.stack([t.errors for t in traces])  # (runs, steps+1)
+    errs = np.stack(
+        [
+            stochastic_am_run(problem, default_balls(problem, rng), eta, steps, rng).errors
+            for rng in spawn_rngs(seed, mc_runs)
+        ]
+    )  # (runs, steps+1)
     rows, violations = [], []
     n_runs = errs.shape[0]
     for t in range(errs.shape[1] - 1):
@@ -571,10 +544,8 @@ def plateau_halving_factor(
     """Measured plateau at eta and eta/2; returns (factor, plateau, plateau_half)."""
     plateaus = []
     for step_size in (eta, eta / 2.0):
-        seeds = np.random.SeedSequence((seed, int(step_size * 1e9))).spawn(mc_runs)
         vals = []
-        for s in seeds:
-            rng = np.random.default_rng(s)
+        for rng in spawn_rngs((seed, int(step_size * 1e9)), mc_runs):
             trace = stochastic_am_run(problem, default_balls(problem, rng), step_size, steps, rng)
             vals.append(trace.plateau())
         plateaus.append(float(np.mean(vals)))

@@ -94,7 +94,7 @@ class TestLoadCsv:
     def test_constant_column_standardizes_to_zero(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("a,b,y\n5,1,0\n5,2,1\n5,3,2\n", encoding="utf-8")
-        ds = load_csv(p, "y", standardize=True)
+        ds = load_csv(p, "y").standardized()
         assert np.allclose(ds.features[0], 0.0)
         assert ds.normalization is not None
 
@@ -113,10 +113,10 @@ class TestLoadCsv:
     def test_reusing_train_stats(self, tmp_path):
         p = tmp_path / "train.csv"
         p.write_text("a,y\n0,0\n2,1\n4,2\n", encoding="utf-8")
-        train = load_csv(p, "y", standardize=True)
+        train = load_csv(p, "y").standardized()
         q = tmp_path / "test.csv"
         q.write_text("a,y\n2,9\n", encoding="utf-8")
-        test = load_csv(q, "y", norm_stats=train.normalization)
+        test = load_csv(q, "y").standardized(train.normalization)
         assert test.features[0, 0] == pytest.approx(0.0)  # (2 - mean 2) / sd
 
 

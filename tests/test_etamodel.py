@@ -41,8 +41,8 @@ class TestPsiForward:
     def test_zero_weights_give_half(self):
         psi = init_eta_model(StepSizeKind.ELEMENT, (2, 3), make_rng(0), hidden=4)
         psi = replace(psi, w1=np.zeros_like(psi.w1), w2=np.zeros_like(psi.w2), w3=np.zeros_like(psi.w3))
-        out = psi_forward(psi, grad_features(np.ones((2, 3))))
-        assert np.allclose(out.beta, 0.5) and np.allclose(out.eta_hat, 0.5)
+        beta, eta_hat, _ = psi_forward(psi, grad_features(np.ones((2, 3))))
+        assert np.allclose(beta, 0.5) and np.allclose(eta_hat, 0.5)
 
     def test_outputs_always_in_open_interval(self):
         rng = make_rng(1)
@@ -50,14 +50,13 @@ class TestPsiForward:
             kind = [StepSizeKind.SCALAR, StepSizeKind.ELEMENT][trial % 2]
             psi = init_eta_model(kind, (2, 2), rng, hidden=3)
             g = 10.0 ** rng.uniform(-3, 3) * rng.standard_normal((2, 2))
-            out = psi_forward(psi, grad_features(g))
-            for head in (out.beta, out.eta_hat):
+            for head in psi_forward(psi, grad_features(g))[:2]:
                 assert (head > 0.0).all() and (head < 1.0).all()
 
     def test_scalar_kind_shapes(self):
         psi = init_eta_model(StepSizeKind.SCALAR, (7, 9), make_rng(2))
-        out = psi_forward(psi, grad_features(np.ones((7, 9))))
-        assert out.beta.shape == (1, 1) and out.eta_hat.shape == (1, 1)
+        beta, eta_hat, _ = psi_forward(psi, grad_features(np.ones((7, 9))))
+        assert beta.shape == (1, 1) and eta_hat.shape == (1, 1)
 
     @pytest.mark.parametrize(
         "kind,shape",
@@ -69,13 +68,8 @@ class TestPsiForward:
     )
     def test_head_shapes_per_kind(self, kind, shape):
         psi = init_eta_model(kind, (3, 4), make_rng(3), hidden=4)
-        out = psi_forward(psi, grad_features(np.ones((3, 4))))
-        assert out.beta.shape == shape and out.eta_hat.shape == shape
-
-    def test_bypass_pins_beta_to_one(self):
-        psi = init_eta_model(StepSizeKind.SCALAR, (2, 2), make_rng(4), bypass=True)
-        out = psi_forward(psi, grad_features(np.ones((2, 2))))
-        assert (out.beta == 1.0).all() and (out.eta_hat == 0.5).all()
+        beta, eta_hat, _ = psi_forward(psi, grad_features(np.ones((3, 4))))
+        assert beta.shape == shape and eta_hat.shape == shape
 
 
 class TestInitEtaModel:
@@ -272,18 +266,6 @@ class TestPsiStep:
             psi = psi_step(psi, meta.psi_grads)
         for w in psi.weights:
             assert np.isfinite(w).all()
-
-
-def test_bypass_keeps_step_at_initial_forever():
-    from samt.stepsize import step_update
-
-    psi = init_eta_model(StepSizeKind.ELEMENT, (2, 2), make_rng(8), bypass=True)
-    eta0 = np.full((2, 2), 0.1)
-    values = eta0.copy()
-    for _ in range(200):
-        out = psi_forward(psi, grad_features(np.random.default_rng(0).standard_normal((2, 2))))
-        values = step_update(out.beta, eta0, out.eta_hat)
-    assert np.array_equal(values, eta0)
 
 
 def test_meta_gradients_over_multi_layer_scalar_block():

@@ -1,3 +1,7 @@
+import dataclasses
+import types
+import typing
+
 import numpy as np
 import pytest
 
@@ -67,6 +71,28 @@ class TestParseConfig:
     def test_idx_requires_paths(self):
         with pytest.raises(ConfigError, match="idx_train_images"):
             parse_config(overrides=["dataset=idx"])
+
+    def test_every_default_parses_back_from_its_text(self):
+        def text(value):
+            if isinstance(value, tuple):
+                return ",".join(map(str, value))
+            return "none" if value is None else str(value)
+
+        defaults = TrainConfig()
+        pairs = {f.name: text(getattr(defaults, f.name)) for f in dataclasses.fields(TrainConfig)}
+        assert len(pairs) == 36
+        assert parse_config(overrides=pairs) == defaults
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            name
+            for name, hint in typing.get_type_hints(TrainConfig).items()
+            if isinstance(hint, types.UnionType) and type(None) in typing.get_args(hint)
+        ],
+    )
+    def test_optional_key_parses_none(self, key):
+        assert getattr(parse_config(overrides={key: "none"}), key) is None
 
 
 def quick_config(**kw):
@@ -275,6 +301,14 @@ class TestCli:
             (["optimizer=hd", "hd_hyper_rate=nan"], "hd_hyper_rate"),
             (["optimizer=hd", "hd_hyper_rate=-1"], "hd_hyper_rate"),
             (["optimizer=samt_e", "psi_hidden=0"], "psi_hidden"),
+            (["optimizer=sgd", "n_train=0"], "n_train"),
+            (["optimizer=sgd", "n_train=-5", "n_test=20"], "n_train"),
+            (["optimizer=sgd", "n_test=0"], "n_test"),
+            (["optimizer=sgd", "csv_test_fraction=1.5"], "csv_test_fraction"),
+            (["optimizer=sgd", "csv_test_fraction=-0.5"], "csv_test_fraction"),
+            (["optimizer=sgd", "csv_test_fraction=nan"], "csv_test_fraction"),
+            (["optimizer=sgd", "csv_test_fraction=0"], "csv_test_fraction"),
+            (["optimizer=sgd", "csv_test_fraction=1"], "csv_test_fraction"),
         ],
     )
     def test_bad_rate_or_width_exits_one_naming_the_key(self, args, key, tmp_path, capsys):

@@ -9,39 +9,37 @@ from samt.model import (
     SOFTMAX_CE,
     NetworkModel,
     batch_loss,
-    block_gradient,
     block_loss_and_gradients,
     forward,
     init_network,
     leaky_relu,
     mse_loss,
     softmax_ce_loss,
-    softmax_columns,
 )
-from samt.numerics import make_rng, matrix
+from samt.numerics import make_rng
 
 
 def tiny_net(*weights, loss_kind=MSE, slope=0.01):
-    return NetworkModel(tuple(matrix(w) for w in weights), activation_slope=slope, loss_kind=loss_kind)
+    return NetworkModel(tuple(np.array(w) for w in weights), activation_slope=slope, loss_kind=loss_kind)
 
 
 class TestLeakyRelu:
     def test_positive_passthrough(self):
-        v, d = leaky_relu(matrix([[3.0]]), 0.01)
+        v, d = leaky_relu(np.array([[3.0]]), 0.01)
         assert v[0, 0] == 3.0 and d[0, 0] == 1.0
 
     def test_negative_scaled(self):
-        v, d = leaky_relu(matrix([[-2.0]]), 0.01)
+        v, d = leaky_relu(np.array([[-2.0]]), 0.01)
         assert v[0, 0] == pytest.approx(-0.02) and d[0, 0] == 0.01
 
     def test_zero_uses_slope(self):
-        v, d = leaky_relu(matrix([[0.0]]), 0.3)
+        v, d = leaky_relu(np.array([[0.0]]), 0.3)
         assert v[0, 0] == 0.0 and d[0, 0] == 0.3
 
 
 class TestForward:
     def test_single_layer_product(self):
-        out, _ = forward(tiny_net([[2.0]]), matrix([[3.0]]))
+        out, _ = forward(tiny_net([[2.0]]), np.array([[3.0]]))
         assert out[0, 0] == 6.0
 
     def test_zero_weights_give_zero_output(self):
@@ -74,16 +72,16 @@ class TestForward:
 
 class TestMseLoss:
     def test_perfect_prediction(self):
-        loss, dpred = mse_loss(matrix([[1.0], [2.0]]), matrix([[1.0], [2.0]]))
+        loss, dpred = mse_loss(np.array([[1.0], [2.0]]), np.array([[1.0], [2.0]]))
         assert loss == 0.0 and np.array_equal(dpred, np.zeros((2, 1)))
 
     def test_hand_values(self):
-        loss, dpred = mse_loss(matrix([[1.0], [2.0]]), matrix([[0.0], [0.0]]))
+        loss, dpred = mse_loss(np.array([[1.0], [2.0]]), np.array([[0.0], [0.0]]))
         assert loss == pytest.approx(5.0)
         assert np.allclose(dpred, [[2.0], [4.0]])
 
     def test_duplicated_columns_keep_loss(self):
-        pred, target = matrix([[1.0, 3.0]]), matrix([[0.0, 1.0]])
+        pred, target = np.array([[1.0, 3.0]]), np.array([[0.0, 1.0]])
         base = mse_loss(pred, target)[0]
         doubled = mse_loss(np.hstack([pred, pred]), np.hstack([target, target]))[0]
         assert doubled == pytest.approx(base)
@@ -95,12 +93,12 @@ class TestMseLoss:
 
 class TestSoftmaxCeLoss:
     def test_symmetric_logits(self):
-        loss, dlogits = softmax_ce_loss(matrix([[0.0], [0.0]]), [0])
+        loss, dlogits = softmax_ce_loss(np.array([[0.0], [0.0]]), [0])
         assert loss == pytest.approx(np.log(2.0))
         assert np.allclose(dlogits, [[-0.5], [0.5]])
 
     def test_saturated_logits_no_overflow(self):
-        loss, dlogits = softmax_ce_loss(matrix([[1000.0], [0.0]]), [0])
+        loss, dlogits = softmax_ce_loss(np.array([[1000.0], [0.0]]), [0])
         assert loss == pytest.approx(0.0, abs=1e-12)
         assert np.allclose(dlogits, 0.0, atol=1e-12)
 
@@ -119,9 +117,13 @@ class TestSoftmaxCeLoss:
     @settings(max_examples=30)
     @given(st.integers(0, 2**32 - 1))
     def test_softmax_columns_sum_to_one(self, seed):
+        # dlogits * batch is the softmax minus the one-hot labels
         logits = make_rng(seed).uniform(-30, 30, (5, 4))
-        total = softmax_columns(logits).sum(axis=0)
-        assert np.max(np.abs(total - 1.0)) <= 1e-12
+        labels = np.array([0, 1, 4, 2])
+        _, dlogits = softmax_ce_loss(logits, labels)
+        probs = dlogits * 4
+        probs[labels, np.arange(4)] += 1.0
+        assert np.max(np.abs(probs.sum(axis=0) - 1.0)) <= 1e-12
 
 
 def central_difference_gradients(net, batch, block, h=1e-5):
@@ -146,25 +148,25 @@ class TestBlockGradient:
     def test_hand_chain_rule(self):
         # single 1x1 layer, x=1, y=0, W=2: loss = (0-2)^2, dL/dW = 2*(2)*1 = 4
         net = tiny_net([[2.0]], loss_kind=MSE)
-        grads = block_gradient(net, (matrix([[1.0]]), matrix([[0.0]])), (0,))
+        grads = block_loss_and_gradients(net, (np.array([[1.0]]), np.array([[0.0]])), (0,))[1]
         assert grads[0][0, 0] == pytest.approx(4.0)
 
     def test_stationary_point(self):
         # identity fit: predictions equal targets, so the gradient vanishes
         net = tiny_net([[1.0]], loss_kind=MSE)
-        x = matrix([[1.0, -1.0]])
-        grads = block_gradient(net, (x, x), (0,))
+        x = np.array([[1.0, -1.0]])
+        grads = block_loss_and_gradients(net, (x, x), (0,))[1]
         assert np.linalg.norm(grads[0]) <= 1e-10
 
     def test_empty_block_rejected(self):
         net = tiny_net([[1.0]])
         with pytest.raises(ValueError):
-            block_gradient(net, (matrix([[1.0]]), [0]), ())
+            block_loss_and_gradients(net, (np.array([[1.0]]), [0]), ())
 
     def test_only_block_layers_returned(self):
         net = init_network((3, 4, 2), make_rng(5))
         x = make_rng(6).standard_normal((3, 2))
-        grads = block_gradient(net, (x, np.array([0, 1])), (1,))
+        grads = block_loss_and_gradients(net, (x, np.array([0, 1])), (1,))[1]
         assert set(grads) == {1}
 
     @pytest.mark.parametrize("loss_kind", [MSE, SOFTMAX_CE])
@@ -192,8 +194,8 @@ class TestBlockGradient:
         net = init_network((3, 4, 2), rng, loss_kind=SOFTMAX_CE)
         x = rng.standard_normal((3, 5))
         y = rng.integers(0, 2, 5)
-        whole = block_gradient(net, (x, y), (0, 1))
-        only_first = block_gradient(net, (x, y), (0,))
+        whole = block_loss_and_gradients(net, (x, y), (0, 1))[1]
+        only_first = block_loss_and_gradients(net, (x, y), (0,))[1]
         assert np.array_equal(whole[0], only_first[0])
 
 

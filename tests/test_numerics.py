@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from samt.errors import ShapeError
-from samt.numerics import expand, make_rng, matrix
+from samt.numerics import expand, make_rng
 from samt.stepsize import StepSizeKind, candidate_weights
 
 
@@ -17,15 +17,15 @@ class TestHadamardBroadcast:
     """The step (*) gradient product inside the candidate update."""
 
     def test_scalar_step(self):
-        out = candidate(np.zeros((2, 2)), matrix([[1.0, 2.0], [3.0, 4.0]]), matrix([[2.0]]))
+        out = candidate(np.zeros((2, 2)), np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[2.0]]))
         assert np.array_equal(out, [[-2.0, -4.0], [-6.0, -8.0]])
 
     def test_row_step(self):
-        out = candidate(np.zeros((2, 2)), matrix([[1.0, 2.0], [3.0, 4.0]]), matrix([[0.1], [0.2]]))
+        out = candidate(np.zeros((2, 2)), np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[0.1], [0.2]]))
         assert np.allclose(out, [[-0.1, -0.2], [-0.6, -0.8]], atol=1e-15)
 
     def test_column_step(self):
-        out = candidate(np.zeros((1, 2)), matrix([[5.0, 7.0]]), matrix([[1.0, 0.0]]))
+        out = candidate(np.zeros((1, 2)), np.array([[5.0, 7.0]]), np.array([[1.0, 0.0]]))
         assert np.array_equal(out, [[-5.0, 0.0]])
 
     def test_rejects_other_shapes(self):
@@ -56,19 +56,19 @@ class TestScaleAdd:
     """The candidate update as a scale-add: w - step * g."""
 
     def test_zero_coefficient(self):
-        w, g = matrix([[1.0, 2.0]]), matrix([[9.0, 9.0]])
-        assert np.array_equal(candidate(w, g, matrix([[0.0]])), w)
+        w, g = np.array([[1.0, 2.0]]), np.array([[9.0, 9.0]])
+        assert np.array_equal(candidate(w, g, np.array([[0.0]])), w)
 
     def test_cancellation(self):
-        assert np.array_equal(candidate(matrix([[1.0]]), matrix([[1.0]]), matrix([[1.0]])), [[0.0]])
+        assert np.array_equal(candidate(np.array([[1.0]]), np.array([[1.0]]), np.array([[1.0]])), [[0.0]])
 
     def test_hand_sum(self):
-        out = candidate(matrix([[1.0, 2.0]]), matrix([[-4.0, -6.0]]), matrix([[0.5]]))
+        out = candidate(np.array([[1.0, 2.0]]), np.array([[-4.0, -6.0]]), np.array([[0.5]]))
         assert np.array_equal(out, [[3.0, 5.0]])
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            candidate(np.ones((2, 2)), np.ones((2, 3)), matrix([[0.5]]))
+            candidate(np.ones((2, 2)), np.ones((2, 3)), np.array([[0.5]]))
 
 
 def test_operations_are_pure():
@@ -86,8 +86,3 @@ def test_rng_determinism():
     second = make_rng(123).standard_normal(10)
     assert np.array_equal(first, second)
     assert not np.array_equal(first, make_rng(124).standard_normal(10))
-
-
-def test_matrix_rejects_non_finite():
-    with pytest.raises(FloatingPointError):
-        matrix([[np.nan]])

@@ -5,19 +5,19 @@ import pytest
 from dataclasses import replace
 
 from samt.etamodel import init_eta_model
-from samt.model import MSE, NetworkModel, batch_loss, block_gradient, init_network
-from samt.numerics import make_rng, matrix
+from samt.model import MSE, NetworkModel, batch_loss, block_loss_and_gradients, init_network
+from samt.numerics import make_rng
 from samt.optim import AdamEngine, HdEngine, OagdEngine, OagdState, SgdEngine
 from samt.stepsize import StepSize, StepSizeKind
 
 
 def scalar_net(w):
     """A one-layer linear MSE net: one sample (x, y) has gradient 2 (w x - y) x^T."""
-    return NetworkModel((matrix(w),), loss_kind=MSE)
+    return NetworkModel((np.array(w),), loss_kind=MSE)
 
 
 def grad_of(net, batch):
-    return block_gradient(net, batch, (0,))[0]
+    return block_loss_and_gradients(net, batch, (0,))[1][0]
 
 
 class TestSgdStep:
@@ -29,14 +29,14 @@ class TestSgdStep:
 
     def test_hand_value(self):
         # w=1, x=1, y=0: gradient 2, so 1 - 0.1 * 2
-        batch = (matrix([[1.0]]), matrix([[0.0]]))
+        batch = (np.array([[1.0]]), np.array([[0.0]]))
         net_new, _, _ = SgdEngine(0.1).step(scalar_net([[1.0]]), (0,), batch)
         assert net_new.layer_weights[0][0, 0] == pytest.approx(0.8)
 
     def test_step_is_linear_in_rate(self):
         # from the same point, twice the rate moves the weights twice as far
         net = scalar_net([[1.0, -2.0]])
-        batch = (matrix([[0.3, -1.0], [0.7, 0.4]]), matrix([[0.5, -0.2]]))
+        batch = (np.array([[0.3, -1.0], [0.7, 0.4]]), np.array([[0.5, -0.2]]))
         w = net.layer_weights[0]
         half = SgdEngine(0.05).step(net, (0,), batch)[0].layer_weights[0]
         full = SgdEngine(0.1).step(net, (0,), batch)[0].layer_weights[0]
@@ -53,7 +53,7 @@ class TestAdamStep:
         # w=0, x=1, y=-0.5: gradient exactly 1
         rate = 0.25
         engine = AdamEngine.fresh(scalar_net([[0.0]]), (0,), rate)
-        batch = (matrix([[1.0]]), matrix([[-0.5]]))
+        batch = (np.array([[1.0]]), np.array([[-0.5]]))
         net_new, engine_new, _ = engine.step(scalar_net([[0.0]]), (0,), batch)
         assert net_new.layer_weights[0][0, 0] == pytest.approx(-rate / (1 + engine.eps), rel=1e-12)
         assert engine_new.t == 1
@@ -100,7 +100,7 @@ class TestHdStep:
         # w=0, x=1, y=-1: gradients 2 then 1.6, same sign
         net = scalar_net([[0.0]])
         engine = HdEngine.fresh(net, (0,), rate=0.1, hyper_rate=1e-2)
-        batch = (matrix([[1.0]]), matrix([[-1.0]]))
+        batch = (np.array([[1.0]]), np.array([[-1.0]]))
         net, engine, _ = engine.step(net, (0,), batch)
         _, engine2, _ = engine.step(net, (0,), batch)
         assert engine2.rate > engine.rate
@@ -108,18 +108,18 @@ class TestHdStep:
     def test_first_step_keeps_rate(self):
         net = scalar_net([[0.0]])
         engine = HdEngine.fresh(net, (0,), rate=0.07)
-        _, engine_new, _ = engine.step(net, (0,), (matrix([[1.0]]), matrix([[-2.5]])))
+        _, engine_new, _ = engine.step(net, (0,), (np.array([[1.0]]), np.array([[-2.5]])))
         assert engine_new.rate == 0.07
 
     def test_rate_floor(self):
         # previous gradient 1e6, current gradient -1 (w=0, x=1, y=0.5)
-        engine = HdEngine(g_prev=(matrix([[1e6]]),), rate=1e-8, hyper_rate=1.0)
-        _, engine_new, _ = engine.step(scalar_net([[0.0]]), (0,), (matrix([[1.0]]), matrix([[0.5]])))
+        engine = HdEngine(g_prev=(np.array([[1e6]]),), rate=1e-8, hyper_rate=1.0)
+        _, engine_new, _ = engine.step(scalar_net([[0.0]]), (0,), (np.array([[1.0]]), np.array([[0.5]])))
         assert engine_new.rate == engine.rate_floor
 
 
-def make_oagd(kind, layer_shape, seed=0, bypass=False, eta0=0.1, **kwargs):
-    psi = init_eta_model(kind, layer_shape, make_rng(seed), hidden=6, bypass=bypass)
+def make_oagd(kind, layer_shape, seed=0, eta0=0.1, **kwargs):
+    psi = init_eta_model(kind, layer_shape, make_rng(seed), hidden=6)
     step = StepSize.initial(kind, layer_shape, eta0)
     return OagdState(step, psi, **kwargs)
 
@@ -155,7 +155,7 @@ class TestOagdScalar:
                 net_a, states[bi], _ = oagd_step(states[bi], net_a, block, batch, batch)
                 updates = {
                     l: net_b.layer_weights[l] - 0.1 * g
-                    for l, g in block_gradient(net_b, batch, block).items()
+                    for l, g in block_loss_and_gradients(net_b, batch, block)[1].items()
                 }
                 net_b = net_b.with_layers(updates)
         worst = max(
@@ -164,9 +164,9 @@ class TestOagdScalar:
         assert worst <= 1e-12
 
     def test_zero_gradient_updates_step_but_not_weights(self):
-        net = NetworkModel((matrix([[1.5]]),), loss_kind=MSE)
+        net = NetworkModel((np.array([[1.5]]),), loss_kind=MSE)
         state = make_oagd(StepSizeKind.SCALAR, (1, 1), seed=5)
-        batch = (matrix([[0.0]]), matrix([[0.0]]))
+        batch = (np.array([[0.0]]), np.array([[0.0]]))
         net_new, state_new, loss = oagd_step(state, net, (0,), batch, batch)
         assert loss == 0.0
         assert np.array_equal(net_new.layer_weights[0], net.layer_weights[0])
@@ -177,7 +177,7 @@ class TestOagdScalar:
         w0, x, y = 2.0, 1.5, 0.5
         mx, my = -0.8, 0.3
         slope, eta0, meta_lr = 0.01, 0.1, 1e-3
-        net = NetworkModel((matrix([[w0]]),), activation_slope=slope, loss_kind=MSE)
+        net = NetworkModel((np.array([[w0]]),), activation_slope=slope, loss_kind=MSE)
         state = make_oagd(StepSizeKind.SCALAR, (1, 1), seed=9)
         psi = replace(state.psi, meta_learning_rate=meta_lr, activation_slope=slope)
         state = replace(state, psi=psi)
@@ -223,7 +223,7 @@ class TestOagdScalar:
         dw1 = [[du1[i] * feats[j] for j in range(5)] for i in range(len(du1))]
 
         net_new, state_new, loss_out = oagd_step(
-            state, net, (0,), (matrix([[x]]), matrix([[y]])), (matrix([[mx]]), matrix([[my]]))
+            state, net, (0,), (np.array([[x]]), np.array([[y]])), (np.array([[mx]]), np.array([[my]]))
         )
         assert loss_out == pytest.approx(loss, rel=1e-12)
         assert state_new.step.values[0, 0] == pytest.approx(eta_cand, rel=1e-12)
@@ -245,14 +245,30 @@ class TestOagdNonScalar:
         net_s, _, _ = oagd_step(scal, net, (0,), batch, batch)
         assert np.array_equal(net_e.layer_weights[0], net_s.layer_weights[0])
 
+    def test_element_bypass_keeps_step_and_psi_for_200_steps(self):
+        widths = (5, 4, 3)
+        net = init_network(widths, make_rng(13))
+        state = make_oagd(StepSizeKind.ELEMENT, net.layer_weights[1].shape, seed=14, bypass=True)
+        eta0 = state.step.init_values.copy()
+        psi_before = [w.copy() for w in state.psi.weights]
+        events = []
+        for main, meta in zip(*[iter(classification_batches(widths, 400, seed=15))] * 2):
+            net, engine, _ = OagdEngine(state).step(net, (1,), main, meta, events.append)
+            state = engine.state
+            assert state.step.values.tobytes() == eta0.tobytes()
+        assert len(events) == 200
+        assert all((e["beta"] == 1.0).all() and (e["eta_hat"] == 0.5).all() for e in events)
+        for before, after in zip(psi_before, state.psi.weights):
+            assert before.tobytes() == after.tobytes()
+
     def test_row_step_matches_expand_then_multiply(self):
         from samt.numerics import expand
 
         net = init_network((2, 2), make_rng(11), loss_kind=MSE)
         state = make_oagd(StepSizeKind.ROW, (2, 2), seed=12, meta_lag=1)
-        x = matrix([[1.0, -0.5], [0.3, 2.0]])
-        y = matrix([[0.2, 0.1], [0.0, -1.0]])
-        g = block_gradient(net, (x, y), (0,))[0]
+        x = np.array([[1.0, -0.5], [0.3, 2.0]])
+        y = np.array([[0.2, 0.1], [0.0, -1.0]])
+        g = block_loss_and_gradients(net, (x, y), (0,))[1][0]
         expected = net.layer_weights[0] - expand(state.step.values, (2, 2)) * g
         net_new, _, _ = oagd_step(state, net, (0,), (x, y), (x, y))
         assert np.allclose(net_new.layer_weights[0], expected, atol=1e-15)
@@ -313,7 +329,7 @@ class TestEngineContracts:
         state = make_oagd(StepSizeKind.SCALAR, shape, seed=42, meta_lag=1)
         rng = make_rng(43)
         x, y = rng.standard_normal((3, 2)), rng.standard_normal((2, 2))
-        g = block_gradient(net, (x, y), (0,))[0]
+        g = block_loss_and_gradients(net, (x, y), (0,))[1][0]
         net_new, state_new, _ = oagd_step(state, net, (0,), (x, y), (x, y))
         # the committed update used the stored 0.1, not the fresh candidate
         assert np.allclose(net_new.layer_weights[0], net.layer_weights[0] - 0.1 * g, atol=1e-15)

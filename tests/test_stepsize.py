@@ -4,13 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from samt.errors import ShapeError
-from samt.numerics import expand, make_rng, matrix
+from samt.numerics import expand, make_rng
 from samt.stepsize import (
     ARM_BASELINE,
     ARM_FULL,
     ARM_LEFT,
     ARM_RIGHT,
-    GradFeatures,
     StepSize,
     StepSizeKind,
     compose_step,
@@ -23,24 +22,26 @@ from samt.stepsize import (
 
 
 class TestGradFeatures:
+    # rows of the feature column: mean, variance, max, min, norm
+
     def test_zero_gradient(self):
         f = grad_features(np.zeros((3, 2)))
-        assert (f.mean, f.variance, f.max, f.min, f.norm) == (0, 0, 0, 0, 0)
+        assert np.array_equal(f, np.zeros((5, 1)))
 
     def test_hand_statistics(self):
-        f = grad_features(matrix([[3.0, -1.0], [0.0, 2.0]]))
-        assert f.mean == pytest.approx(1.0)
-        assert f.variance == pytest.approx(2.5)  # population variance
-        assert f.max == 3.0 and f.min == -1.0
-        assert f.norm == pytest.approx(np.sqrt(14.0))
+        mean, variance, hi, lo, norm = grad_features(np.array([[3.0, -1.0], [0.0, 2.0]]))[:, 0]
+        assert mean == pytest.approx(1.0)
+        assert variance == pytest.approx(2.5)  # population variance
+        assert hi == 3.0 and lo == -1.0
+        assert norm == pytest.approx(np.sqrt(14.0))
 
     def test_constant_matrix(self):
         c = -0.7
-        f = grad_features(np.full((2, 2), c))
-        assert f.mean == pytest.approx(c)
-        assert f.variance == pytest.approx(0.0, abs=1e-15)
-        assert f.max == c and f.min == c
-        assert f.norm == pytest.approx(2 * abs(c))
+        mean, variance, hi, lo, norm = grad_features(np.full((2, 2), c))[:, 0]
+        assert mean == pytest.approx(c)
+        assert variance == pytest.approx(0.0, abs=1e-15)
+        assert hi == c and lo == c
+        assert norm == pytest.approx(2 * abs(c))
 
     @settings(max_examples=40)
     @given(st.integers(0, 2**32 - 1))
@@ -48,29 +49,30 @@ class TestGradFeatures:
         rng = make_rng(seed)
         g = rng.standard_normal((3, 4))
         shuffled = rng.permutation(g.ravel()).reshape(4, 3)
-        a, b = grad_features(g), grad_features(shuffled)
-        assert (a.max, a.min) == (b.max, b.min)
-        assert a.mean == pytest.approx(b.mean, abs=1e-14)
-        assert a.variance == pytest.approx(b.variance, rel=1e-12)
-        assert a.norm == pytest.approx(b.norm, rel=1e-12)
+        a, b = grad_features(g)[:, 0], grad_features(shuffled)[:, 0]
+        assert (a[2], a[3]) == (b[2], b[3])
+        assert a[0] == pytest.approx(b[0], abs=1e-14)
+        assert a[1:] == pytest.approx(b[1:], rel=1e-12)
 
     def test_feature_order_in_column(self):
-        col = GradFeatures(1.0, 2.0, 3.0, 4.0, 5.0).as_column()
-        assert np.array_equal(col, [[1.0], [2.0], [3.0], [4.0], [5.0]])
+        g = np.array([[1.0, 2.0], [3.0, 6.0]])
+        col = grad_features(g)
+        assert col.shape == (5, 1) and col.dtype == np.float64
+        assert np.array_equal(col, [[g.mean()], [g.var()], [g.max()], [g.min()], [np.sqrt(50.0)]])
 
 
 class TestProjectUnit:
     @pytest.mark.parametrize("style", ["tanh", "sigmoid"])
     def test_zero_maps_to_half(self, style):
-        assert project_unit(matrix([[0.0]]), style)[0, 0] == pytest.approx(0.5)
+        assert project_unit(np.array([[0.0]]), style)[0, 0] == pytest.approx(0.5)
 
     def test_tanh_saturation_stays_below_one(self):
-        out = project_unit(matrix([[20.0]]), "tanh")[0, 0]
+        out = project_unit(np.array([[20.0]]), "tanh")[0, 0]
         assert 1.0 - 1e-9 < out < 1.0
 
     @pytest.mark.parametrize("style", ["tanh", "sigmoid"])
     def test_extreme_inputs_stay_open(self, style):
-        out = project_unit(matrix([[-1e6, -5.0, 0.0, 5.0, 1e6]]), style)
+        out = project_unit(np.array([[-1e6, -5.0, 0.0, 5.0, 1e6]]), style)
         assert (out > 0.0).all() and (out < 1.0).all()
 
     @pytest.mark.parametrize("style", ["tanh", "sigmoid"])
@@ -88,21 +90,21 @@ class TestProjectUnit:
 
     def test_unknown_style(self):
         with pytest.raises(ValueError, match="tanh"):
-            project_unit(matrix([[0.0]]), "relu")
+            project_unit(np.array([[0.0]]), "relu")
 
 
 class TestStepUpdate:
     def test_beta_one_returns_initial(self):
-        eta0 = matrix([[0.1, 0.2]])
-        out = step_update(np.ones((1, 2)), eta0, matrix([[0.9, 0.9]]))
+        eta0 = np.array([[0.1, 0.2]])
+        out = step_update(np.ones((1, 2)), eta0, np.array([[0.9, 0.9]]))
         assert np.array_equal(out, eta0)
 
     def test_midpoint(self):
-        out = step_update(matrix([[0.5]]), matrix([[0.1]]), matrix([[0.3]]))
+        out = step_update(np.array([[0.5]]), np.array([[0.1]]), np.array([[0.3]]))
         assert out[0, 0] == pytest.approx(0.2)
 
     def test_hand_vector_case(self):
-        out = step_update(matrix([[0.2], [0.8]]), matrix([[0.1]]), matrix([[0.5], [0.25]]))
+        out = step_update(np.array([[0.2], [0.8]]), np.array([[0.1]]), np.array([[0.5], [0.25]]))
         assert np.allclose(out, [[0.42], [0.13]])
 
     def test_shape_mismatch(self):
@@ -111,9 +113,9 @@ class TestStepUpdate:
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError, match="beta"):
-            step_update(np.array([[0.5, np.nan]]), matrix([[0.1]]), np.full((1, 2), 0.5))
+            step_update(np.array([[0.5, np.nan]]), np.array([[0.1]]), np.full((1, 2), 0.5))
         with pytest.raises(ValueError, match="eta_hat"):
-            step_update(np.full((1, 2), 0.5), matrix([[0.1]]), np.array([[np.nan, 0.5]]))
+            step_update(np.full((1, 2), 0.5), np.array([[0.1]]), np.array([[np.nan, 0.5]]))
 
     @settings(max_examples=60)
     @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32 - 1))
@@ -130,19 +132,19 @@ class TestStepUpdate:
 
 class TestReduceToKind:
     def test_element_is_identity(self):
-        g = matrix([[1.0, 2.0], [3.0, 4.0]])
+        g = np.array([[1.0, 2.0], [3.0, 4.0]])
         assert np.array_equal(reduce_to_kind(g, StepSizeKind.ELEMENT), g)
 
     def test_scalar_total_sum(self):
-        out = reduce_to_kind(matrix([[1.0, 2.0], [3.0, 4.0]]), StepSizeKind.SCALAR)
+        out = reduce_to_kind(np.array([[1.0, 2.0], [3.0, 4.0]]), StepSizeKind.SCALAR)
         assert np.array_equal(out, [[10.0]])
 
     def test_row_sums(self):
-        out = reduce_to_kind(matrix([[1.0, 2.0], [3.0, 4.0]]), StepSizeKind.ROW)
+        out = reduce_to_kind(np.array([[1.0, 2.0], [3.0, 4.0]]), StepSizeKind.ROW)
         assert np.array_equal(out, [[3.0], [7.0]])
 
     def test_column_sums(self):
-        out = reduce_to_kind(matrix([[1.0, 2.0], [3.0, 4.0]]), StepSizeKind.COLUMN)
+        out = reduce_to_kind(np.array([[1.0, 2.0], [3.0, 4.0]]), StepSizeKind.COLUMN)
         assert np.array_equal(out, [[4.0, 6.0]])
 
     @settings(max_examples=60)
@@ -177,7 +179,7 @@ class TestStepSizeType:
         with pytest.raises(ValueError):
             StepSize.initial(StepSizeKind.SCALAR, (1, 1), 1.0)
         with pytest.raises(ValueError):
-            StepSize(StepSizeKind.SCALAR, matrix([[0.0]]), matrix([[0.1]]))
+            StepSize(StepSizeKind.SCALAR, np.array([[0.0]]), np.array([[0.1]]))
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError):

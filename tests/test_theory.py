@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from samt.numerics import make_rng, matrix
+from samt.numerics import make_rng
 from samt.theory import (
     BallConstraint,
     am_operator,
@@ -64,12 +64,12 @@ class TestSpectralConstants:
 class TestBallProject:
     def test_interior_point_unchanged(self):
         c = BallConstraint(np.zeros((2, 1)), 1.0)
-        z = matrix([[0.3], [0.4]])
+        z = np.array([[0.3], [0.4]])
         assert np.array_equal(ball_project(z, c), z)
 
     def test_hand_projection(self):
         c = BallConstraint(np.zeros((2, 1)), 1.0)
-        out = ball_project(matrix([[3.0], [4.0]]), c)
+        out = ball_project(np.array([[3.0], [4.0]]), c)
         assert np.allclose(out, [[0.6], [0.8]])
 
     @pytest.mark.parametrize("seed", range(5))
@@ -93,7 +93,7 @@ class TestAmOperator:
     def test_exact_one_step_solve_isotropic(self):
         problem = make_problem(np.eye(2) * 2.0, (2,), [np.ones((2, 1))], 0.0, [2.0])
         # covariance is 4*I: eta = 1/4 solves in one step
-        w = [matrix([[3.0], [-1.0]])]
+        w = [np.array([[3.0], [-1.0]])]
         out = am_operator(problem, w, 0, eta=0.25)
         assert np.allclose(out, problem.w_star[0], atol=1e-12)
 
@@ -105,7 +105,7 @@ class TestAmOperator:
 
     def test_diagonal_quadratic_per_coordinate_factors(self):
         problem = diag_quadratic()
-        w = [matrix([[1.0], [1.0]])]
+        w = [np.array([[1.0], [1.0]])]
         out = am_operator(problem, w, 0, eta=2.0 / 3.0)
         # coordinates scale by 1 - eta*lambda_i: 1/3 and -1/3
         assert np.allclose(out, [[1.0 / 3.0], [-1.0 / 3.0]], atol=1e-12)
@@ -267,13 +267,12 @@ def test_decoupled_gauss_seidel_equals_jacobi_sweep():
         assert np.array_equal(a, b)
 
 
-def test_fitted_decay_matches_observed_contraction():
+def test_exact_gradient_run_contracts_to_a_plateau_below_the_start():
     problem = isotropic_problem(30, dims=(4, 4), coupling=0.05, noise_sd=0.0)
     rng = make_rng(31)
     trace = stochastic_am_run(
         problem, default_balls(problem, rng), 0.1, 120, rng, exact_gradients=True
     )
     observed = -np.log(trace.errors[60] / trace.errors[50]) / 10.0
-    fitted = trace.fitted_decay()
-    assert fitted == pytest.approx(observed, rel=0.2)
+    assert observed >= -np.log(recursion_ratio(problem, 0.1))
     assert trace.plateau() < trace.errors[0]

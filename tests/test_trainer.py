@@ -6,8 +6,8 @@ import pytest
 from samt.data import CLASSIFICATION, Dataset, meta_subset, sample_minibatch
 from samt.errors import DivergenceError, PlanError
 from samt.etamodel import init_eta_model
-from samt.model import MSE, NetworkModel, block_gradient, init_network
-from samt.numerics import make_rng, matrix
+from samt.model import MSE, NetworkModel, block_loss_and_gradients, init_network
+from samt.numerics import make_rng
 from samt.optim import OagdEngine, OagdState, SgdEngine
 from samt.stepsize import StepSize, StepSizeKind
 from samt.trainer import TrainRunState, block_partition, evaluate, train_epoch
@@ -54,8 +54,9 @@ def bypassed_samt_state(net, seed, eta0=0.1):
     engines = []
     for l in range(net.num_layers):
         shape = net.layer_weights[l].shape
-        psi = init_eta_model(StepSizeKind.SCALAR, shape, make_rng(1000 + l), hidden=4, bypass=True)
-        engines.append(OagdEngine(OagdState(StepSize.initial(StepSizeKind.SCALAR, shape, eta0), psi)))
+        psi = init_eta_model(StepSizeKind.SCALAR, shape, make_rng(1000 + l), hidden=4)
+        step = StepSize.initial(StepSizeKind.SCALAR, shape, eta0)
+        engines.append(OagdEngine(OagdState(step, psi, bypass=True)))
     return engines
 
 
@@ -66,9 +67,9 @@ class TestTrainEpoch:
         ds = class_dataset(0, n=64, d=5, classes=3)
         net = init_network((5, 4, 3), make_rng(1))
         shape = net.layer_weights[0].shape
-        psi = init_eta_model(StepSizeKind.SCALAR, shape, make_rng(2), hidden=4, bypass=True)
+        psi = init_eta_model(StepSizeKind.SCALAR, shape, make_rng(2), hidden=4)
         engine = OagdEngine(
-            OagdState(StepSize.initial(StepSizeKind.SCALAR, shape, 0.1), psi)
+            OagdState(StepSize.initial(StepSizeKind.SCALAR, shape, 0.1), psi, bypass=True)
         )
         state = TrainRunState(
             net=net,
@@ -84,7 +85,7 @@ class TestTrainEpoch:
         rng = make_rng(77)
         for _ in range(math.ceil(64 / 8)):
             batch = sample_minibatch(ds, 8, rng)
-            grads = block_gradient(reference, batch, (0, 1))
+            grads = block_loss_and_gradients(reference, batch, (0, 1))[1]
             reference = reference.with_layers(
                 {l: reference.layer_weights[l] - 0.1 * g for l, g in grads.items()}
             )
@@ -229,9 +230,9 @@ class TestEvaluate:
             assert np.array_equal(w0, w1)
 
     def test_regression_metric_is_mse(self):
-        net = NetworkModel((matrix([[2.0]]),), loss_kind=MSE)
-        x = matrix([[1.0, 2.0]])
-        y = matrix([[2.0, 5.0]])  # second prediction off by 1
+        net = NetworkModel((np.array([[2.0]]),), loss_kind=MSE)
+        x = np.array([[1.0, 2.0]])
+        y = np.array([[2.0, 5.0]])  # second prediction off by 1
         ds = Dataset(x, y, "regression")
         loss, metric = evaluate(net, ds, batch_size=10)
         assert loss == pytest.approx(0.5)
