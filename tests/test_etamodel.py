@@ -71,6 +71,20 @@ class TestPsiForward:
         beta, eta_hat, _ = psi_forward(psi, grad_features(np.ones((3, 4))))
         assert beta.shape == shape and eta_hat.shape == shape
 
+    def test_bypass_pins_beta_to_one(self):
+        # bypass lives in the adaptive engine: psi is never run and the
+        # traced heads are beta = 1, eta_hat = 0.5
+        from samt.optim import OagdEngine, OagdState
+
+        net = init_network((2, 2), make_rng(4))
+        psi = init_eta_model(StepSizeKind.SCALAR, (2, 2), make_rng(4))
+        step = StepSize.initial(StepSizeKind.SCALAR, (2, 2), 0.1)
+        batch = (np.ones((2, 3)), np.array([0, 1, 0]))
+        events = []
+        OagdEngine(OagdState(step, psi, bypass=True)).step(net, (0,), batch, batch, events.append)
+        assert len(events) == 1
+        assert (events[0]["beta"] == 1.0).all() and (events[0]["eta_hat"] == 0.5).all()
+
 
 class TestInitEtaModel:
     def test_output_layer_is_column_major(self):
@@ -266,6 +280,25 @@ class TestPsiStep:
             psi = psi_step(psi, meta.psi_grads)
         for w in psi.weights:
             assert np.isfinite(w).all()
+
+
+def test_bypass_keeps_step_at_initial_forever():
+    from samt.optim import OagdEngine, OagdState
+    from samt.stepsize import step_update
+
+    net = init_network((2, 2), make_rng(8))
+    psi = init_eta_model(StepSizeKind.ELEMENT, (2, 2), make_rng(8))
+    step = StepSize.initial(StepSizeKind.ELEMENT, (2, 2), 0.1)
+    eta0 = step.init_values.copy()
+    engine = OagdEngine(OagdState(step, psi, bypass=True))
+    rng = np.random.default_rng(0)
+    events = []
+    for _ in range(200):
+        batch = (rng.standard_normal((2, 3)), rng.integers(0, 2, 3))
+        net, engine, _ = engine.step(net, (0,), batch, batch, events.append)
+    values = step_update(events[-1]["beta"], eta0, events[-1]["eta_hat"])
+    assert np.array_equal(values, eta0)
+    assert np.array_equal(engine.state.step.values, eta0)
 
 
 def test_meta_gradients_over_multi_layer_scalar_block():
