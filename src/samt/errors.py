@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import numpy as np
+
 
 class ShapeError(ValueError):
     """Operands have incompatible or unsupported shapes."""
@@ -22,13 +24,18 @@ class ConfigError(ValueError):
 
 
 class DivergenceError(ArithmeticError):
-    """A training step produced a non-finite loss or meta loss.
+    """A training step's loss, meta loss, or psi's input or heads were not finite.
 
     Carries where it happened: the 1-based epoch and outer iteration
     within it, the block's layer indices and the engine's class name.
+    `event` is the failing step's `StepEvent`, else the block's last one
+    in the epoch, else None; the message ends with its step's min and max.
     """
 
-    def __init__(self, epoch: int, iteration: int, block: tuple[int, ...], engine: str, detail: str):
+    def __init__(self, epoch: int, iteration: int, block: tuple[int, ...], engine: str, detail: str,
+                 event=None):
+        if event is not None:
+            detail += f" (step min {np.min(event.step):.6g}, max {np.max(event.step):.6g})"
         super().__init__(
             f"training diverged at epoch {epoch}, iteration {iteration}, "
             f"block {block}, engine {engine}: {detail}"
@@ -37,3 +44,4 @@ class DivergenceError(ArithmeticError):
         self.iteration = iteration
         self.block = block
         self.engine = engine
+        self.event = event

@@ -108,12 +108,18 @@ class _PsiCache:
 
 def psi_forward(psi: EtaModel, d_col: Matrix) -> tuple[Matrix, Matrix, _PsiCache]:
     """Scale factor beta, candidate step eta_hat and the backward cache
-    for one (5, 1) feature column; both heads have the step's shape."""
+    for one (5, 1) feature column; both heads have the step's shape.
+    Non-finite features or raw heads raise `FloatingPointError`."""
+    if not np.isfinite(d_col).all():
+        values = ", ".join(f"{v:.3g}" for v in d_col.ravel())
+        raise FloatingPointError(f"psi input is not finite: [{values}]")
     u1 = psi.w1 @ d_col
     h1, _ = leaky_relu(u1, psi.activation_slope)
     u2 = psi.w2 @ h1
     h2, _ = leaky_relu(u2, psi.activation_slope)
     u3 = psi.w3 @ h2
+    if not np.isfinite(u3).all():
+        raise FloatingPointError("psi raw heads are not finite")
     k = psi.entry_count
     raw_beta, raw_eta = u3[:k], u3[k:]
     beta = project_unit(raw_beta, psi.projection_style).reshape(psi.head_shape)

@@ -40,6 +40,7 @@ from .numerics import make_rng, spawn_rngs
 from .optim import AdamEngine, HdEngine, OagdEngine, OagdState, SgdEngine
 from .stepsize import (
     ABLATION_ARMS,
+    ARM_RIGHT,
     PROJECTION_STYLES,
     StepSize,
     StepSizeKind,
@@ -263,6 +264,8 @@ def validate_config(config: TrainConfig) -> None:
     if kind is not None and kind is not StepSizeKind.SCALAR and config.grouping is not None:
         if any(len(g) > 1 for g in config.grouping):
             raise ConfigError("non-scalar step sizes support single-layer blocks only")
+    if kind is not None and config.psi_bypass and config.ablation == ARM_RIGHT:
+        raise ConfigError("psi_bypass=true pins beta = 1, so ablation=right_only's step is 0")
 
 
 # ---------------------------------------------------------------------------
@@ -439,18 +442,20 @@ def run_matrix(config: TrainConfig, vary: str, out_dir="."):
     runs both unit-interval projections.  Returns {label: rows}.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if vary == "ablation":
         variants = [("ablation", arm) for arm in ABLATION_ARMS]
     elif vary == "projection":
         variants = [("projection_style", style) for style in PROJECTION_STYLES]
     else:
         raise ConfigError(f"vary must be 'ablation' or 'projection', got {vary!r}")
-    results = {}
-    for key, value in variants:
-        cfg = replace(config, **{key: value, "out_csv": str(out_dir / f"metrics_{vary}_{value}.csv")})
-        results[value] = run_experiment(cfg)[0]
-    return results
+    configs = {
+        value: replace(config, **{key: value, "out_csv": str(out_dir / f"metrics_{vary}_{value}.csv")})
+        for key, value in variants
+    }
+    for cfg in configs.values():
+        validate_config(cfg)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return {value: run_experiment(cfg)[0] for value, cfg in configs.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,16 @@
 """Per-block update engines.
 
-Every engine takes `step(net, block, main_batch, meta_batch, trace)` and
-returns the new network, the engine for the next step and the pre-update
-mini-batch loss.  The fixed-recipe baselines (plain SGD, Adam and a
-hypergradient rate adapter) are immutable: a step builds a new engine.
-The adaptive engine carries a trainable step size and its step model
-psi; psi is state the engine owns and mutates, because `psi_step`
-updates psi's weight arrays in place.  A bypassed adaptive engine pins
-beta = 1 and eta_hat = 0.5 itself and never consults psi, so its step
-stays at the initial value.  The adaptive engine raises
-`FloatingPointError` when its meta loss is not finite, before psi's
-weights are touched.
+Every engine takes `step(net, block, main_batch, meta_batch)` and
+returns the new network, the engine for the next step and the step's
+`StepEvent`; the trainer alone checks and traces events.  The baselines
+(plain SGD, Adam and a hypergradient rate adapter) are immutable: a step
+builds a new engine.  The adaptive engine carries a trainable step size
+and its step model psi, which it owns and mutates: `psi_step` updates
+psi's weight arrays in place.  A bypassed adaptive engine pins beta = 1
+and eta_hat = 0.5 itself and never consults psi, so its step stays at
+the initial value.  The adaptive engine raises `FloatingPointError`
+when psi's input, psi's raw heads or its meta loss are not finite,
+before psi's weights are touched.
 """
 
 from __future__ import annotations
@@ -31,6 +31,27 @@ from .stepsize import (
     compose_step,
     grad_features,
 )
+
+
+@dataclass(slots=True)
+class StepEvent:
+    """What one engine step did.  Arrays are the step's own, not copies,
+    and nothing writes to them later.  `step` is SGD's eta, Adam's rate,
+    the rate HD just used, or the adaptive engine's composed step (which
+    it keeps, and applies unless `meta_lag` is 1).  The trainer stamps
+    the fields from `epoch` on when it traces."""
+
+    loss: float
+    step: Matrix | float
+    meta_loss: float | None = None
+    beta: Matrix | None = None
+    eta_hat: Matrix | None = None
+    epoch: int = 0
+    iteration: int = 0
+    block: tuple[int, ...] = ()
+    engine: str = ""
+    main_batch: tuple | None = None
+    meta_batch: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -67,16 +88,10 @@ class SgdEngine:
         if not self.eta > 0:
             raise ValueError(f"step size must be positive, got {self.eta}")
 
-    def step(self, net, block, main_batch, meta_batch=None, trace=None):
+    def step(self, net, block, main_batch, meta_batch=None):
         loss, grads = block_loss_and_gradients(net, main_batch, block)
-        if trace is not None:
-            trace({"event": "sgd_step", "block": tuple(block), "loss": loss,
-                   "weight_sums": tuple(float(w.sum()) for w in net.layer_weights)})
         updates = {l: net.layer_weights[l] - self.eta * grads[l] for l in block}
-        return net.with_layers(updates), self, loss
-
-    def eta_snapshot(self) -> np.ndarray:
-        return np.array([self.eta])
+        return net.with_layers(updates), self, StepEvent(loss, self.eta)
 
 
 @dataclass(frozen=True)
@@ -98,7 +113,7 @@ class AdamEngine:
         zeros = tuple(np.zeros_like(net.layer_weights[l]) for l in block)
         return AdamEngine(zeros, zeros, rate)
 
-    def step(self, net, block, main_batch, meta_batch=None, trace=None):
+    def step(self, net, block, main_batch, meta_batch=None):
         loss, grads = block_loss_and_gradients(net, main_batch, block)
         t = self.t + 1
         b1, b2 = self.beta1, self.beta2
@@ -113,10 +128,7 @@ class AdamEngine:
             ms.append(m)
             vs.append(v)
         new = replace(self, m=tuple(ms), v=tuple(vs), t=t)
-        return net.with_layers(updates), new, loss
-
-    def eta_snapshot(self) -> np.ndarray:
-        return np.array([self.rate])
+        return net.with_layers(updates), new, StepEvent(loss, self.rate)
 
 
 @dataclass(frozen=True)
@@ -138,16 +150,13 @@ class HdEngine:
             hyper_rate=hyper_rate,
         )
 
-    def step(self, net, block, main_batch, meta_batch=None, trace=None):
+    def step(self, net, block, main_batch, meta_batch=None):
         loss, grads = block_loss_and_gradients(net, main_batch, block)
         inner = sum(float(np.vdot(grads[l], gp)) for l, gp in zip(block, self.g_prev))
         rate = max(self.rate_floor, self.rate + self.hyper_rate * inner)
         updates = {l: net.layer_weights[l] - rate * grads[l] for l in block}
         new = replace(self, g_prev=tuple(grads[l].copy() for l in block), rate=rate)
-        return net.with_layers(updates), new, loss
-
-    def eta_snapshot(self) -> np.ndarray:
-        return np.array([self.rate])
+        return net.with_layers(updates), new, StepEvent(loss, rate)
 
 
 @dataclass(frozen=True)
@@ -158,9 +167,8 @@ class OagdEngine:
 
     needs_meta_batch = True
 
-    def step(self, net, block, main_batch, meta_batch, trace=None):
+    def step(self, net, block, main_batch, meta_batch):
         state = self.state
-        block = tuple(block)
         if state.step.kind is not StepSizeKind.SCALAR and len(block) != 1:
             raise ValueError("non-scalar step sizes serve single-layer blocks only")
         loss, grads = block_loss_and_gradients(net, main_batch, block)
@@ -170,7 +178,7 @@ class OagdEngine:
 
         updates = None
         if state.bypass:
-            beta, eta_hat = np.ones(eta0.shape), np.full(eta0.shape, 0.5)
+            beta, eta_hat, meta_loss = np.ones(eta0.shape), np.full(eta0.shape, 0.5), None
             step_cand, _, _ = compose_step(state.arm, beta, eta0, eta_hat)
         else:
             # psi reads the statistics of all the block's gradients at once
@@ -181,29 +189,11 @@ class OagdEngine:
             if not math.isfinite(meta.meta_loss):
                 raise FloatingPointError(f"meta loss is {meta.meta_loss}")
             psi_step(state.psi, meta.psi_grads)
-            step_cand, beta, eta_hat = meta.step_candidate, meta.beta, meta.eta_hat
+            step_cand, beta, eta_hat, meta_loss = meta.step_candidate, meta.beta, meta.eta_hat, meta.meta_loss
             if state.meta_lag == 0:
                 updates = meta.w_prime
         if updates is None:
             commit = step_cand if state.meta_lag == 0 else state.step.values
             updates = candidate_weights(block, w_list, g_list, commit)
-        if trace is not None:
-            trace(
-                {
-                    "event": "oagd_step",
-                    "block": block,
-                    "arm": state.arm,
-                    "loss": loss,
-                    "batch_sum": float(main_batch[0].sum()),
-                    "meta_batch_sum": float(meta_batch[0].sum()),
-                    "beta": beta.copy(),
-                    "eta_hat": eta_hat.copy(),
-                    "step": step_cand.copy(),
-                    "weight_sums": tuple(float(w.sum()) for w in net.layer_weights),
-                }
-            )
         new = OagdEngine(replace(state, step=state.step.with_values(step_cand)))
-        return net.with_layers(updates), new, loss
-
-    def eta_snapshot(self) -> np.ndarray:
-        return self.state.step.values.ravel().copy()
+        return net.with_layers(updates), new, StepEvent(loss, step_cand, meta_loss, beta, eta_hat)

@@ -4,7 +4,8 @@ Each outer iteration sweeps the blocks in ascending order and runs K
 inner engine steps per block, drawing a fresh main mini-batch (and, for
 adaptive engines, a fresh held-aside mini-batch) for every inner step.
 Later blocks see earlier blocks' already-updated weights within the
-same sweep.
+same sweep.  `train_epoch` alone reads the engines' `StepEvent`s: it
+checks each loss, traces and summarises the step sizes.
 """
 
 from __future__ import annotations
@@ -80,17 +81,16 @@ class TrainRunState:
                 f"{len(self.engines)} engine states for {len(self.plan.blocks)} blocks"
             )
 
-    def eta_values(self) -> np.ndarray:
-        return np.concatenate([e.eta_snapshot() for e in self.engines])
-
 
 def train_epoch(state: TrainRunState, dataset: Dataset, batch_size: int, trace=None):
     """Run ceil(N / batch_size) outer iterations; returns (state, stats).
 
-    stats holds the mean pre-update mini-batch loss over the epoch's
-    engine steps and the current step-size snapshot.  A step whose
-    pre-update loss is not finite, or an engine step that raises
-    `FloatingPointError`, raises `DivergenceError`.
+    stats holds the mean pre-update mini-batch loss, the mean, min and max
+    of each block's last step, and the step count.  Each `StepEvent` is
+    stamped (1-based epoch and iteration, block, engine class name, both
+    mini-batches) and passed to `trace` if given.  A step whose loss is
+    not finite, or that raises `FloatingPointError`, raises
+    `DivergenceError`.
     """
     if dataset.num_samples == 0:
         raise ValueError("dataset is empty")
@@ -100,6 +100,7 @@ def train_epoch(state: TrainRunState, dataset: Dataset, batch_size: int, trace=N
         )
     iterations = math.ceil(dataset.num_samples / batch_size)
     losses = []
+    last = [None] * len(state.plan.blocks)  # each block's last event this epoch
     for it in range(iterations):
         for bi, block in enumerate(state.plan.blocks):
             engine = state.engines[bi]
@@ -111,19 +112,23 @@ def train_epoch(state: TrainRunState, dataset: Dataset, batch_size: int, trace=N
                         raise ValueError("adaptive engine needs a meta_source subset")
                     meta_batch = sample_minibatch(state.meta_source, batch_size, state.rng_meta)
                 try:
-                    state.net, engine, loss = engine.step(
-                        state.net, block, main_batch, meta_batch, trace
-                    )
-                    if not math.isfinite(loss):
-                        raise FloatingPointError(f"loss is {loss}")
+                    state.net, engine, event = engine.step(state.net, block, main_batch, meta_batch)
+                    last[bi] = event
+                    if not math.isfinite(event.loss):
+                        raise FloatingPointError(f"loss is {event.loss}")
                 except FloatingPointError as e:
                     raise DivergenceError(
-                        state.epoch + 1, it + 1, tuple(block), type(engine).__name__, str(e)
+                        state.epoch + 1, it + 1, block, type(engine).__name__, str(e), last[bi]
                     ) from None
-                losses.append(loss)
+                if trace is not None:
+                    event.epoch, event.iteration = state.epoch + 1, it + 1
+                    event.block, event.engine = block, type(engine).__name__
+                    event.main_batch, event.meta_batch = main_batch, meta_batch
+                    trace(event)
+                losses.append(event.loss)
             state.engines[bi] = engine
     state.epoch += 1
-    eta = state.eta_values()
+    eta = np.concatenate([np.ravel(e.step) for e in last])
     stats = {
         "mean_step_loss": float(np.mean(losses)),
         "eta_mean": float(eta.mean()),

@@ -388,12 +388,12 @@ def test_criterion_8_protocol_matrices(tmp_path):
     for arm, events in traces.items():
         assert len(events) == len(full)
         for e_arm, e_full in zip(events, full):
-            assert e_arm["batch_sum"] == e_full["batch_sum"]
-            assert e_arm["meta_batch_sum"] == e_full["meta_batch_sum"]
-        assert np.array_equal(events[0]["beta"], full[0]["beta"])
-        assert np.array_equal(events[0]["eta_hat"], full[0]["eta_hat"])
-        assert events[0]["loss"] == full[0]["loss"]
-    first_steps = {arm: traces[arm][0]["step"] for arm in traces}
+            assert float(e_arm.main_batch[0].sum()) == float(e_full.main_batch[0].sum())
+            assert float(e_arm.meta_batch[0].sum()) == float(e_full.meta_batch[0].sum())
+        assert np.array_equal(events[0].beta, full[0].beta)
+        assert np.array_equal(events[0].eta_hat, full[0].eta_hat)
+        assert events[0].loss == full[0].loss
+    first_steps = {arm: traces[arm][0].step for arm in traces}
     assert (first_steps["baseline"] == 0.1).all()
     assert not np.array_equal(first_steps["full"], first_steps["right_only"])
     report(

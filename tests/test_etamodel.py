@@ -53,6 +53,17 @@ class TestPsiForward:
             for head in psi_forward(psi, grad_features(g))[:2]:
                 assert (head > 0.0).all() and (head < 1.0).all()
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_input_or_head_raises_floating_point_error(self, bad):
+        psi = init_eta_model(StepSizeKind.ELEMENT, (2, 3), make_rng(5), hidden=4)
+        feats = grad_features(np.ones((2, 3)))
+        feats[1, 0] = bad
+        with pytest.raises(FloatingPointError, match="psi input"):
+            psi_forward(psi, feats)
+        psi.w3[4, 2] = bad
+        with pytest.raises(FloatingPointError, match="psi raw heads"):
+            psi_forward(psi, grad_features(np.ones((2, 3))))
+
     def test_scalar_kind_shapes(self):
         psi = init_eta_model(StepSizeKind.SCALAR, (7, 9), make_rng(2))
         beta, eta_hat, _ = psi_forward(psi, grad_features(np.ones((7, 9))))
@@ -73,17 +84,16 @@ class TestPsiForward:
 
     def test_bypass_pins_beta_to_one(self):
         # bypass lives in the adaptive engine: psi is never run and the
-        # traced heads are beta = 1, eta_hat = 0.5
-        from samt.optim import OagdEngine, OagdState
+        # step's event reports heads beta = 1, eta_hat = 0.5
+        from samt.optim import OagdEngine, OagdState, StepEvent
 
         net = init_network((2, 2), make_rng(4))
         psi = init_eta_model(StepSizeKind.SCALAR, (2, 2), make_rng(4))
         step = StepSize.initial(StepSizeKind.SCALAR, (2, 2), 0.1)
         batch = (np.ones((2, 3)), np.array([0, 1, 0]))
-        events = []
-        OagdEngine(OagdState(step, psi, bypass=True)).step(net, (0,), batch, batch, events.append)
-        assert len(events) == 1
-        assert (events[0]["beta"] == 1.0).all() and (events[0]["eta_hat"] == 0.5).all()
+        _, _, event = OagdEngine(OagdState(step, psi, bypass=True)).step(net, (0,), batch, batch)
+        assert isinstance(event, StepEvent)
+        assert (event.beta == 1.0).all() and (event.eta_hat == 0.5).all()
 
 
 class TestInitEtaModel:
@@ -292,11 +302,10 @@ def test_bypass_keeps_step_at_initial_forever():
     eta0 = step.init_values.copy()
     engine = OagdEngine(OagdState(step, psi, bypass=True))
     rng = np.random.default_rng(0)
-    events = []
     for _ in range(200):
         batch = (rng.standard_normal((2, 3)), rng.integers(0, 2, 3))
-        net, engine, _ = engine.step(net, (0,), batch, batch, events.append)
-    values = step_update(events[-1]["beta"], eta0, events[-1]["eta_hat"])
+        net, engine, event = engine.step(net, (0,), batch, batch)
+    values = step_update(event.beta, eta0, event.eta_hat)
     assert np.array_equal(values, eta0)
     assert np.array_equal(engine.state.step.values, eta0)
 

@@ -214,20 +214,20 @@ class TestRunMatrix:
 
             train_epoch(state, train_ds, cfg.train_batch, trace=events.append)
             traces[arm] = events
+            assert all(engine.state.arm == arm for engine in state.engines)
         lengths = {len(v) for v in traces.values()}
         assert len(lengths) == 1
         full = traces["full"]
         for arm, events in traces.items():
             for e_full, e_arm in zip(full, events):
-                assert e_arm["batch_sum"] == e_full["batch_sum"]
-                assert e_arm["meta_batch_sum"] == e_full["meta_batch_sum"]
-                assert e_arm["arm"] == arm
+                assert float(e_arm.main_batch[0].sum()) == float(e_full.main_batch[0].sum())
+                assert float(e_arm.meta_batch[0].sum()) == float(e_full.meta_batch[0].sum())
             # before any divergence the model outputs are bitwise equal
             first = events[0]
-            assert np.array_equal(first["beta"], full[0]["beta"])
-            assert np.array_equal(first["eta_hat"], full[0]["eta_hat"])
-            assert first["loss"] == full[0]["loss"]
-        steps = {arm: traces[arm][0]["step"][0, 0] for arm in traces}
+            assert np.array_equal(first.beta, full[0].beta)
+            assert np.array_equal(first.eta_hat, full[0].eta_hat)
+            assert first.loss == full[0].loss
+        steps = {arm: traces[arm][0].step[0, 0] for arm in traces}
         assert steps["baseline"] == 0.1
         assert len({round(v, 15) for v in steps.values()}) >= 3
 
@@ -280,6 +280,9 @@ class TestCli:
         [
             (["widths=10,50,1", "optimizer=sgd", "sgd_rate=5"], "SgdEngine"),
             (["widths=10,32,32,1", "optimizer=samt_e", "seed=0"], "OagdEngine"),
+            # the gradient's statistics overflow while the loss is still finite
+            (["widths=10,32,32,1", "optimizer=samt_r"], "OagdEngine"),
+            (["widths=10,32,32,1", "optimizer=samt_e", "seed=1"], "OagdEngine"),
         ],
     )
     def test_diverging_run_exits_three_without_nan_rows(self, args, engine, tmp_path, capsys):
@@ -287,7 +290,7 @@ class TestCli:
         code = cli_main(["train", "dataset=synthetic", *args, "epochs=2", f"out_csv={path}"])
         assert code == 3
         err = capsys.readouterr().err
-        assert "diverged at epoch 1" in err and engine in err
+        assert "diverged at epoch 1" in err and engine in err and "(step min " in err
         text = path.read_text()
         assert text.startswith(CSV_HEADER) and "nan" not in text.lower()
 
@@ -309,6 +312,7 @@ class TestCli:
             (["optimizer=sgd", "csv_test_fraction=nan"], "csv_test_fraction"),
             (["optimizer=sgd", "csv_test_fraction=0"], "csv_test_fraction"),
             (["optimizer=sgd", "csv_test_fraction=1"], "csv_test_fraction"),
+            (["optimizer=samt_s", "psi_bypass=true", "ablation=right_only"], "psi_bypass"),
         ],
     )
     def test_bad_rate_or_width_exits_one_naming_the_key(self, args, key, tmp_path, capsys):
@@ -319,6 +323,17 @@ class TestCli:
         assert code == 1
         assert key in capsys.readouterr().err
         assert not path.exists()
+
+    def test_bad_matrix_arm_fails_before_the_first_run(self, tmp_path, capsys):
+        # the right_only arm cannot run bypassed; no arm may run before that shows
+        code = cli_main(
+            ["matrix", "--vary", "ablation", "--out-dir", str(tmp_path / "out"),
+             "dataset=synthetic", "widths=10,1", "optimizer=samt_s", "psi_bypass=true"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "psi_bypass" in err and "ablation" in err
+        assert not (tmp_path / "out").exists()
 
     def test_gradcheck_passes(self, capsys):
         assert cli_main(["gradcheck", "--seed=1"]) == 0

@@ -7,7 +7,7 @@ from dataclasses import replace
 from samt.etamodel import init_eta_model
 from samt.model import MSE, NetworkModel, batch_loss, block_loss_and_gradients, init_network
 from samt.numerics import make_rng
-from samt.optim import AdamEngine, HdEngine, OagdEngine, OagdState, SgdEngine
+from samt.optim import AdamEngine, HdEngine, OagdEngine, OagdState, SgdEngine, StepEvent
 from samt.stepsize import StepSize, StepSizeKind
 
 
@@ -125,9 +125,9 @@ def make_oagd(kind, layer_shape, seed=0, eta0=0.1, **kwargs):
 
 
 def oagd_step(state, net, block, main_batch, meta_batch):
-    """One OagdEngine step, returning (net, state, loss)."""
-    net_new, engine, loss = OagdEngine(state).step(net, block, main_batch, meta_batch)
-    return net_new, engine.state, loss
+    """One OagdEngine step, returning (net, state, event)."""
+    net_new, engine, event = OagdEngine(state).step(net, block, main_batch, meta_batch)
+    return net_new, engine.state, event
 
 
 def classification_batches(widths, count, seed):
@@ -167,8 +167,8 @@ class TestOagdScalar:
         net = NetworkModel((np.array([[1.5]]),), loss_kind=MSE)
         state = make_oagd(StepSizeKind.SCALAR, (1, 1), seed=5)
         batch = (np.array([[0.0]]), np.array([[0.0]]))
-        net_new, state_new, loss = oagd_step(state, net, (0,), batch, batch)
-        assert loss == 0.0
+        net_new, state_new, event = oagd_step(state, net, (0,), batch, batch)
+        assert event.loss == 0.0
         assert np.array_equal(net_new.layer_weights[0], net.layer_weights[0])
         assert not np.array_equal(state_new.step.values, state.step.values)
 
@@ -222,10 +222,10 @@ class TestOagdScalar:
         du1 = [dh1[i] * dlrelu(u1[i]) for i in range(len(u1))]
         dw1 = [[du1[i] * feats[j] for j in range(5)] for i in range(len(du1))]
 
-        net_new, state_new, loss_out = oagd_step(
+        net_new, state_new, event = oagd_step(
             state, net, (0,), (np.array([[x]]), np.array([[y]])), (np.array([[mx]]), np.array([[my]]))
         )
-        assert loss_out == pytest.approx(loss, rel=1e-12)
+        assert event.loss == pytest.approx(loss, rel=1e-12)
         assert state_new.step.values[0, 0] == pytest.approx(eta_cand, rel=1e-12)
         assert net_new.layer_weights[0][0, 0] == pytest.approx(w_prime, rel=1e-12)
         assert np.allclose(state_new.psi.w3, w3 - meta_lr * np.array(dw3), atol=1e-15)
@@ -253,11 +253,12 @@ class TestOagdNonScalar:
         psi_before = [w.copy() for w in state.psi.weights]
         events = []
         for main, meta in zip(*[iter(classification_batches(widths, 400, seed=15))] * 2):
-            net, engine, _ = OagdEngine(state).step(net, (1,), main, meta, events.append)
+            net, engine, event = OagdEngine(state).step(net, (1,), main, meta)
+            events.append(event)
             state = engine.state
             assert state.step.values.tobytes() == eta0.tobytes()
         assert len(events) == 200
-        assert all((e["beta"] == 1.0).all() and (e["eta_hat"] == 0.5).all() for e in events)
+        assert all((e.beta == 1.0).all() and (e.eta_hat == 0.5).all() for e in events)
         for before, after in zip(psi_before, state.psi.weights):
             assert before.tobytes() == after.tobytes()
 
@@ -316,12 +317,40 @@ class TestEngineContracts:
             assert np.array_equal(wa, wb)
 
     def test_reported_loss_is_pre_update_loss(self):
+        # one protocol for every engine: (network, same engine class, StepEvent)
         widths = (4, 3)
         net = init_network(widths, make_rng(31))
-        state = make_oagd(StepSizeKind.SCALAR, net.layer_weights[0].shape, seed=32)
-        batch = classification_batches(widths, 1, seed=33)[0]
-        _, _, loss = oagd_step(state, net, (0,), batch, batch)
-        assert loss == pytest.approx(batch_loss(net, batch), rel=1e-12)
+        shape = net.layer_weights[0].shape
+        main, meta = classification_batches(widths, 2, seed=33)
+        w, g = net.layer_weights[0], grad_of(net, main)
+        engines = {
+            "sgd": SgdEngine(0.1),
+            "adam": AdamEngine.fresh(net, (0,), 0.01),
+            # the previous gradient equals this one, so the rate grows before it is used
+            "hd": HdEngine((g.copy(),), rate=0.1, hyper_rate=1e-2),
+            "samt_s": OagdEngine(make_oagd(StepSizeKind.SCALAR, shape, seed=32)),
+            "samt_e": OagdEngine(make_oagd(StepSizeKind.ELEMENT, shape, seed=32)),
+            "samt_e_bypass": OagdEngine(make_oagd(StepSizeKind.ELEMENT, shape, seed=32, bypass=True)),
+        }
+        for name, engine in engines.items():
+            net_new, engine_new, event = engine.step(net, (0,), main, meta)
+            assert isinstance(net_new, NetworkModel) and type(engine_new) is type(engine), name
+            assert isinstance(event, StepEvent), name
+            assert event.loss == pytest.approx(batch_loss(net, main), rel=1e-12), name
+            if name == "adam":
+                m_hat = engine_new.m[0] / (1 - engine.beta1)
+                v_hat = engine_new.v[0] / (1 - engine.beta2)
+                direction = m_hat / (np.sqrt(v_hat) + engine.eps)
+                assert np.array_equal(np.ravel(event.step), [0.01])
+            else:
+                direction = g
+            if name == "hd":
+                assert np.array_equal(np.ravel(event.step), [engine_new.rate])
+                assert engine_new.rate > engine.rate
+            if name.startswith("samt"):
+                assert np.array_equal(np.ravel(event.step), np.ravel(engine_new.state.step.values)), name
+            # the reported step is the one the update applied, bit for bit
+            assert np.array_equal(net_new.layer_weights[0], w - event.step * direction), name
 
     def test_meta_lag_commits_previous_step(self):
         net = init_network((3, 2), make_rng(41), loss_kind=MSE)

@@ -117,21 +117,30 @@ class TestTrainEpoch:
 
     def test_gauss_seidel_order_via_trace(self):
         # block 1's gradient must be taken at block 0's updated weights
+        class Recording(SgdEngine):
+            seen = []  # (layer-0 array received, layer-0 array returned) per step
+
+            def step(self, net, block, main_batch, meta_batch=None):
+                out = super().step(net, block, main_batch, meta_batch)
+                Recording.seen.append((net.layer_weights[0], out[0].layer_weights[0]))
+                return out
+
         ds = class_dataset(8, n=16, d=4, classes=2)
         net = init_network((4, 3, 2), make_rng(9))
         state = TrainRunState(
             net=net,
             plan=block_partition(2),
-            engines=[SgdEngine(0.1), SgdEngine(0.1)],
+            engines=[Recording(0.1), Recording(0.1)],
             rng_main=make_rng(10),
             rng_meta=make_rng(11),
         )
         events = []
         train_epoch(state, ds, batch_size=16, trace=events.append)
-        assert [e["block"] for e in events[:2]] == [(0,), (1,)]
-        first_layer_sum_at_block1 = events[1]["weight_sums"][0]
+        assert [e.block for e in events[:2]] == [(0,), (1,)]
+        (_, layer0_after_block0), (layer0_at_block1, _) = Recording.seen[:2]
+        assert layer0_at_block1 is layer0_after_block0
         initial_sum = float(net.layer_weights[0].sum())
-        assert first_layer_sum_at_block1 != pytest.approx(initial_sum)
+        assert float(layer0_at_block1.sum()) != pytest.approx(initial_sum)
 
     def test_sweep_order_is_ascending_every_iteration(self):
         ds = class_dataset(12, n=30, d=4, classes=2)
@@ -145,7 +154,7 @@ class TestTrainEpoch:
         )
         events = []
         train_epoch(state, ds, batch_size=10, trace=events.append)
-        order = [e["block"] for e in events]
+        order = [e.block for e in events]
         per_iter = len(state.plan.blocks)
         for i in range(0, len(order), per_iter):
             assert order[i : i + per_iter] == [(0,), (1,), (2,)]
@@ -171,10 +180,12 @@ class TestTrainEpoch:
         class NanAtStep(SgdEngine):
             calls = 0
 
-            def step(self, net, block, main_batch, meta_batch=None, trace=None):
+            def step(self, net, block, main_batch, meta_batch=None):
                 NanAtStep.calls += 1
-                net, engine, loss = super().step(net, block, main_batch, meta_batch, trace)
-                return net, engine, float("nan") if NanAtStep.calls == 6 else loss
+                net, engine, event = super().step(net, block, main_batch, meta_batch)
+                if NanAtStep.calls == 6:
+                    event.loss = float("nan")
+                return net, engine, event
 
         ds = class_dataset(24, n=20, d=4, classes=2)
         state = TrainRunState(
@@ -190,6 +201,68 @@ class TestTrainEpoch:
         e = info.value
         assert (e.epoch, e.iteration, e.block, e.engine) == (2, 1, (1,), "NanAtStep")
         assert isinstance(e, ArithmeticError) and not isinstance(e, ValueError)
+        # the failing step's own event, whose step shows in the message
+        assert math.isnan(e.event.loss) and e.event.step == 0.05
+        assert str(e).endswith("(step min 0.05, max 0.05)")
+
+    def test_raising_engine_carries_the_blocks_last_event(self):
+        class RaiseAtStep(SgdEngine):
+            calls = 0
+
+            def step(self, net, block, main_batch, meta_batch=None):
+                RaiseAtStep.calls += 1
+                if RaiseAtStep.calls in (2, 6):
+                    raise FloatingPointError("meta loss is inf")
+                return super().step(net, block, main_batch, meta_batch)
+
+        ds = class_dataset(24, n=20, d=4, classes=2)
+        state = TrainRunState(
+            net=init_network((4, 3, 2), make_rng(25)),
+            plan=block_partition(2),
+            engines=[RaiseAtStep(0.05), RaiseAtStep(0.07)],
+            rng_main=make_rng(26),
+            rng_meta=make_rng(27),
+        )
+        # step 2 is block 1's first of the epoch: no event to carry
+        with pytest.raises(DivergenceError) as info:
+            train_epoch(state, ds, batch_size=10)
+        assert info.value.event is None and "step min" not in str(info.value)
+        events = []
+        # steps 3, 4, 5 and then block 1 fails again at step 6
+        with pytest.raises(DivergenceError) as info:
+            train_epoch(state, ds, batch_size=10, trace=events.append)
+        e = info.value
+        assert (e.iteration, e.block) == (2, (1,))
+        assert e.event is events[1] and e.event.block == (1,)
+        assert "meta loss is inf (step min 0.07, max 0.07)" in str(e)
+
+    def test_traced_event_arrays_stay_untouched(self):
+        # events hold references to the step's arrays, so nothing may write
+        # to them later: neither the engine's next steps nor the trainer
+        ds = class_dataset(40, n=200, d=4, classes=3)
+        net = init_network((4, 3), make_rng(41))
+        shape = net.layer_weights[0].shape
+        psi = init_eta_model(StepSizeKind.ELEMENT, shape, make_rng(42), hidden=4)
+        state = TrainRunState(
+            net=net,
+            plan=block_partition(1),
+            engines=[OagdEngine(OagdState(StepSize.initial(StepSizeKind.ELEMENT, shape, 0.1), psi))],
+            rng_main=make_rng(43),
+            rng_meta=make_rng(44),
+            meta_source=meta_subset(ds),
+        )
+        seen = []
+
+        def record(event):
+            copies = [a.copy() for a in (event.beta, event.eta_hat, event.step)]
+            seen.append((event, copies))
+
+        train_epoch(state, ds, batch_size=10, trace=record)
+        assert len(seen) == 20
+        for event, copies in seen:
+            for array, copy in zip((event.beta, event.eta_hat, event.step), copies):
+                assert array.tobytes() == copy.tobytes()
+        assert seen[-1][0].step is state.engines[0].state.step.values
 
     def test_batch_larger_than_dataset_rejected(self):
         ds = class_dataset(20, n=5)
