@@ -29,7 +29,8 @@ class DivergenceError(ArithmeticError):
     Carries where it happened: the 1-based epoch and outer iteration
     within it, the block's layer indices and the engine's class name.
     `event` is the failing step's `StepEvent`, else the block's last one
-    in the epoch, else None; the message ends with its step's min and max.
+    in the epoch (in an untraced run, without beta and eta_hat), else
+    None; the message ends with its step's min and max.
     """
 
     def __init__(self, epoch: int, iteration: int, block: tuple[int, ...], engine: str, detail: str,

@@ -7,13 +7,14 @@ of `stepsize.grad_features`.  The first k outputs become the scale
 factor beta, the last k the candidate step; both heads pass through a
 unit-interval projection and are reshaped to the step-size kind's
 shape.  The model is trained by plain gradient descent on the loss a
-candidate weight update achieves on a held-aside mini-batch.  Bypass
+candidate weight update achieves on a held-aside mini-batch, its output
+layer's updates deferred and folded in PSI_PENDING at a time.  Bypass
 is not the model's concern: a bypassed adaptive engine never calls it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,32 +29,54 @@ from .stepsize import (
     project_unit,
     project_unit_derivative,
     reduce_to_kind,
+    squash,
 )
 
 NUM_FEATURES = 5
 DEFAULT_HIDDEN = 64
-# Scratch entries of one pass of `psi_step` (512 rows of a 64-wide
+# Rank-1 output-layer updates `psi_step` gathers before folding them in.
+PSI_PENDING = 4
+# Scratch entries of one pass of that fold (512 rows of a 64-wide
 # matrix); a pass updates as many whole columns as fit, at least one.
 PSI_CHUNK_ENTRIES = 512 * 64
 
 
+@dataclass
+class _Pending:
+    """Updates not yet folded into w3: psi's output layer is w3 - u[:, :n] @ v[:, :n].T."""
+
+    u: Matrix | None = None  # 2k x PSI_PENDING, column-major; allocated on first use
+    v: Matrix | None = None  # hidden x PSI_PENDING, meta learning rate folded in
+    n: int = 0
+
+    def column(self, rows: int, cols: int) -> Matrix:
+        """u's (rows, 1) column for the next update; allocates u and v on first use."""
+        if self.u is None:
+            self.u, self.v = np.empty((rows, PSI_PENDING), order="F"), np.empty((cols, PSI_PENDING))
+        return self.u[:, self.n : self.n + 1]
+
+
 @dataclass(frozen=True)
 class EtaModel:
-    """Three weight matrices plus the head bookkeeping for one block.
+    """Three weight matrices, the output layer's pending updates (see
+    `_Pending`) and the head bookkeeping for one block.
 
     The weight arrays are owned by the one training loop that holds the
     model and are mutated in place by `psi_step`; `frozen` freezes only
-    the attribute bindings, not the arrays behind them.
+    the attribute bindings, not the arrays behind them.  A
+    `dataclasses.replace` copy shares the weight arrays but gets its own
+    copy of the pending updates.
     """
 
     w1: Matrix  # hidden x 5
     w2: Matrix  # hidden x hidden
-    w3: Matrix  # 2k x hidden, column-major: each column is contiguous
+    w3: Matrix  # 2k x hidden base B, column-major: each column is contiguous
     kind: StepSizeKind
     head_shape: tuple[int, int]  # shape both heads are reshaped to
     activation_slope: float = 0.01
     projection_style: str = "tanh"
     meta_learning_rate: float = 1e-3
+    pending: _Pending = field(default_factory=_Pending)
 
     def __post_init__(self):
         k = self.head_shape[0] * self.head_shape[1]
@@ -61,6 +84,8 @@ class EtaModel:
             raise ShapeError(
                 f"output layer has {self.w3.shape[0]} rows, head shape {self.head_shape} needs {2 * k}"
             )
+        p = self.pending
+        object.__setattr__(self, "pending", _Pending(*(a if a is None else a.copy() for a in (p.u, p.v)), p.n))
 
     @property
     def entry_count(self) -> int:
@@ -102,8 +127,7 @@ class _PsiCache:
     h1: Matrix
     u2: Matrix
     h2: Matrix
-    raw_beta: Matrix
-    raw_eta: Matrix
+    core: Matrix  # squash(u3): the (2k, 1) raw heads through tanh or sigmoid
 
 
 def psi_forward(psi: EtaModel, d_col: Matrix) -> tuple[Matrix, Matrix, _PsiCache]:
@@ -118,13 +142,15 @@ def psi_forward(psi: EtaModel, d_col: Matrix) -> tuple[Matrix, Matrix, _PsiCache
     u2 = psi.w2 @ h1
     h2, _ = leaky_relu(u2, psi.activation_slope)
     u3 = psi.w3 @ h2
+    if (p := psi.pending).n:
+        u3 -= p.u[:, : p.n] @ (p.v[:, : p.n].T @ h2)
     if not np.isfinite(u3).all():
         raise FloatingPointError("psi raw heads are not finite")
-    k = psi.entry_count
-    raw_beta, raw_eta = u3[:k], u3[k:]
-    beta = project_unit(raw_beta, psi.projection_style).reshape(psi.head_shape)
-    eta_hat = project_unit(raw_eta, psi.projection_style).reshape(psi.head_shape)
-    cache = _PsiCache(d_col, u1, h1, u2, h2, raw_beta, raw_eta)
+    k, style = psi.entry_count, psi.projection_style
+    core = squash(u3, style)
+    beta = project_unit(u3[:k], style, core[:k]).reshape(psi.head_shape)
+    eta_hat = project_unit(u3[k:], style, core[k:]).reshape(psi.head_shape)
+    cache = _PsiCache(d_col, u1, h1, u2, h2, core)
     return beta, eta_hat, cache
 
 
@@ -135,7 +161,8 @@ class MetaStep:
     The model's input is one feature column, so each of its weight
     gradients is an outer product: `psi_grads` holds one factor pair
     (u, v) per layer, whose gradient is u @ v.T.  The (2k x hidden)
-    output-layer gradient is never built.
+    output-layer gradient is never built; its u is psi's next pending
+    column, where `psi_step` keeps it and a later call may overwrite it.
     """
 
     psi_grads: tuple[tuple[Matrix, Matrix], ...]
@@ -179,18 +206,20 @@ def meta_gradients(
 
     dstep = np.zeros(psi.head_shape)
     for l, g in zip(block, grads):
-        dstep += reduce_to_kind(-dW[l] * g, psi.kind)
+        dstep += reduce_to_kind(-dW.pop(l) * g, psi.kind)  # frees dW before the head chain
 
     k = psi.entry_count
-    du3 = np.empty((2 * k, 1))
-    for head, dstep_dhead, raw in (
-        (du3[:k], dstep_dbeta, cache.raw_beta),
-        (du3[k:], dstep_deta, cache.raw_eta),
+    du3 = psi.pending.column(*psi.w3.shape)
+    for head, dstep_dhead, core in (
+        (du3[:k], dstep_dbeta, cache.core[:k]),
+        (du3[k:], dstep_deta, cache.core[k:]),
     ):
         np.multiply(dstep.reshape(k, 1), dstep_dhead.reshape(k, 1), out=head)
-        head *= project_unit_derivative(raw, psi.projection_style)
+        head *= project_unit_derivative(core, psi.projection_style)
 
     dh2 = psi.w3.T @ du3
+    if (p := psi.pending).n:
+        dh2 -= p.v[:, : p.n] @ (p.u[:, : p.n].T @ du3)
     _, a2 = leaky_relu(cache.u2, psi.activation_slope)
     du2 = dh2 * a2
     dh1 = psi.w2.T @ du2
@@ -205,14 +234,13 @@ def psi_step(psi: EtaModel, grads) -> EtaModel:
     """One plain gradient-descent step on the model's three matrices.
 
     `grads` holds one factor pair (u, v) per matrix, as in
-    `MetaStep.psi_grads`.  Each matrix w becomes w - lr * (u @ v.T),
-    rounded exactly as that expression rounds, computed a block of whole
-    columns at a time (at most PSI_CHUNK_ENTRIES entries, at least one
-    column) so that no full-size temporary exists.  Any layout is
-    updated correctly; on the column-major output layer each block is
-    one contiguous slab.  The weight arrays are owned by the one
-    training loop that holds the model and are mutated in place; the
-    returned object is that same model.
+    `MetaStep.psi_grads`.  The hidden layers become w - lr * (u @ v.T).
+    The output layer's pair joins the pending updates as (u, lr * v);
+    the PSI_PENDING-th folds them into w3, one matmul per block of whole
+    columns (at most PSI_CHUNK_ENTRIES entries, at least one), in any
+    layout.  The weight arrays are owned by the one training loop that
+    holds the model and are mutated in place; the returned object is
+    that same model.
     """
     for (u, v), w in zip(grads, psi.weights, strict=True):
         if u.shape != (w.shape[0], 1) or v.shape != (w.shape[1], 1):
@@ -220,15 +248,20 @@ def psi_step(psi: EtaModel, grads) -> EtaModel:
                 f"gradient factors {u.shape} x {v.shape} do not match weight {w.shape}"
             )
     lr = psi.meta_learning_rate
-    for (u, v), w in zip(grads, psi.weights):
-        rows, cols = w.shape
+    for (u, v), w in zip(grads[:2], psi.weights):
+        w -= lr * (u @ v.T)
+    (u3, h2), w3, p = grads[2], psi.w3, psi.pending
+    p.column(*w3.shape)[...] = u3  # numpy skips the copy when meta_gradients wrote u3 there
+    p.v[:, p.n] = lr * h2[:, 0]
+    p.n += 1
+    if p.n == PSI_PENDING:
+        rows, cols = w3.shape
         width = max(1, min(cols, PSI_CHUNK_ENTRIES // rows))
         buf = np.empty((rows, width), order="F")
         for s in range(0, cols, width):
             e = min(s + width, cols)
             chunk = buf[:, : e - s]
-            # a K=1 matmul rounds one product per entry; then scale, subtract
-            np.multiply(u, v[s:e].T, out=chunk)
-            chunk *= lr
-            w[:, s:e] -= chunk
+            np.matmul(p.u, p.v[s:e].T, out=chunk)
+            w3[:, s:e] -= chunk
+        p.n = 0
     return psi

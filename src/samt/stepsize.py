@@ -85,32 +85,36 @@ def grad_features(g: Matrix) -> Matrix:
     )
 
 
-def project_unit(u: Matrix, style: str) -> Matrix:
+def squash(u: Matrix, style: str) -> Matrix:
+    """tanh(u) (tanh style) or 1 / (1 + exp(-u)) (sigmoid style): `project_unit`'s core."""
+    if style == TANH:
+        return np.tanh(u)
+    if style == SIGMOID:
+        # exp on the negative side only, so large |u| cannot overflow
+        return np.where(u >= 0, 1.0 / (1.0 + np.exp(-np.abs(u))),
+                        np.exp(-np.abs(u)) / (1.0 + np.exp(-np.abs(u))))
+    raise ValueError(f"projection style must be one of {PROJECTION_STYLES}, got {style!r}")
+
+
+def project_unit(u: Matrix, style: str, core: Matrix | None = None) -> Matrix:
     """Squash raw values into the open interval (0,1).
 
     tanh style: 0.5 * (tanh(u) + 1); sigmoid style: 1 / (1 + exp(-u)).
-    Outputs are clipped away from the endpoints by OPEN_EPS.
+    Outputs are clipped away from the endpoints by OPEN_EPS.  `core`, if
+    given, is `squash(u, style)`, which is then not recomputed.
     """
-    if style == TANH:
-        out = 0.5 * (np.tanh(u) + 1.0)
-    elif style == SIGMOID:
-        # exp on the negative side only, so large |u| cannot overflow
-        out = np.where(u >= 0, 1.0 / (1.0 + np.exp(-np.abs(u))),
-                       np.exp(-np.abs(u)) / (1.0 + np.exp(-np.abs(u))))
-    else:
-        raise ValueError(f"projection style must be one of {PROJECTION_STYLES}, got {style!r}")
+    core = squash(u, style) if core is None else core
+    out = 0.5 * (core + 1.0) if style == TANH else core
     return np.clip(out, OPEN_EPS, 1.0 - OPEN_EPS)
 
 
-def project_unit_derivative(u: Matrix, style: str) -> Matrix:
-    """Analytic derivative of project_unit (ignoring the endpoint clip)."""
+def project_unit_derivative(core: Matrix, style: str) -> Matrix:
+    """Analytic derivative of project_unit (ignoring the endpoint clip) at
+    u, from `core = squash(u, style)`."""
     if style == TANH:
-        t = np.tanh(u)
-        return 0.5 * (1.0 - t * t)
-    if style == SIGMOID:
-        p = project_unit(u, SIGMOID)
-        return p * (1.0 - p)
-    raise ValueError(f"projection style must be one of {PROJECTION_STYLES}, got {style!r}")
+        return 0.5 * (1.0 - core * core)
+    p = np.clip(core, OPEN_EPS, 1.0 - OPEN_EPS)  # sigmoid style: project_unit(u)
+    return p * (1.0 - p)
 
 
 def step_update(beta: Matrix, eta0: Matrix, eta_hat: Matrix) -> Matrix:
@@ -156,7 +160,7 @@ def reduce_to_kind(full_grad: Matrix, kind: StepSizeKind) -> Matrix:
     """Adjoint of broadcasting: sum over every axis the kind broadcasts along.
 
     Guarantees <expand(s, shape), G> == <s, reduce_to_kind(G, kind)> for
-    any step s of the kind's shape.
+    any step s of the kind's shape.  The element kind returns G itself.
     """
     if kind is StepSizeKind.SCALAR:
         return np.array([[full_grad.sum()]])
@@ -164,7 +168,7 @@ def reduce_to_kind(full_grad: Matrix, kind: StepSizeKind) -> Matrix:
         return full_grad.sum(axis=1, keepdims=True)
     if kind is StepSizeKind.COLUMN:
         return full_grad.sum(axis=0, keepdims=True)
-    return full_grad.copy()
+    return full_grad
 
 
 # Ablation arms: which parts of the convex combination drive the step.

@@ -88,9 +88,9 @@ def train_epoch(state: TrainRunState, dataset: Dataset, batch_size: int, trace=N
     stats holds the mean pre-update mini-batch loss, the mean, min and max
     of each block's last step, and the step count.  Each `StepEvent` is
     stamped (1-based epoch and iteration, block, engine class name, both
-    mini-batches) and passed to `trace` if given.  A step whose loss is
-    not finite, or that raises `FloatingPointError`, raises
-    `DivergenceError`.
+    mini-batches) and passed to `trace` if given, else stripped of beta
+    and eta_hat once its loss is checked.  A step whose loss is not
+    finite, or that raises `FloatingPointError`, raises `DivergenceError`.
     """
     if dataset.num_samples == 0:
         raise ValueError("dataset is empty")
@@ -125,6 +125,8 @@ def train_epoch(state: TrainRunState, dataset: Dataset, batch_size: int, trace=N
                     event.block, event.engine = block, type(engine).__name__
                     event.main_batch, event.meta_batch = main_batch, meta_batch
                     trace(event)
+                else:  # only `last` holds it: free the heads before the block's next step
+                    event.beta = event.eta_hat = None
                 losses.append(event.loss)
             state.engines[bi] = engine
     state.epoch += 1

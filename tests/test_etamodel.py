@@ -8,6 +8,7 @@ from samt.errors import ShapeError
 from samt.etamodel import (
     NUM_FEATURES,
     PSI_CHUNK_ENTRIES,
+    PSI_PENDING,
     init_eta_model,
     meta_gradients,
     psi_forward,
@@ -17,6 +18,12 @@ from samt.harness import fd_meta_gradients
 from samt.model import batch_loss, block_loss_and_gradients, glorot_init, init_network
 from samt.numerics import make_rng
 from samt.stepsize import StepSize, StepSizeKind, grad_features, reduce_to_kind
+
+
+def effective_w3(psi):
+    """The output layer psi computes with: its base minus the pending terms."""
+    p = psi.pending
+    return psi.w3 - p.u[:, : p.n] @ p.v[:, : p.n].T if p.n else psi.w3.copy()
 
 
 def make_setup(kind, seed=0, widths=(4, 5, 3), block=(1,), hidden=6):
@@ -187,11 +194,9 @@ class TestPsiStep:
 
     @pytest.mark.parametrize("rows", [510, 512, 1024, 1030, 10_000, 40_000])
     def test_in_place_update_is_bitwise_the_dense_update(self, rows):
-        # w3 is rows x 7 and a pass of psi_step takes PSI_CHUNK_ENTRIES //
-        # rows whole columns: up to 1,030 rows all seven in one pass,
-        # 10,000 rows 3 + 3 + 1 columns, 40,000 rows one column per pass
-        assert PSI_CHUNK_ENTRIES // 1030 >= 7
-        assert PSI_CHUNK_ENTRIES // 10_000 == 3 and PSI_CHUNK_ENTRIES // 40_000 == 0
+        # w1 and w2 update at once, bitwise as the dense expression; w3's
+        # update is pending, so its effective matrix is checked instead:
+        # it rounds u * (lr * v), not lr * (u * v)
 
         def fresh():
             return init_eta_model(
@@ -213,10 +218,43 @@ class TestPsiStep:
             assert psi.w3.flags[layout]
             expected = [w - 0.37 * (u @ v.T) for w, (u, v) in zip(psi.weights, grads)]
             ids = [id(w) for w in psi.weights]
+            (u, v), w3 = grads[2], psi.w3.copy()
             updated = psi_step(psi, grads)
-            assert [id(w) for w in updated.weights] == ids
-            for got, want in zip(updated.weights, expected):
+            assert updated is psi and [id(w) for w in updated.weights] == ids
+            for got, want in zip(updated.weights[:2], expected[:2]):
                 assert got.tobytes() == want.tobytes()
+            # two roundings of the product and one of the difference apart
+            bound = 4 * np.finfo(float).eps * (np.abs(w3) + 0.37 * np.abs(u @ v.T))
+            assert (np.abs(effective_w3(updated) - expected[2]) <= bound).all()
+
+    @pytest.mark.parametrize("rows", [510, 1030, 10_000, 40_000])
+    def test_fold_every_pending_steps_matches_the_dense_updates(self, rows):
+        # the fold takes PSI_CHUNK_ENTRIES // rows whole columns a pass: up
+        # to 1,030 rows all seven in one pass, 10,000 rows 3 + 3 + 1
+        # columns, 40,000 rows one column per pass
+        assert PSI_CHUNK_ENTRIES // 1030 >= 7
+        assert PSI_CHUNK_ENTRIES // 10_000 == 3 and PSI_CHUNK_ENTRIES // 40_000 == 0
+        psi = init_eta_model(
+            StepSizeKind.ELEMENT, (rows // 2, 1), make_rng(rows), hidden=7, meta_learning_rate=0.37
+        )
+        base, dense = psi.w3.copy(), psi.w3.copy()
+        rng = make_rng(rows + 2)
+        for step in range(1, 2 * PSI_PENDING + 1):
+            grads = tuple(
+                (rng.standard_normal((w.shape[0], 1)), rng.standard_normal((w.shape[1], 1)))
+                for w in psi.weights
+            )
+            dense -= 0.37 * (grads[2][0] @ grads[2][1].T)
+            psi_step(psi, grads)
+            assert psi.pending.n == step % PSI_PENDING
+            if psi.pending.n:
+                # nothing folded since the last fold
+                assert psi.w3.tobytes() == base.tobytes()
+            else:
+                # r products of unit-scale normals and a 0.37 rate
+                assert np.abs(psi.w3 - dense).max() <= 1e-14
+                base = psi.w3.copy()
+            assert np.abs(effective_w3(psi) - dense).max() <= 1e-14
 
     @pytest.mark.parametrize(
         "bad",
@@ -264,6 +302,34 @@ class TestPsiStep:
         assert psi.w3.shape == (156_800, 24)
         assert peak < psi.w3.nbytes / 2
 
+    def test_pending_steps_never_hold_a_dense_output_gradient(self):
+        # PSI_PENDING + 1 steps: the pending terms are allocated, fill, fold
+        # into w3 and refill; their 2k x PSI_PENDING factor and the fold's
+        # scratch column add to the dozen head-sized arrays, and the peak
+        # still stays below half of w3
+        rng = make_rng(41)
+        net = init_network((784, 100, 10), rng)
+        w = net.layer_weights[0]
+        psi = init_eta_model(StepSizeKind.ELEMENT, w.shape, rng, hidden=24)
+        eta0 = StepSize.initial(StepSizeKind.ELEMENT, w.shape, 0.1).init_values
+        batches = [
+            ((rng.standard_normal((784, 8)), rng.integers(0, 10, 8)),) * 2
+            for _ in range(PSI_PENDING + 1)
+        ]
+        tracemalloc.start()
+        try:
+            for main_batch, meta_batch in batches:
+                _, grads = block_loss_and_gradients(net, main_batch, (0,))
+                feats = grad_features(grads[0])
+                meta = meta_gradients(psi, feats, (0,), [w], [grads[0]], eta0, meta_batch, net)
+                psi_step(psi, meta.psi_grads)
+                del meta, grads
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert psi.pending.n == 1
+        assert peak < psi.w3.nbytes / 2
+
     def test_one_step_reduces_meta_loss(self):
         net, psi, feats, block, weights, g_list, eta0, meta_batch = make_setup(
             StepSizeKind.SCALAR, seed=5
@@ -290,6 +356,53 @@ class TestPsiStep:
             psi = psi_step(psi, meta.psi_grads)
         for w in psi.weights:
             assert np.isfinite(w).all()
+
+
+class TestPendingUpdates:
+    @staticmethod
+    def stepped(kind, steps, seed=21):
+        """make_setup's psi after `steps` psi_steps with large random factors."""
+        setup = make_setup(kind, seed=seed)
+        psi = replace(setup[1], meta_learning_rate=0.5)
+        rng = make_rng(seed + 1)
+        for _ in range(steps):
+            psi_step(psi, tuple(
+                (0.3 * rng.standard_normal((w.shape[0], 1)), 0.3 * rng.standard_normal((w.shape[1], 1)))
+                for w in psi.weights
+            ))
+        return psi, setup
+
+    @pytest.mark.parametrize("steps", [1, 2, 3])
+    @pytest.mark.parametrize("kind", list(StepSizeKind))
+    def test_pending_chain_matches_finite_differences(self, kind, steps):
+        psi, (net, _, feats, block, weights, g_list, eta0, meta_batch) = self.stepped(kind, steps)
+        assert psi.pending.n == steps
+        worst = fd_meta_gradients(psi, feats, block, weights, g_list, eta0, meta_batch, net)
+        assert worst <= 1e-5
+
+    @pytest.mark.parametrize("steps", [1, 2, 3])
+    @pytest.mark.parametrize("kind", list(StepSizeKind))
+    def test_heads_equal_those_of_the_materialised_output_layer(self, kind, steps):
+        psi, setup = self.stepped(kind, steps)
+        feats = setup[2]
+        effective = effective_w3(psi)
+        # the pending terms move the raw heads by far more than rounding
+        assert np.abs(effective - psi.w3).max() > 1e-3
+        materialised = replace(psi, w3=effective, pending=replace(psi.pending, n=0))
+        cached = psi_forward(psi, feats)[2].core
+        for got, want in zip(psi_forward(psi, feats)[:2], psi_forward(materialised, feats)[:2]):
+            assert np.abs(got - want).max() <= 1e-15
+        assert np.abs(cached - psi_forward(materialised, feats)[2].core).max() <= 1e-15
+
+    def test_replaced_copy_keeps_its_own_pending_terms(self):
+        psi, setup = self.stepped(StepSizeKind.ROW, 1)
+        copy = replace(psi, meta_learning_rate=0.1)
+        before = effective_w3(psi)
+        factors = tuple((np.ones((w.shape[0], 1)), np.ones((w.shape[1], 1))) for w in psi.weights)
+        psi_step(copy, factors)
+        assert psi.pending.n == 1 and copy.pending.n == 2
+        assert effective_w3(psi).tobytes() == before.tobytes()
+        assert np.allclose(effective_w3(copy), before - 0.1 * (factors[2][0] @ factors[2][1].T), atol=1e-15)
 
 
 def test_bypass_keeps_step_at_initial_forever():

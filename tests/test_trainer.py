@@ -264,6 +264,37 @@ class TestTrainEpoch:
                 assert array.tobytes() == copy.tobytes()
         assert seen[-1][0].step is state.engines[0].state.step.values
 
+    def test_untraced_events_drop_their_heads(self):
+        # without a trace only the trainer holds an event: it keeps the loss
+        # and the step for the eta columns and a later DivergenceError, and
+        # lets beta and eta_hat go before the block's next step
+        ds = class_dataset(40, n=200, d=4, classes=3)
+        net = init_network((4, 3), make_rng(41))
+        shape = net.layer_weights[0].shape
+        psi = init_eta_model(StepSizeKind.ELEMENT, shape, make_rng(42), hidden=4)
+        returned = []
+
+        class Recording(OagdEngine):
+            def step(self, *args):
+                net, engine, event = super().step(*args)
+                returned.append(event)
+                return net, Recording(engine.state), event
+
+        step = StepSize.initial(StepSizeKind.ELEMENT, shape, 0.1)
+        state = TrainRunState(
+            net=net,
+            plan=block_partition(1),
+            engines=[Recording(OagdState(step, psi))],
+            rng_main=make_rng(43),
+            rng_meta=make_rng(44),
+            meta_source=meta_subset(ds),
+        )
+        _, stats = train_epoch(state, ds, batch_size=10)
+        assert len(returned) == 20
+        assert all(e.beta is None and e.eta_hat is None and e.meta_loss is not None for e in returned)
+        assert returned[-1].step is state.engines[0].state.step.values
+        assert stats["eta_min"] == returned[-1].step.min()
+
     def test_batch_larger_than_dataset_rejected(self):
         ds = class_dataset(20, n=5)
         net = init_network((6, 2), make_rng(21))
