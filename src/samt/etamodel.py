@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeError
-from .model import NetworkModel, block_loss_and_gradients, glorot_init, leaky_relu
+from .model import NetworkModel, block_loss_and_gradients, glorot_init, leaky_relu, leaky_relu_backward
 from .numerics import Matrix
 from .stepsize import (
     ARM_FULL,
@@ -79,10 +79,11 @@ class EtaModel:
     pending: _Pending = field(default_factory=_Pending)
 
     def __post_init__(self):
-        k = self.head_shape[0] * self.head_shape[1]
-        if self.w3.shape[0] != 2 * k:
+        if not 0.0 < self.activation_slope < 1.0:
+            raise ValueError(f"activation_slope must be in (0,1), got {self.activation_slope}")
+        if (rows := self.w3.shape[0]) != 2 * self.entry_count:
             raise ShapeError(
-                f"output layer has {self.w3.shape[0]} rows, head shape {self.head_shape} needs {2 * k}"
+                f"output layer has {rows} rows, head shape {self.head_shape} needs {2 * self.entry_count}"
             )
         p = self.pending
         object.__setattr__(self, "pending", _Pending(*(a if a is None else a.copy() for a in (p.u, p.v)), p.n))
@@ -138,9 +139,9 @@ def psi_forward(psi: EtaModel, d_col: Matrix) -> tuple[Matrix, Matrix, _PsiCache
         values = ", ".join(f"{v:.3g}" for v in d_col.ravel())
         raise FloatingPointError(f"psi input is not finite: [{values}]")
     u1 = psi.w1 @ d_col
-    h1, _ = leaky_relu(u1, psi.activation_slope)
+    h1 = leaky_relu(u1, psi.activation_slope)
     u2 = psi.w2 @ h1
-    h2, _ = leaky_relu(u2, psi.activation_slope)
+    h2 = leaky_relu(u2, psi.activation_slope)
     u3 = psi.w3 @ h2
     if (p := psi.pending).n:
         u3 -= p.u[:, : p.n] @ (p.v[:, : p.n].T @ h2)
@@ -220,11 +221,8 @@ def meta_gradients(
     dh2 = psi.w3.T @ du3
     if (p := psi.pending).n:
         dh2 -= p.v[:, : p.n] @ (p.u[:, : p.n].T @ du3)
-    _, a2 = leaky_relu(cache.u2, psi.activation_slope)
-    du2 = dh2 * a2
-    dh1 = psi.w2.T @ du2
-    _, a1 = leaky_relu(cache.u1, psi.activation_slope)
-    du1 = dh1 * a1
+    du2 = leaky_relu_backward(cache.u2, dh2, psi.activation_slope)
+    du1 = leaky_relu_backward(cache.u1, psi.w2.T @ du2, psi.activation_slope)
 
     psi_grads = ((du1, d_col), (du2, cache.h1), (du3, cache.h2))
     return MetaStep(psi_grads, beta, eta_hat, step_cand, w_prime, meta_loss)

@@ -4,12 +4,13 @@ The prediction function is a chain of linear layers with LeakyReLU after
 every layer except the last.  Batches are column-per-sample: an input
 batch has shape (in_features, batch).  Layer l stores its weight as an
 (out_l, in_l) matrix, so adjacent layers must chain:
-W[l+1].shape[1] == W[l].shape[0].
+W[l+1].shape[1] == W[l].shape[0].  A pass builds only the arrays it reads:
+no activation derivatives, and only the labelled log-probabilities.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,7 +58,7 @@ class NetworkModel:
                     f"replacement for layer {l} has shape {w.shape}, expected {new[l].shape}"
                 )
             new[l] = w
-        return replace(self, layer_weights=tuple(new))
+        return NetworkModel(tuple(new), self.activation_slope, self.loss_kind)
 
 
 @dataclass
@@ -86,12 +87,16 @@ def init_network(widths, rng, activation_slope=0.01, loss_kind=SOFTMAX_CE) -> Ne
     return NetworkModel(weights, activation_slope=activation_slope, loss_kind=loss_kind)
 
 
-def leaky_relu(x: Matrix, slope: float) -> tuple[Matrix, Matrix]:
-    """Return (value, derivative); the derivative at exactly 0 is `slope`."""
-    positive = x > 0
-    value = np.where(positive, x, slope * x)
-    derivative = np.where(positive, 1.0, slope)
-    return value, derivative
+def leaky_relu(x: Matrix, slope: float) -> Matrix:
+    """x where x > 0, else slope * x: for 0 < slope < 1 that is bitwise
+    max(x, slope * x), signed zeros, infinities and NaN included."""
+    return np.maximum(x, slope * x)
+
+
+def leaky_relu_backward(x: Matrix, upstream: Matrix, slope: float) -> Matrix:
+    """`upstream` times leaky_relu's derivative at x, bitwise; the
+    derivative is 1 where x > 0 and `slope` elsewhere, at exactly 0 too."""
+    return np.where(x > 0, upstream, slope * upstream)
 
 
 def forward(net: NetworkModel, batch_x: Matrix) -> tuple[Matrix, ForwardCache]:
@@ -100,7 +105,7 @@ def forward(net: NetworkModel, batch_x: Matrix) -> tuple[Matrix, ForwardCache]:
     Returns the (out_features, batch) output and the cache of every
     intermediate needed for backpropagation.
     """
-    a = np.asarray(batch_x, dtype=np.float64)
+    inputs = a = np.asarray(batch_x, dtype=np.float64)
     if a.ndim != 2:
         raise ShapeError(f"batch must be 2-D, got shape {a.shape}")
     pre, post = [], []
@@ -110,13 +115,10 @@ def forward(net: NetworkModel, batch_x: Matrix) -> tuple[Matrix, ForwardCache]:
                 f"layer {l} expects {w.shape[1]} input features, got {a.shape[0]}"
             )
         z = w @ a
+        a = leaky_relu(z, net.activation_slope) if l < net.num_layers - 1 else z
         pre.append(z)
-        if l < net.num_layers - 1:
-            a, _ = leaky_relu(z, net.activation_slope)
-        else:
-            a = z
         post.append(a)
-    return post[-1], ForwardCache(inputs=np.asarray(batch_x, dtype=np.float64), pre_activations=pre, post_activations=post)
+    return post[-1], ForwardCache(inputs=inputs, pre_activations=pre, post_activations=post)
 
 
 def mse_loss(pred: Matrix, target: Matrix) -> tuple[float, Matrix]:
@@ -144,26 +146,26 @@ def softmax_ce_loss(logits: Matrix, labels) -> tuple[float, Matrix]:
             f"need one label per column: {labels.shape} labels for logits {logits.shape}"
         )
     k, b = logits.shape
-    if labels.size and (labels.min() < 0 or labels.max() >= k):
+    if labels.size and (np.minimum.reduce(labels) < 0 or np.maximum.reduce(labels) >= k):
         bad = labels[(labels < 0) | (labels >= k)][0]
         raise LabelError(f"label {bad} outside [0, {k})")
-    shifted = logits - logits.max(axis=0, keepdims=True)
-    exp = np.exp(shifted)
-    total = exp.sum(axis=0, keepdims=True)
-    log_probs = shifted - np.log(total)
-    loss = float(-log_probs[labels, np.arange(b)].mean())
-    dlogits = exp / total
-    dlogits[labels, np.arange(b)] -= 1.0
-    return loss, dlogits / b
+    cols = np.arange(b)
+    shifted = logits - np.maximum.reduce(logits, axis=0, keepdims=True)
+    dlogits = np.exp(shifted)  # turned into d(loss)/d(logits) in place below
+    total = np.add.reduce(dlogits, axis=0, keepdims=True)
+    log_probs = shifted[labels, cols] - np.log(total[0])  # the labelled ones only
+    loss = -float(np.add.reduce(log_probs) / b)
+    dlogits /= total
+    dlogits[labels, cols] -= 1.0
+    dlogits /= b
+    return loss, dlogits
 
 
 def batch_loss(net: NetworkModel, batch) -> float:
     """Loss of the network on (x, y) under its own loss kind."""
     x, y = batch
     out, _ = forward(net, x)
-    if net.loss_kind == MSE:
-        return mse_loss(out, y)[0]
-    return softmax_ce_loss(out, y)[0]
+    return (mse_loss if net.loss_kind == MSE else softmax_ce_loss)(out, y)[0]
 
 
 def block_loss_and_gradients(net: NetworkModel, batch, block) -> tuple[float, dict[int, Matrix]]:
@@ -181,10 +183,7 @@ def block_loss_and_gradients(net: NetworkModel, batch, block) -> tuple[float, di
             raise ValueError(f"layer index {l} outside [0, {net.num_layers})")
     x, y = batch
     out, cache = forward(net, x)
-    if net.loss_kind == MSE:
-        loss, delta = mse_loss(out, y)
-    else:
-        loss, delta = softmax_ce_loss(out, y)
+    loss, delta = (mse_loss if net.loss_kind == MSE else softmax_ce_loss)(out, y)
 
     wanted = set(block)
     lowest = min(wanted)
@@ -194,6 +193,6 @@ def block_loss_and_gradients(net: NetworkModel, batch, block) -> tuple[float, di
         if l in wanted:
             grads[l] = delta @ a_prev.T
         if l > lowest:
-            _, d_act = leaky_relu(cache.pre_activations[l - 1], net.activation_slope)
-            delta = (net.layer_weights[l].T @ delta) * d_act
+            upstream = net.layer_weights[l].T @ delta
+            delta = leaky_relu_backward(cache.pre_activations[l - 1], upstream, net.activation_slope)
     return loss, grads

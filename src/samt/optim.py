@@ -155,7 +155,7 @@ class HdEngine:
         inner = sum(float(np.vdot(grads[l], gp)) for l, gp in zip(block, self.g_prev))
         rate = max(self.rate_floor, self.rate + self.hyper_rate * inner)
         updates = {l: net.layer_weights[l] - rate * grads[l] for l in block}
-        new = replace(self, g_prev=tuple(grads[l].copy() for l in block), rate=rate)
+        new = replace(self, g_prev=tuple(grads[l] for l in block), rate=rate)
         return net.with_layers(updates), new, StepEvent(loss, rate)
 
 
@@ -182,7 +182,8 @@ class OagdEngine:
             step_cand, _, _ = compose_step(state.arm, beta, eta0, eta_hat)
         else:
             # psi reads the statistics of all the block's gradients at once
-            feats = grad_features(np.concatenate([g.ravel() for g in g_list]))
+            g_all = g_list[0] if len(g_list) == 1 else np.concatenate([g.ravel() for g in g_list])
+            feats = grad_features(g_all)
             meta = meta_gradients(
                 state.psi, feats, block, w_list, g_list, eta0, meta_batch, net, arm=state.arm
             )

@@ -80,9 +80,11 @@ def grad_features(g: Matrix) -> Matrix:
     if g.size == 0:
         raise ShapeError("gradient must be non-empty")
     flat = g.ravel()
-    return np.array(
-        [[flat.mean()], [flat.var()], [flat.max()], [flat.min()], [np.sqrt(np.sum(flat * flat))]]
-    )
+    mean = np.add.reduce(flat) / flat.size
+    dev = flat - mean  # np.var's deviations, from this same mean
+    var = np.add.reduce(np.square(dev, out=dev)) / flat.size
+    norm = np.sqrt(np.add.reduce(flat * flat))
+    return np.array([[mean], [var], [np.maximum.reduce(flat)], [np.minimum.reduce(flat)], [norm]])
 
 
 def squash(u: Matrix, style: str) -> Matrix:

@@ -120,6 +120,12 @@ class TestInitEtaModel:
         glorot_init((2 * k, hidden), reference)
         assert rng.random() == reference.random()
 
+    @pytest.mark.parametrize("slope", [0.0, 1.0, -0.01, 1.5, np.nan])
+    def test_activation_slope_outside_open_unit_interval_raises(self, slope):
+        # leaky_relu's max(x, slope * x) form is the activation only inside (0,1)
+        with pytest.raises(ValueError, match="activation_slope"):
+            init_eta_model(StepSizeKind.SCALAR, (3, 4), make_rng(0), hidden=5, activation_slope=slope)
+
     def test_desk_element_head_allocates_no_transient_copy(self):
         # w3 of an element head on a 100x784 layer is 156,800 x 64 (80 MB)
         tracemalloc.start()

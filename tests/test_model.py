@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from samt.errors import LabelError, ShapeError
 from samt.model import (
@@ -13,6 +14,7 @@ from samt.model import (
     forward,
     init_network,
     leaky_relu,
+    leaky_relu_backward,
     mse_loss,
     softmax_ce_loss,
 )
@@ -23,18 +25,59 @@ def tiny_net(*weights, loss_kind=MSE, slope=0.01):
     return NetworkModel(tuple(np.array(w) for w in weights), activation_slope=slope, loss_kind=loss_kind)
 
 
+def bits(a):
+    """The raw float64 bit patterns of `a`, so that NaN and -0.0 compare exactly."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+# finite floats of every magnitude, with signed zeros, infinities and NaN mixed in
+SPECIAL = (0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan)
+any_float = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(SPECIAL))
+open_slope = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+small_shape = hnp.array_shapes(min_dims=2, max_dims=2, max_side=6)
+
+
+def value_and_derivative(x, slope):
+    """leaky_relu at x and its derivative: the backward factor on a unit upstream."""
+    x = np.array([[x]])
+    return leaky_relu(x, slope)[0, 0], leaky_relu_backward(x, np.ones_like(x), slope)[0, 0]
+
+
 class TestLeakyRelu:
     def test_positive_passthrough(self):
-        v, d = leaky_relu(np.array([[3.0]]), 0.01)
-        assert v[0, 0] == 3.0 and d[0, 0] == 1.0
+        v, d = value_and_derivative(3.0, 0.01)
+        assert v == 3.0 and d == 1.0
 
     def test_negative_scaled(self):
-        v, d = leaky_relu(np.array([[-2.0]]), 0.01)
-        assert v[0, 0] == pytest.approx(-0.02) and d[0, 0] == 0.01
+        v, d = value_and_derivative(-2.0, 0.01)
+        assert v == pytest.approx(-0.02) and d == 0.01
 
     def test_zero_uses_slope(self):
-        v, d = leaky_relu(np.array([[0.0]]), 0.3)
-        assert v[0, 0] == 0.0 and d[0, 0] == 0.3
+        v, d = value_and_derivative(0.0, 0.3)
+        assert v == 0.0 and d == 0.3
+
+    @settings(max_examples=200)
+    @given(st.data(), small_shape, open_slope)
+    def test_value_is_bitwise_the_where_form(self, data, shape, slope):
+        x = data.draw(hnp.arrays(np.float64, shape, elements=any_float))
+        with np.errstate(all="ignore"):
+            reference = np.where(x > 0, x, slope * x)
+            assert np.array_equal(bits(leaky_relu(x, slope)), bits(reference))
+
+    @settings(max_examples=200)
+    @given(st.data(), small_shape, open_slope)
+    def test_backward_is_bitwise_upstream_times_derivative(self, data, shape, slope):
+        x = data.draw(hnp.arrays(np.float64, shape, elements=any_float))
+        t = data.draw(hnp.arrays(np.float64, shape, elements=any_float))
+        with np.errstate(all="ignore"):
+            reference = t * np.where(x > 0, 1.0, slope)
+            assert np.array_equal(bits(leaky_relu_backward(x, t, slope)), bits(reference))
+
+    @given(small_shape, open_slope)
+    def test_derivative_at_exactly_zero_is_the_slope(self, shape, slope):
+        x = np.zeros(shape)
+        x.flat[::2] = -0.0
+        assert (leaky_relu_backward(x, np.ones(shape), slope) == slope).all()
 
 
 class TestForward:
@@ -113,6 +156,25 @@ class TestSoftmaxCeLoss:
     def test_out_of_range_label(self):
         with pytest.raises(LabelError, match="7"):
             softmax_ce_loss(np.zeros((3, 1)), [7])
+
+    @settings(max_examples=200)
+    @given(st.data(), small_shape)
+    def test_bitwise_the_full_log_prob_reference(self, data, shape):
+        logits = data.draw(hnp.arrays(np.float64, shape, elements=any_float))
+        k, b = shape
+        labels = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=b, max_size=b)))
+        with np.errstate(all="ignore"):
+            shifted = logits - logits.max(axis=0, keepdims=True)
+            exp = np.exp(shifted)
+            total = exp.sum(axis=0, keepdims=True)
+            log_probs = shifted - np.log(total)
+            ref_loss = float(-log_probs[labels, np.arange(b)].mean())
+            ref_dlogits = exp / total
+            ref_dlogits[labels, np.arange(b)] -= 1.0
+            ref_dlogits = ref_dlogits / b
+            loss, dlogits = softmax_ce_loss(logits, labels)
+        assert bits(loss) == bits(ref_loss)
+        assert np.array_equal(bits(dlogits), bits(ref_dlogits))
 
     @settings(max_examples=30)
     @given(st.integers(0, 2**32 - 1))

@@ -55,6 +55,14 @@ class TestGradFeatures:
         assert a[0] == pytest.approx(b[0], abs=1e-14)
         assert a[1:] == pytest.approx(b[1:], rel=1e-12)
 
+    @settings(max_examples=100)
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1), st.floats(-30, 30))
+    def test_bitwise_the_ndarray_statistics(self, m, n, seed, log_scale):
+        g = make_rng(seed).standard_normal((m, n)) * 2.0**log_scale
+        flat = g.ravel()
+        reference = [flat.mean(), flat.var(), flat.max(), flat.min(), np.sqrt(np.sum(flat * flat))]
+        assert grad_features(g)[:, 0].tobytes() == np.array(reference).tobytes()
+
     def test_feature_order_in_column(self):
         g = np.array([[1.0, 2.0], [3.0, 6.0]])
         col = grad_features(g)
