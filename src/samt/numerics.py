@@ -22,8 +22,9 @@ def make_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
-    """Derive `n` independent deterministic streams from one seed."""
+def spawn_rngs(seed: int | tuple[int, ...], n: int) -> list[np.random.Generator]:
+    """Derive `n` independent deterministic streams from one seed, an int
+    or a tuple of ints such as `(seed, p)` (whatever `SeedSequence` takes)."""
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
 
 

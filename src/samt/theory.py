@@ -9,6 +9,11 @@ block and gamma_d is the largest cross-block operator norm: together
 they determine the contraction and coupling constants the inequality
 checks use.
 
+An iterate is one stacked (m, R) matrix: block d is the row slice
+`problem.slices[d]` and each of the R columns is an independent point
+(a contractivity trial) or replica (a Monte Carlo trajectory, drawing
+from its own generator).  Every map below acts on all columns at once.
+
 Two families of checks live here:
 
 * contractivity_check - the one-step gradient map, when the other
@@ -31,7 +36,7 @@ Two families of checks live here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,15 +57,17 @@ def power_eigmax(sym: Matrix, tol: float = 1e-12, max_iter: int = 100_000) -> fl
     v = np.full(n, 1.0 / math.sqrt(n))
     v += 1e-4 * np.sin(np.arange(n) + 1.0)  # deterministic de-symmetrizing nudge
     v /= np.linalg.norm(v)
+    w = sym @ v
     lam = 0.0
     for _ in range(max_iter):
-        w = sym @ v
-        norm = np.linalg.norm(w)
+        norm = math.sqrt(w @ w)  # np.linalg.norm's own formula, without its checks
         if norm == 0.0:
             return 0.0
         v = w / norm
-        lam = float(v @ (sym @ v))
-        if np.linalg.norm(sym @ v - lam * v) <= tol * max(1.0, abs(lam)):
+        w = sym @ v  # serves the Rayleigh quotient, the residual and the next step
+        lam = float(v @ w)
+        residual = w - lam * v
+        if math.sqrt(residual @ residual) <= tol * max(1.0, abs(lam)):
             break
     return lam
 
@@ -88,30 +95,22 @@ class QuadraticProblem:
     """Coupled multi-block least squares with a known optimum.
 
     A sample is (a, y): a = S z with z standard normal (so cov(a) = S S^T),
-    y = a^T w* + eps.  Blocks are contiguous coordinate ranges of a.
+    y = a^T w* + eps.  Blocks are contiguous row slices of a.
     """
 
-    factor: Matrix  # S, (m x m); rows partitioned into blocks
-    dims: tuple[int, ...]
-    w_star: tuple[Matrix, ...]  # (n_d, 1) per block
+    factor: Matrix  # S, (m x m)
+    cov: Matrix  # S S^T
+    w_star: Matrix  # (m, 1), the stacked optimum
+    slices: tuple[slice, ...]  # rows of block d
     noise_sd: float
-    radii: tuple[float, ...]  # constraint-ball radius r_d per block
-    # derived spectral constants
-    lambdas: tuple[float, ...] = field(default=())
-    mus: tuple[float, ...] = field(default=())
-    gammas: tuple[float, ...] = field(default=())
+    radii: tuple[float, ...]  # r_d per block: iterates stay within r_d of the optimum
+    lambdas: tuple[float, ...]
+    mus: tuple[float, ...]
+    gammas: tuple[float, ...]
 
     @property
     def num_blocks(self) -> int:
-        return len(self.dims)
-
-    @property
-    def cov(self) -> Matrix:
-        return self.factor @ self.factor.T
-
-    def block_slice(self, d: int) -> slice:
-        start = sum(self.dims[:d])
-        return slice(start, start + self.dims[d])
+        return len(self.slices)
 
     @property
     def xi(self) -> float:
@@ -123,42 +122,34 @@ class QuadraticProblem:
     def gamma(self) -> float:
         return max(self.gammas)
 
-    def stacked_optimum(self) -> Matrix:
-        return np.vstack(self.w_star)
 
-
-def _derive_constants(factor, dims):
-    cov = factor @ factor.T
-    starts = np.cumsum((0,) + tuple(dims))
-    lambdas, mus, gammas = [], [], []
-    for d in range(len(dims)):
-        sl = slice(starts[d], starts[d + 1])
-        lo, hi = eig_extremes(cov[sl, sl])
-        lambdas.append(lo)
-        mus.append(hi)
-        worst = 0.0
-        for i in range(len(dims)):
-            if i == d:
-                continue
-            si = slice(starts[i], starts[i + 1])
-            worst = max(worst, operator_norm(cov[sl, si]))
-        gammas.append(worst)
-    return tuple(lambdas), tuple(mus), tuple(gammas)
+def _slices(dims) -> tuple[slice, ...]:
+    starts = np.cumsum((0,) + tuple(dims)).tolist()
+    return tuple(slice(a, b) for a, b in zip(starts[:-1], starts[1:]))
 
 
 def make_problem(factor: Matrix, dims, w_star, noise_sd: float, radii) -> QuadraticProblem:
-    dims = tuple(int(d) for d in dims)
-    lambdas, mus, gammas = _derive_constants(factor, dims)
+    """Problem with covariance factor S, block sizes `dims` and the optimum
+    given per block; the spectral constants are measured here, once."""
+    slices = _slices(int(d) for d in dims)
+    cov = factor @ factor.T
+    extremes = [eig_extremes(cov[sl, sl]) for sl in slices]
+    lambdas = tuple(lo for lo, _ in extremes)
     if min(lambdas) <= 0:
         raise ValueError(f"every diagonal block must be positive definite, got lambdas {lambdas}")
+    gammas = tuple(
+        max((operator_norm(cov[sl, si]) for i, si in enumerate(slices) if i != d), default=0.0)
+        for d, sl in enumerate(slices)
+    )
     return QuadraticProblem(
         factor=factor,
-        dims=dims,
-        w_star=tuple(np.asarray(w, dtype=np.float64).reshape(-1, 1) for w in w_star),
+        cov=cov,
+        w_star=np.vstack([np.asarray(w, dtype=np.float64).reshape(-1, 1) for w in w_star]),
+        slices=slices,
         noise_sd=float(noise_sd),
         radii=tuple(float(r) for r in radii),
         lambdas=lambdas,
-        mus=mus,
+        mus=tuple(hi for _, hi in extremes),
         gammas=gammas,
     )
 
@@ -167,12 +158,10 @@ def random_problem(seed, dims, coupling: float = 0.1, noise_sd: float = 0.0, rad
     """Random well-conditioned problem; coupling scales the cross blocks."""
     rng = np.random.default_rng(seed)
     m = sum(dims)
-    starts = np.cumsum((0,) + tuple(dims))
     w_star = [rng.standard_normal((n, 1)) for n in dims]
     while True:  # redraw until every diagonal block is positive definite
         factor = np.eye(m) + 0.3 * rng.standard_normal((m, m)) / math.sqrt(m)
-        for d in range(len(dims)):
-            sl = slice(starts[d], starts[d + 1])
+        for sl in _slices(dims):
             mask = np.ones(m, dtype=bool)
             mask[sl] = False
             factor[sl, mask] *= coupling
@@ -190,12 +179,10 @@ def isotropic_problem(seed, dims, coupling: float = 0.1, noise_sd: float = 0.05,
     where the error-recursion ratio is tight.
     """
     rng = np.random.default_rng(seed)
-    m = sum(dims)
-    starts = np.cumsum((0,) + tuple(dims))
-    cov = np.eye(m)
-    for d in range(len(dims)):
-        for i in range(d + 1, len(dims)):
-            sd, si = slice(starts[d], starts[d + 1]), slice(starts[i], starts[i + 1])
+    slices = _slices(dims)
+    cov = np.eye(sum(dims))
+    for d, sd in enumerate(slices):
+        for si in slices[d + 1:]:
             b = rng.standard_normal((sd.stop - sd.start, si.stop - si.start))
             b *= coupling / operator_norm(b)
             cov[sd, si] = b
@@ -209,99 +196,97 @@ def isotropic_problem(seed, dims, coupling: float = 0.1, noise_sd: float = 0.05,
     return make_problem(factor, dims, w_star, noise_sd, [radius] * len(dims))
 
 
-def full_gradient(problem: QuadraticProblem, blocks, d: int) -> Matrix:
-    """Population gradient of the objective for block d."""
-    delta = np.vstack(blocks) - problem.stacked_optimum()
-    return problem.cov[problem.block_slice(d), :] @ delta
+# ---------------------------------------------------------------------------
+# Maps on stacked (m, R) iterates
+# ---------------------------------------------------------------------------
 
 
-def sample_gradient(problem: QuadraticProblem, blocks, d: int, rng) -> Matrix:
-    """Single-sample stochastic gradient (one fresh data draw)."""
-    z = rng.standard_normal((problem.factor.shape[1], 1))
-    a = problem.factor @ z
-    eps = problem.noise_sd * rng.standard_normal()
-    delta = np.vstack(blocks) - problem.stacked_optimum()
-    residual = float(np.vdot(a, delta)) - eps
-    return a[problem.block_slice(d)] * residual
+def full_gradient(problem: QuadraticProblem, x: Matrix, d: int) -> Matrix:
+    """Population gradient of block d at every column of x: (n_d, R)."""
+    return problem.cov[problem.slices[d]] @ (x - problem.w_star)
 
 
-def am_operator(problem: QuadraticProblem, blocks, d: int, eta: float) -> Matrix:
-    """One-step gradient map on block d at the supplied block values."""
-    if eta <= 0:
-        raise ValueError(f"step must be positive, got {eta}")
-    return blocks[d] - eta * full_gradient(problem, blocks, d)
+def sample_gradient(problem: QuadraticProblem, x: Matrix, d: int, normals: Matrix) -> Matrix:
+    """Single-sample stochastic gradient of block d, one sample per column.
 
-
-@dataclass(frozen=True)
-class BallConstraint:
-    center: Matrix
-    radius: float
-
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
-
-
-def ball_project(z: Matrix, c: BallConstraint) -> Matrix:
-    """Euclidean projection onto the ball."""
-    if z.shape != c.center.shape:
-        raise ValueError(f"shape mismatch: {z.shape} vs {c.center.shape}")
-    offset = z - c.center
-    norm = float(np.linalg.norm(offset))
-    if norm <= c.radius:
-        return z.copy()
-    return c.center + (c.radius / norm) * offset
-
-
-def default_balls(problem: QuadraticProblem, rng) -> list[BallConstraint]:
-    """Constraint balls of radius r_d/2 centered at a start point that is
-    itself r_d/2 away from the optimum, so iterates stay within r_d of it."""
-    balls = []
-    for d, (w, r) in enumerate(zip(problem.w_star, problem.radii)):
-        direction = rng.standard_normal(w.shape)
-        direction /= np.linalg.norm(direction)
-        balls.append(BallConstraint(center=w + 0.5 * r * direction, radius=0.5 * r))
-    return balls
-
-
-@dataclass
-class ErrorTrace:
-    """Per-sweep summed squared distance to the optimum."""
-
-    errors: np.ndarray  # length steps + 1, errors[0] is the initial error
-
-    def plateau(self, fraction: float = 0.2) -> float:
-        tail = max(1, int(len(self.errors) * fraction))
-        return float(np.mean(self.errors[-tail:]))
-
-
-def stochastic_am_run(
-    problem: QuadraticProblem,
-    balls,
-    eta: float,
-    steps: int,
-    rng,
-    exact_gradients: bool = False,
-) -> ErrorTrace:
-    """Gauss-Seidel sweeps of projected gradient steps from the ball centers.
-
-    Each block update draws one fresh data sample (or uses the population
-    gradient when exact_gradients is set) at the earlier blocks' already
-    updated values.
+    Column j of `normals` ((m + 1, R)) holds the m standard normals of z
+    and then the one of eps; x has R columns, or one that every sample uses.
     """
-    blocks = [b.center.copy() for b in balls]
-    w_star = problem.w_star
-    errors = np.empty(steps + 1)
-    errors[0] = sum(float(np.sum((w - s) ** 2)) for w, s in zip(blocks, w_star))
+    a = problem.factor @ normals[:-1]
+    residual = np.sum(a * (x - problem.w_star), axis=0) - problem.noise_sd * normals[-1]
+    return a[problem.slices[d]] * residual
+
+
+def am_operator(problem: QuadraticProblem, x: Matrix, d: int, eta: float) -> Matrix:
+    """One-step gradient map on block d at every column of x: (n_d, R)."""
+    if not eta > 0:
+        raise ValueError(f"step must be positive, got {eta}")
+    return x[problem.slices[d]] - eta * full_gradient(problem, x, d)
+
+
+def ball_project(z: Matrix, center: Matrix, radius: float) -> Matrix:
+    """Euclidean projection of each column of z onto the ball around the
+    matching column of center; columns already inside are returned as is."""
+    if not radius > 0:
+        raise ValueError(f"radius must be positive, got {radius}")
+    if z.shape != center.shape:
+        raise ValueError(f"shape mismatch: {z.shape} vs {center.shape}")
+    offset = z - center
+    norm = np.linalg.norm(offset, axis=0)
+    out = z.copy()
+    outside = norm > radius
+    out[:, outside] = center[:, outside] + (radius / norm[outside]) * offset[:, outside]
+    return out
+
+
+def default_balls(problem: QuadraticProblem, rngs) -> Matrix:
+    """Centers (m, R), one column per generator, of constraint balls of
+    radius r_d/2 that lie r_d/2 away from the optimum in a random
+    direction, so iterates stay within r_d of it."""
+    centers = np.repeat(problem.w_star, len(rngs), axis=1)
+    for j, rng in enumerate(rngs):
+        for sl, r in zip(problem.slices, problem.radii):
+            direction = rng.standard_normal(sl.stop - sl.start)
+            direction /= np.linalg.norm(direction)
+            centers[sl, j] = problem.w_star[sl, 0] + 0.5 * r * direction
+    return centers
+
+
+def stochastic_am_run(problem: QuadraticProblem, centers: Matrix, eta: float, steps: int, rngs=None) -> np.ndarray:
+    """Gauss-Seidel sweeps of projected gradient steps, one replica per column.
+
+    Each replica starts at its column of `centers` and is projected onto
+    the ball of radius r_d/2 around it.  With `rngs` (one generator per
+    column) each block update takes one fresh data sample at the earlier
+    blocks' already updated values; a replica's samples come from one
+    (steps, L, m + 1) draw of its own generator, the same stream as one
+    (m, 1) and one scalar draw per update.  Without `rngs` every update
+    takes the population gradient.  Returns the (steps + 1, R) summed
+    squared distances to the optimum; row 0 is the start.
+    """
+    x = centers.copy()
+    if rngs is not None:
+        if len(rngs) != x.shape[1]:
+            raise ValueError(f"{len(rngs)} generators for {x.shape[1]} replicas")
+        shape = (steps, problem.num_blocks, x.shape[0] + 1)
+        normals = np.stack([rng.standard_normal(shape) for rng in rngs], axis=-1)
+    errors = np.empty((steps + 1, x.shape[1]))
+    errors[0] = np.sum((x - problem.w_star) ** 2, axis=0)
     for t in range(steps):
-        for d in range(problem.num_blocks):
-            if exact_gradients:
-                g = full_gradient(problem, blocks, d)
+        for d, (sl, r) in enumerate(zip(problem.slices, problem.radii)):
+            if rngs is None:
+                g = full_gradient(problem, x, d)
             else:
-                g = sample_gradient(problem, blocks, d, rng)
-            blocks[d] = ball_project(blocks[d] - eta * g, balls[d])
-        errors[t + 1] = sum(float(np.sum((w - s) ** 2)) for w, s in zip(blocks, w_star))
-    return ErrorTrace(errors=errors)
+                g = sample_gradient(problem, x, d, normals[t, d])
+            x[sl] = ball_project(x[sl] - eta * g, centers[sl], 0.5 * r)
+        errors[t + 1] = np.sum((x - problem.w_star) ** 2, axis=0)
+    return errors
+
+
+def plateau(errors: np.ndarray, fraction: float = 0.2) -> np.ndarray:
+    """Mean error over the last `fraction` of the sweeps, per replica."""
+    tail = max(1, int(len(errors) * fraction))
+    return np.mean(errors[-tail:], axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -338,13 +323,6 @@ class ContractivityReport:
         )
 
 
-def _sample_in_ball(center: Matrix, radius: float, rng) -> Matrix:
-    direction = rng.standard_normal(center.shape)
-    norm = float(np.linalg.norm(direction))
-    scale = radius * rng.uniform(0.0, 1.0) ** (1.0 / center.size)
-    return center + (scale / norm) * direction
-
-
 def contractivity_check(problem: QuadraticProblem, d: int, eta: float, trials: int, rng) -> ContractivityReport:
     """Sample points in the constraint balls and test the one-step bounds.
 
@@ -357,7 +335,7 @@ def contractivity_check(problem: QuadraticProblem, d: int, eta: float, trials: i
     but not asserted; it fails for anisotropic blocks.
     """
     lam, mu = problem.lambdas[d], problem.mus[d]
-    if eta <= 0:
+    if not eta > 0:
         raise ValueError(f"eta must be positive, got {eta}")
     # The bounds are only guaranteed for eta <= 2/(mu_d + lambda_d); a larger
     # step is allowed through so misconfiguration shows up as violations.
@@ -366,53 +344,42 @@ def contractivity_check(problem: QuadraticProblem, d: int, eta: float, trials: i
     unsq_factor = max(abs(1.0 - eta * lam), abs(1.0 - eta * mu))
     cross_factor = math.sqrt(max(0.0, 1.0 - eta * xi))
 
-    worst_sq = worst_cross = worst_unsq = worst_lit = float("inf")
-    violations = []
-    for trial in range(trials):
-        point = [
-            _sample_in_ball(w, r, rng) for w, r in zip(problem.w_star, problem.radii)
-        ]
-        dist_d = float(np.linalg.norm(point[d] - problem.w_star[d]))
+    # trial points, one per column, each uniform in the radius-r_i balls
+    w_star, sl = problem.w_star, problem.slices[d]
+    points = np.repeat(w_star, trials, axis=1)
+    for j in range(trials):
+        for si, r in zip(problem.slices, problem.radii):
+            direction = rng.standard_normal(si.stop - si.start)
+            scale = r * rng.uniform(0.0, 1.0) ** (1.0 / direction.size)
+            points[si, j] += (scale / np.linalg.norm(direction)) * direction
+    dists = np.stack([np.linalg.norm(points[si] - w_star[si], axis=0) for si in problem.slices])
+    dist_d = dists[d]
+    others = np.delete(dists, d, axis=0).sum(axis=0)
 
-        # single-block forms: other blocks pinned at the optimum
-        at_opt = [w.copy() for w in problem.w_star]
-        at_opt[d] = point[d]
-        q = am_operator(problem, at_opt, d, eta)
-        lhs_sq = float(np.sum((q - problem.w_star[d]) ** 2))
-        rhs_sq = sq_factor * dist_d**2
-        slack = rhs_sq - lhs_sq
-        worst_sq = min(worst_sq, slack)
-        if lhs_sq > rhs_sq * (1 + _REL_TOL) + _ABS_TOL:
-            violations.append(("squared", trial, d, lhs_sq, rhs_sq))
+    # single-block forms: other blocks pinned at the optimum
+    at_opt = np.repeat(w_star, trials, axis=1)
+    at_opt[sl] = points[sl]
+    lhs_sq = np.sum((am_operator(problem, at_opt, d, eta) - w_star[sl]) ** 2, axis=0)
+    rhs_sq = sq_factor * dist_d**2
+    lhs_un = np.sqrt(lhs_sq)
+    rhs_un = unsq_factor * dist_d
+    # cross-block form: other blocks at the sampled point
+    lhs = np.linalg.norm(am_operator(problem, points, d, eta) - w_star[sl], axis=0)
+    rhs = cross_factor * dist_d + eta * gamma * others
 
-        lhs_un = math.sqrt(lhs_sq)
-        rhs_un = unsq_factor * dist_d
-        worst_unsq = min(worst_unsq, rhs_un - lhs_un)
-        if lhs_un > rhs_un * (1 + _REL_TOL) + _ABS_TOL:
-            violations.append(("unsquared", trial, d, lhs_un, rhs_un))
-
-        # cross-block form: other blocks at the sampled point
-        q = am_operator(problem, point, d, eta)
-        lhs = float(np.linalg.norm(q - problem.w_star[d]))
-        others = sum(
-            float(np.linalg.norm(point[i] - problem.w_star[i]))
-            for i in range(problem.num_blocks)
-            if i != d
-        )
-        rhs = cross_factor * dist_d + eta * gamma * others
-        worst_cross = min(worst_cross, rhs - lhs)
-        if lhs > rhs * (1 + _REL_TOL) + _ABS_TOL:
-            violations.append(("cross", trial, d, lhs, rhs))
-        worst_lit = min(worst_lit, (1.0 - eta * xi) * dist_d + eta * gamma * others - lhs)
+    forms = (("squared", lhs_sq, rhs_sq), ("unsquared", lhs_un, rhs_un), ("cross", lhs, rhs))
+    violations = sorted(
+        ((kind, int(j), d, float(l[j]), float(r[j]))
+         for kind, l, r in forms
+         for j in np.flatnonzero(l > r * (1 + _REL_TOL) + _ABS_TOL)),
+        key=lambda v: v[1],
+    )  # trial order, then the forms' order
+    worst_sq, worst_unsq, worst_cross = (float(np.min(r - l, initial=np.inf)) for _, l, r in forms)
+    literal = (1.0 - eta * xi) * dist_d + eta * gamma * others - lhs
     return ContractivityReport(
-        block=d,
-        eta=eta,
-        trials=trials,
-        worst_squared_slack=worst_sq,
-        worst_cross_slack=worst_cross,
-        worst_unsquared_slack=worst_unsq,
-        worst_literal_cross_slack=worst_lit,
-        violations=violations,
+        block=d, eta=eta, trials=trials,
+        worst_squared_slack=worst_sq, worst_cross_slack=worst_cross, worst_unsquared_slack=worst_unsq,
+        worst_literal_cross_slack=float(np.min(literal, initial=np.inf)), violations=violations,
     )
 
 
@@ -423,8 +390,7 @@ def noise_second_moment_bound(problem: QuadraticProblem) -> float:
     r_sq = sum(r * r for r in problem.radii)
     cov_norm = power_eigmax(cov)
     total = 0.0
-    for d in range(problem.num_blocks):
-        sl = problem.block_slice(d)
+    for sl in problem.slices:
         trace_d = float(np.trace(cov[sl, sl]))
         row_norm = operator_norm(cov[sl, :])
         total += trace_d * (cov_norm * r_sq + problem.noise_sd**2) + 2.0 * row_norm**2 * r_sq
@@ -432,6 +398,8 @@ def noise_second_moment_bound(problem: QuadraticProblem) -> float:
 
 
 def recursion_ratio(problem: QuadraticProblem, eta: float) -> float:
+    if not eta > 0:
+        raise ValueError(f"step must be positive, got {eta}")
     big_l = problem.num_blocks
     xi, gamma = problem.xi, problem.gamma
     denom = 1.0 - eta * gamma * (big_l - 1)
@@ -470,7 +438,7 @@ def recursion_check(
 ) -> RecursionReport:
     """Assert the one-step error recursion at every sweep.
 
-    Runs `mc_runs` independently seeded trajectories, then checks
+    Runs `mc_runs` independently seeded replicas, then checks
         mean err(t+1) <= ratio * mean err(t) + noise_term
     within 3 standard errors of the per-run slack.  The coupling must
     satisfy gamma < 2*xi/(3*(L-1)) so the ratio is below one; the step
@@ -490,35 +458,22 @@ def recursion_check(
     noise_term = eta**2 * noise_second_moment_bound(problem) / denom
 
     if problem.noise_sd == 0.0:
-        rng = np.random.default_rng(seed)
-        trace = stochastic_am_run(problem, default_balls(problem, rng), eta, steps, rng, exact_gradients=True)
-        rows, violations = [], []
-        bound = trace.errors[0]
-        for t in range(steps):
-            bound = ratio * bound  # ratio^t * err0
-            slack = bound * (1 + _REL_TOL) + _ABS_TOL - trace.errors[t + 1]
-            rows.append((t, float(trace.errors[t + 1]), float(bound), float(slack)))
-            if slack < 0:
-                violations.append(t)
-        return RecursionReport(eta, ratio, noise_term, rows, violations)
-
-    errs = np.stack(
-        [
-            stochastic_am_run(problem, default_balls(problem, rng), eta, steps, rng).errors
-            for rng in spawn_rngs(seed, mc_runs)
-        ]
-    )  # (runs, steps+1)
-    rows, violations = [], []
-    n_runs = errs.shape[0]
-    for t in range(errs.shape[1] - 1):
-        per_run_slack = ratio * errs[:, t] + noise_term - errs[:, t + 1]
-        mean_slack = float(per_run_slack.mean())
-        se = float(per_run_slack.std(ddof=1) / math.sqrt(n_runs)) if n_runs > 1 else 0.0
-        rhs = ratio * float(errs[:, t].mean()) + noise_term
-        rows.append((t, float(errs[:, t + 1].mean()), rhs, mean_slack))
-        if mean_slack < -3.0 * se - _ABS_TOL:
-            violations.append(t)
-    return RecursionReport(eta, ratio, noise_term, rows, violations)
+        errs = stochastic_am_run(problem, default_balls(problem, [np.random.default_rng(seed)]), eta, steps)
+        mean_err = errs[1:, 0]
+        rhs = errs[0, 0] * ratio ** np.arange(1.0, steps + 1)  # ratio^(t+1) * err0
+        slack = rhs * (1 + _REL_TOL) + _ABS_TOL - mean_err
+        floor = 0.0
+    else:
+        rngs = spawn_rngs(seed, mc_runs)
+        errs = stochastic_am_run(problem, default_balls(problem, rngs), eta, steps, rngs)
+        per_run_slack = ratio * errs[:-1] + noise_term - errs[1:]  # (steps, runs)
+        mean_err = errs[1:].mean(axis=1)
+        rhs = ratio * errs[:-1].mean(axis=1) + noise_term
+        slack = per_run_slack.mean(axis=1)
+        se = per_run_slack.std(axis=1, ddof=1) / math.sqrt(mc_runs) if mc_runs > 1 else 0.0
+        floor = -3.0 * se - _ABS_TOL
+    rows = list(zip(range(steps), mean_err.tolist(), rhs.tolist(), slack.tolist()))
+    return RecursionReport(eta, ratio, noise_term, rows, np.flatnonzero(slack < floor).tolist())
 
 
 def plateau_quartering_step(problem: QuadraticProblem) -> float:
@@ -542,11 +497,11 @@ def plateau_halving_factor(
     seed: int = 0,
 ) -> tuple[float, float, float]:
     """Measured plateau at eta and eta/2; returns (factor, plateau, plateau_half)."""
+    if not eta > 0:
+        raise ValueError(f"step must be positive, got {eta}")
     plateaus = []
     for step_size in (eta, eta / 2.0):
-        vals = []
-        for rng in spawn_rngs((seed, int(step_size * 1e9)), mc_runs):
-            trace = stochastic_am_run(problem, default_balls(problem, rng), step_size, steps, rng)
-            vals.append(trace.plateau())
-        plateaus.append(float(np.mean(vals)))
+        rngs = spawn_rngs((seed, int(step_size * 1e9)), mc_runs)
+        errs = stochastic_am_run(problem, default_balls(problem, rngs), step_size, steps, rngs)
+        plateaus.append(float(np.mean(plateau(errs))))
     return plateaus[0] / plateaus[1], plateaus[0], plateaus[1]

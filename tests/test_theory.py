@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from samt.numerics import make_rng
+from samt.numerics import make_rng, spawn_rngs
 from samt.theory import (
-    BallConstraint,
     am_operator,
     ball_project,
     contractivity_check,
@@ -14,6 +13,7 @@ from samt.theory import (
     make_problem,
     noise_second_moment_bound,
     operator_norm,
+    plateau,
     plateau_halving_factor,
     plateau_quartering_step,
     power_eigmax,
@@ -36,15 +36,14 @@ class TestSpectralConstants:
     def test_power_iteration_matches_dense_oracle(self, seed):
         problem = random_problem(seed, dims=(5, 4, 7), coupling=0.2)
         cov = problem.cov
-        for d in range(problem.num_blocks):
-            sl = problem.block_slice(d)
+        for d, sl in enumerate(problem.slices):
             dense = np.linalg.eigvalsh(cov[sl, sl])
             assert problem.lambdas[d] == pytest.approx(dense.min(), abs=1e-8)
             assert problem.mus[d] == pytest.approx(dense.max(), abs=1e-8)
             worst = 0.0
             for i in range(problem.num_blocks):
                 if i != d:
-                    si = problem.block_slice(i)
+                    si = problem.slices[i]
                     worst = max(worst, np.linalg.svd(cov[sl, si], compute_uv=False)[0])
             assert problem.gammas[d] == pytest.approx(worst, abs=1e-8)
 
@@ -63,49 +62,57 @@ class TestSpectralConstants:
 
 class TestBallProject:
     def test_interior_point_unchanged(self):
-        c = BallConstraint(np.zeros((2, 1)), 1.0)
         z = np.array([[0.3], [0.4]])
-        assert np.array_equal(ball_project(z, c), z)
+        assert np.array_equal(ball_project(z, np.zeros((2, 1)), 1.0), z)
 
     def test_hand_projection(self):
-        c = BallConstraint(np.zeros((2, 1)), 1.0)
-        out = ball_project(np.array([[3.0], [4.0]]), c)
+        out = ball_project(np.array([[3.0], [4.0]]), np.zeros((2, 1)), 1.0)
         assert np.allclose(out, [[0.6], [0.8]])
 
     @pytest.mark.parametrize("seed", range(5))
     def test_feasibility(self, seed):
         rng = make_rng(seed)
-        c = BallConstraint(rng.standard_normal((4, 1)), 0.7)
+        center = rng.standard_normal((4, 1))
         z = 10 * rng.standard_normal((4, 1))
-        assert np.linalg.norm(ball_project(z, c) - c.center) <= 0.7 + 1e-12
+        assert np.linalg.norm(ball_project(z, center, 0.7) - center) <= 0.7 + 1e-12
 
     @pytest.mark.parametrize("seed", range(5))
     def test_nonexpansive_toward_in_ball_points(self, seed):
         rng = make_rng(100 + seed)
-        c = BallConstraint(rng.standard_normal((3, 1)), 1.0)
+        center = rng.standard_normal((3, 1))
         z = 5 * rng.standard_normal((3, 1))
-        inside = c.center + 0.9 * rng.uniform(-1, 1, (3, 1)) / 3
-        assert np.linalg.norm(inside - c.center) <= 1.0
-        assert np.linalg.norm(ball_project(z, c) - inside) <= np.linalg.norm(z - inside) + 1e-12
+        inside = center + 0.9 * rng.uniform(-1, 1, (3, 1)) / 3
+        assert np.linalg.norm(inside - center) <= 1.0
+        assert np.linalg.norm(ball_project(z, center, 1.0) - inside) <= np.linalg.norm(z - inside) + 1e-12
+
+    def test_columns_project_independently(self):
+        # one column inside its ball, one outside: each as if alone
+        z = np.array([[0.3, 3.0], [0.4, 4.0]])
+        centers = np.zeros((2, 2))
+        out = ball_project(z, centers, 1.0)
+        for j in range(2):
+            assert np.array_equal(out[:, [j]], ball_project(z[:, [j]], centers[:, [j]], 1.0))
+        assert np.array_equal(out[:, 0], z[:, 0])
+        assert np.allclose(out[:, 1], [0.6, 0.8])
 
 
 class TestAmOperator:
     def test_exact_one_step_solve_isotropic(self):
         problem = make_problem(np.eye(2) * 2.0, (2,), [np.ones((2, 1))], 0.0, [2.0])
         # covariance is 4*I: eta = 1/4 solves in one step
-        w = [np.array([[3.0], [-1.0]])]
+        w = np.array([[3.0], [-1.0]])
         out = am_operator(problem, w, 0, eta=0.25)
-        assert np.allclose(out, problem.w_star[0], atol=1e-12)
+        assert np.allclose(out, problem.w_star, atol=1e-12)
 
     def test_fixed_point_at_optimum(self):
         problem = random_problem(3, dims=(3, 3), coupling=0.2)
-        blocks = [w.copy() for w in problem.w_star]
-        for d in range(2):
-            assert np.allclose(am_operator(problem, blocks, d, 0.5), problem.w_star[d], atol=1e-12)
+        x = problem.w_star.copy()
+        for d, sl in enumerate(problem.slices):
+            assert np.allclose(am_operator(problem, x, d, 0.5), problem.w_star[sl], atol=1e-12)
 
     def test_diagonal_quadratic_per_coordinate_factors(self):
         problem = diag_quadratic()
-        w = [np.array([[1.0], [1.0]])]
+        w = np.array([[1.0], [1.0]])
         out = am_operator(problem, w, 0, eta=2.0 / 3.0)
         # coordinates scale by 1 - eta*lambda_i: 1/3 and -1/3
         assert np.allclose(out, [[1.0 / 3.0], [-1.0 / 3.0]], atol=1e-12)
@@ -114,29 +121,70 @@ class TestAmOperator:
 class TestStochasticRun:
     def test_deterministic_contraction_to_zero(self):
         problem = isotropic_problem(0, dims=(4, 4), coupling=0.1, noise_sd=0.0)
-        rng = make_rng(1)
-        trace = stochastic_am_run(
-            problem, default_balls(problem, rng), 0.1, 300, rng, exact_gradients=True
-        )
-        assert (np.diff(trace.errors) <= 1e-15).all()
-        assert trace.errors[-1] < 1e-12
+        errors = stochastic_am_run(problem, default_balls(problem, [make_rng(1)]), 0.1, 300)[:, 0]
+        assert (np.diff(errors) <= 1e-15).all()
+        assert errors[-1] < 1e-12
 
     def test_start_at_optimum_zero_noise(self):
+        # balls of radius r_d/2 = 1 centered at the optimum
         problem = isotropic_problem(2, dims=(3, 3), coupling=0.1, noise_sd=0.0)
-        balls = [BallConstraint(w.copy(), 1.0) for w in problem.w_star]
-        rng = make_rng(3)
-        trace = stochastic_am_run(problem, balls, 0.1, 50, rng)
-        assert np.array_equal(trace.errors, np.zeros(51))
+        errors = stochastic_am_run(problem, problem.w_star, 0.1, 50, [make_rng(3)])
+        assert np.array_equal(errors, np.zeros((51, 1)))
 
     def test_noise_gives_positive_plateau(self):
         problem = isotropic_problem(4, dims=(4, 4), coupling=0.1, noise_sd=0.1)
-        plateaus = []
-        for seed in range(30):
-            rng = make_rng((5, seed))
-            trace = stochastic_am_run(problem, default_balls(problem, rng), 0.2, 300, rng)
-            plateaus.append(trace.plateau())
+        rngs = [make_rng((5, seed)) for seed in range(30)]
+        plateaus = plateau(stochastic_am_run(problem, default_balls(problem, rngs), 0.2, 300, rngs))
+        assert plateaus.shape == (30,)
         assert np.mean(plateaus) > 0.0
         assert min(plateaus) > 0.0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_replicas_do_not_interact(self, seed):
+        problem = isotropic_problem((40, seed), dims=(4, 3), coupling=0.1, noise_sd=0.1)
+        rngs = spawn_rngs(seed, 5)
+        together = stochastic_am_run(problem, default_balls(problem, rngs), 0.2, 200, rngs)
+        for j in range(5):
+            alone = [spawn_rngs(seed, 5)[j]]
+            column = stochastic_am_run(problem, default_balls(problem, alone), 0.2, 200, alone)
+            np.testing.assert_allclose(together[:, j], column[:, 0], rtol=1e-12, atol=0.0)
+
+    def test_predrawn_normals_match_interleaved_draws(self):
+        # a replica's one (steps, L, m + 1) draw is the stream of one (m, 1)
+        # draw for z and one scalar draw for eps per block update
+        steps, big_l, m = 50, 3, 7
+        block = make_rng(41).standard_normal((steps, big_l, m + 1))
+        rng = make_rng(41)
+        for t in range(steps):
+            for d in range(big_l):
+                z = rng.standard_normal((m, 1))
+                eps = rng.standard_normal()
+                assert np.array_equal(block[t, d, :m], z[:, 0])
+                assert block[t, d, m] == eps
+
+    def test_run_reads_each_stream_as_interleaved_draws(self):
+        # one replica against a sweep loop that draws z and eps per update
+        problem = isotropic_problem(47, dims=(3, 4), coupling=0.1, noise_sd=0.1)
+        steps, m = 30, problem.w_star.shape[0]
+        run_rng, ref_rng = make_rng(48), make_rng(48)
+        centers = default_balls(problem, [run_rng])
+        x = default_balls(problem, [ref_rng])
+        expected = [np.sum((x - problem.w_star) ** 2)]
+        for _ in range(steps):
+            for d, (sl, r) in enumerate(zip(problem.slices, problem.radii)):
+                z = ref_rng.standard_normal((m, 1))
+                normals = np.vstack([z, [[ref_rng.standard_normal()]]])
+                g = sample_gradient(problem, x, d, normals)
+                x[sl] = ball_project(x[sl] - 0.2 * g, centers[sl], 0.5 * r)
+            expected.append(np.sum((x - problem.w_star) ** 2))
+        errors = stochastic_am_run(problem, centers, 0.2, steps, [run_rng])
+        assert np.array_equal(errors[:, 0], expected)
+
+    def test_generator_count_must_match_replicas(self):
+        problem = isotropic_problem(42, dims=(2, 2), noise_sd=0.1)
+        rngs = spawn_rngs(0, 3)
+        with pytest.raises(ValueError, match="2 generators for 3 replicas"):
+            stochastic_am_run(problem, default_balls(problem, rngs), 0.1, 5, rngs[:2])
 
 
 class TestContractivity:
@@ -229,26 +277,27 @@ class TestNoiseBound:
         problem = isotropic_problem((24, seed), dims=(4, 4), coupling=0.1, noise_sd=0.1)
         bound = noise_second_moment_bound(problem)
         rng = make_rng((25, seed))
+        m = problem.w_star.shape[0]
         worst = 0.0
         for _ in range(20):
-            point = [
-                w + r * (v := rng.standard_normal(w.shape)) / np.linalg.norm(v)
-                for w, r in zip(problem.w_star, problem.radii)
-            ]
+            point = problem.w_star.copy()
+            for sl, r in zip(problem.slices, problem.radii):
+                v = rng.standard_normal((sl.stop - sl.start, 1))
+                point[sl] += r * v / np.linalg.norm(v)
             total = 0.0
             for d in range(problem.num_blocks):
-                draws = [sample_gradient(problem, point, d, rng) for _ in range(400)]
-                total += float(np.mean([np.sum(g * g) for g in draws]))
+                # 400 samples as columns, each row of the draw one (z, eps)
+                draws = sample_gradient(problem, point, d, rng.standard_normal((400, m + 1)).T)
+                total += float(np.mean(np.sum(draws * draws, axis=0)))
             worst = max(worst, total)
         assert worst <= bound
 
     def test_mean_of_sample_gradient_is_population_gradient(self):
         problem = isotropic_problem(26, dims=(3, 3), coupling=0.2, noise_sd=0.1)
         rng = make_rng(27)
-        point = [w + 0.5 for w in problem.w_star]
-        draws = np.mean(
-            [sample_gradient(problem, point, 0, rng) for _ in range(40_000)], axis=0
-        )
+        point = problem.w_star + 0.5
+        normals = rng.standard_normal((40_000, problem.w_star.shape[0] + 1)).T
+        draws = np.mean(sample_gradient(problem, point, 0, normals), axis=1, keepdims=True)
         exact = full_gradient(problem, point, 0)
         assert np.allclose(draws, exact, atol=0.05)
 
@@ -258,21 +307,50 @@ def test_decoupled_gauss_seidel_equals_jacobi_sweep():
     # alternating sweep equals the simultaneous update exactly
     problem = random_problem(28, dims=(4, 3), coupling=0.0)
     rng = make_rng(29)
-    start = [w + rng.standard_normal(w.shape) for w in problem.w_star]
-    gs = [w.copy() for w in start]
-    for d in range(problem.num_blocks):
-        gs[d] = am_operator(problem, gs, d, 0.2)
-    jacobi = [am_operator(problem, start, d, 0.2) for d in range(problem.num_blocks)]
-    for a, b in zip(gs, jacobi):
-        assert np.array_equal(a, b)
+    start = problem.w_star + rng.standard_normal(problem.w_star.shape)
+    gs = start.copy()
+    for d, sl in enumerate(problem.slices):
+        gs[sl] = am_operator(problem, gs, d, 0.2)
+    jacobi = np.vstack([am_operator(problem, start, d, 0.2) for d in range(problem.num_blocks)])
+    assert np.array_equal(gs, jacobi)
 
 
 def test_exact_gradient_run_contracts_to_a_plateau_below_the_start():
     problem = isotropic_problem(30, dims=(4, 4), coupling=0.05, noise_sd=0.0)
-    rng = make_rng(31)
-    trace = stochastic_am_run(
-        problem, default_balls(problem, rng), 0.1, 120, rng, exact_gradients=True
-    )
-    observed = -np.log(trace.errors[60] / trace.errors[50]) / 10.0
+    errors = stochastic_am_run(problem, default_balls(problem, [make_rng(31)]), 0.1, 120)[:, 0]
+    observed = -np.log(errors[60] / errors[50]) / 10.0
     assert observed >= -np.log(recursion_ratio(problem, 0.1))
-    assert trace.plateau() < trace.errors[0]
+    assert plateau(errors) < errors[0]
+
+
+BAD_STEPS = [float("nan"), 0.0, -0.1]
+
+
+@pytest.mark.parametrize("eta", BAD_STEPS)
+class TestStepGuards:
+    """A NaN, zero or negative step raises instead of passing vacuously."""
+
+    def test_am_operator(self, eta):
+        problem = diag_quadratic()
+        with pytest.raises(ValueError, match="step must be positive"):
+            am_operator(problem, problem.w_star, 0, eta)
+
+    def test_contractivity_check(self, eta):
+        with pytest.raises(ValueError, match="eta must be positive"):
+            contractivity_check(diag_quadratic(), 0, eta, trials=10, rng=make_rng(43))
+
+    def test_recursion_ratio(self, eta):
+        problem = isotropic_problem(44, dims=(3, 3), coupling=0.1, noise_sd=0.05)
+        with pytest.raises(ValueError, match="step must be positive"):
+            recursion_ratio(problem, eta)
+
+    @pytest.mark.parametrize("noise_sd", [0.05, 0.0])
+    def test_recursion_check(self, eta, noise_sd):
+        problem = isotropic_problem(45, dims=(3, 3), coupling=0.1, noise_sd=noise_sd)
+        with pytest.raises(ValueError, match="step must be positive"):
+            recursion_check(problem, eta, mc_runs=3, steps=5)
+
+    def test_plateau_halving_factor(self, eta):
+        problem = isotropic_problem(46, dims=(3, 3), coupling=0.1, noise_sd=0.05)
+        with pytest.raises(ValueError, match="step must be positive"):
+            plateau_halving_factor(problem, eta, mc_runs=3, steps=5)
