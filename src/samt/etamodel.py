@@ -8,8 +8,8 @@ factor beta, the last k the candidate step; both heads pass through a
 unit-interval projection and are reshaped to the step-size kind's
 shape.  The model is trained by plain gradient descent on the loss a
 candidate weight update achieves on a held-aside mini-batch, its output
-layer's updates deferred and folded in PSI_PENDING at a time.  Bypass
-is not the model's concern: a bypassed adaptive engine never calls it.
+layer's updates deferred and folded in PSI_PENDING at a time.  The
+model carries the step-size kind; a `psi_bypass` run builds none.
 """
 
 from __future__ import annotations
@@ -124,9 +124,7 @@ def init_eta_model(
 @dataclass
 class _PsiCache:
     d_col: Matrix
-    u1: Matrix
-    h1: Matrix
-    u2: Matrix
+    h1: Matrix  # hidden layer outputs; the backward pass masks on them
     h2: Matrix
     core: Matrix  # squash(u3): the (2k, 1) raw heads through tanh or sigmoid
 
@@ -138,10 +136,8 @@ def psi_forward(psi: EtaModel, d_col: Matrix) -> tuple[Matrix, Matrix, _PsiCache
     if not np.isfinite(d_col).all():
         values = ", ".join(f"{v:.3g}" for v in d_col.ravel())
         raise FloatingPointError(f"psi input is not finite: [{values}]")
-    u1 = psi.w1 @ d_col
-    h1 = leaky_relu(u1, psi.activation_slope)
-    u2 = psi.w2 @ h1
-    h2 = leaky_relu(u2, psi.activation_slope)
+    h1 = leaky_relu(psi.w1 @ d_col, psi.activation_slope)
+    h2 = leaky_relu(psi.w2 @ h1, psi.activation_slope)
     u3 = psi.w3 @ h2
     if (p := psi.pending).n:
         u3 -= p.u[:, : p.n] @ (p.v[:, : p.n].T @ h2)
@@ -151,7 +147,7 @@ def psi_forward(psi: EtaModel, d_col: Matrix) -> tuple[Matrix, Matrix, _PsiCache
     core = squash(u3, style)
     beta = project_unit(u3[:k], style, core[:k]).reshape(psi.head_shape)
     eta_hat = project_unit(u3[k:], style, core[k:]).reshape(psi.head_shape)
-    cache = _PsiCache(d_col, u1, h1, u2, h2, core)
+    cache = _PsiCache(d_col, h1, h2, core)
     return beta, eta_hat, cache
 
 
@@ -221,8 +217,8 @@ def meta_gradients(
     dh2 = psi.w3.T @ du3
     if (p := psi.pending).n:
         dh2 -= p.v[:, : p.n] @ (p.u[:, : p.n].T @ du3)
-    du2 = leaky_relu_backward(cache.u2, dh2, psi.activation_slope)
-    du1 = leaky_relu_backward(cache.u1, psi.w2.T @ du2, psi.activation_slope)
+    du2 = leaky_relu_backward(cache.h2, dh2, psi.activation_slope)
+    du1 = leaky_relu_backward(cache.h1, psi.w2.T @ du2, psi.activation_slope)
 
     psi_grads = ((du1, d_col), (du2, cache.h1), (du3, cache.h2))
     return MetaStep(psi_grads, beta, eta_hat, step_cand, w_prime, meta_loss)

@@ -117,6 +117,8 @@ def _parse_widths(s: str) -> tuple[int, ...]:
         raise ConfigError(f"widths must be comma-separated ints, got {s!r}") from None
     if len(widths) < 2:
         raise ConfigError(f"need at least two widths, got {s!r}")
+    if min(widths) < 1:
+        raise ConfigError(f"every width must be >= 1, got {s!r}")
     return widths
 
 
@@ -237,7 +239,7 @@ def validate_config(config: TrainConfig) -> None:
     if config.epochs < 1:
         raise ConfigError(f"epochs must be >= 1, got {config.epochs}")
     # written as `not x >= 0` so that NaN fails too
-    for key in ("meta_learning_rate", "hd_hyper_rate"):
+    for key in ("meta_learning_rate", "hd_hyper_rate", "synth_noise_sd", "img_noise_sd"):
         if not getattr(config, key) >= 0.0:
             raise ConfigError(f"{key} must be >= 0, got {getattr(config, key)}")
     if not config.adam_rate > 0.0:
@@ -341,6 +343,9 @@ def build_state(config: TrainConfig, train_ds: Dataset) -> TrainRunState:
             engines.append(AdamEngine.fresh(net, block, config.adam_rate))
         elif config.optimizer == "hd":
             engines.append(HdEngine.fresh(net, block, config.eta0, config.hd_hyper_rate))
+        elif config.psi_bypass:
+            # psi unconsulted and beta = 1: every arm validate_config allows steps at eta0
+            engines.append(SgdEngine(config.eta0))
         else:
             layer_shape = net.layer_weights[block[0]].shape
             psi = init_eta_model(
@@ -353,11 +358,9 @@ def build_state(config: TrainConfig, train_ds: Dataset) -> TrainRunState:
                 meta_learning_rate=config.meta_learning_rate,
             )
             step = StepSize.initial(kind, layer_shape, config.eta0)
-            oagd = OagdState(
-                step, psi, meta_lag=config.meta_lag, arm=config.ablation, bypass=config.psi_bypass
-            )
-            engines.append(OagdEngine(oagd))
-    meta_source = meta_subset(train_ds) if kind is not None else None
+            state = OagdState(step, psi, meta_lag=config.meta_lag, arm=config.ablation)
+            engines.append(OagdEngine(state))
+    meta_source = meta_subset(train_ds) if any(e.needs_meta_batch for e in engines) else None
     return TrainRunState(
         net=net,
         plan=plan,

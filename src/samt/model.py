@@ -5,7 +5,8 @@ every layer except the last.  Batches are column-per-sample: an input
 batch has shape (in_features, batch).  Layer l stores its weight as an
 (out_l, in_l) matrix, so adjacent layers must chain:
 W[l+1].shape[1] == W[l].shape[0].  A pass builds only the arrays it reads:
-no activation derivatives, and only the labelled log-probabilities.
+no activation derivatives, only the labelled log-probabilities, and no
+pre-activations: the backward pass masks on the layer outputs it keeps.
 """
 
 from __future__ import annotations
@@ -61,15 +62,6 @@ class NetworkModel:
         return NetworkModel(tuple(new), self.activation_slope, self.loss_kind)
 
 
-@dataclass
-class ForwardCache:
-    """Everything the backward pass needs from one forward pass."""
-
-    inputs: Matrix
-    pre_activations: list[Matrix]   # z_l = W_l @ a_{l-1}, one per layer
-    post_activations: list[Matrix]  # a_l, one per layer (last entry == output)
-
-
 def glorot_init(shape: tuple[int, int], rng: np.random.Generator) -> Matrix:
     """Uniform init in +-sqrt(6 / (fan_in + fan_out))."""
     out_f, in_f = shape
@@ -95,30 +87,34 @@ def leaky_relu(x: Matrix, slope: float) -> Matrix:
 
 def leaky_relu_backward(x: Matrix, upstream: Matrix, slope: float) -> Matrix:
     """`upstream` times leaky_relu's derivative at x, bitwise; the
-    derivative is 1 where x > 0 and `slope` elsewhere, at exactly 0 too."""
+    derivative is 1 where x > 0 and `slope` elsewhere, at exactly 0 too.
+    `x` may be leaky_relu's output instead: for 0 < slope < 1 that is
+    > 0 at exactly the same entries."""
     return np.where(x > 0, upstream, slope * upstream)
 
 
-def forward(net: NetworkModel, batch_x: Matrix) -> tuple[Matrix, ForwardCache]:
-    """Run the network on a (in_features, batch) input.
-
-    Returns the (out_features, batch) output and the cache of every
-    intermediate needed for backpropagation.
-    """
-    inputs = a = np.asarray(batch_x, dtype=np.float64)
+def layer_outputs(net: NetworkModel, batch_x: Matrix):
+    """Yield a (in_features, batch) input, then each layer's output in
+    turn; the last is the network's (out_features, batch) output."""
+    a = np.asarray(batch_x, dtype=np.float64)
     if a.ndim != 2:
         raise ShapeError(f"batch must be 2-D, got shape {a.shape}")
-    pre, post = [], []
+    yield a
     for l, w in enumerate(net.layer_weights):
         if w.shape[1] != a.shape[0]:
-            raise ShapeError(
-                f"layer {l} expects {w.shape[1]} input features, got {a.shape[0]}"
-            )
-        z = w @ a
-        a = leaky_relu(z, net.activation_slope) if l < net.num_layers - 1 else z
-        pre.append(z)
-        post.append(a)
-    return post[-1], ForwardCache(inputs=inputs, pre_activations=pre, post_activations=post)
+            raise ShapeError(f"layer {l} expects {w.shape[1]} input features, got {a.shape[0]}")
+        a = w @ a
+        if l < net.num_layers - 1:
+            a = leaky_relu(a, net.activation_slope)
+        yield a
+
+
+def forward(net: NetworkModel, batch_x: Matrix) -> Matrix:
+    """The network's output on a (in_features, batch) input; only the
+    current layer's output is held."""
+    for a in layer_outputs(net, batch_x):
+        pass
+    return a
 
 
 def mse_loss(pred: Matrix, target: Matrix) -> tuple[float, Matrix]:
@@ -164,8 +160,7 @@ def softmax_ce_loss(logits: Matrix, labels) -> tuple[float, Matrix]:
 def batch_loss(net: NetworkModel, batch) -> float:
     """Loss of the network on (x, y) under its own loss kind."""
     x, y = batch
-    out, _ = forward(net, x)
-    return (mse_loss if net.loss_kind == MSE else softmax_ce_loss)(out, y)[0]
+    return (mse_loss if net.loss_kind == MSE else softmax_ce_loss)(forward(net, x), y)[0]
 
 
 def block_loss_and_gradients(net: NetworkModel, batch, block) -> tuple[float, dict[int, Matrix]]:
@@ -182,17 +177,16 @@ def block_loss_and_gradients(net: NetworkModel, batch, block) -> tuple[float, di
         if not 0 <= l < net.num_layers:
             raise ValueError(f"layer index {l} outside [0, {net.num_layers})")
     x, y = batch
-    out, cache = forward(net, x)
-    loss, delta = (mse_loss if net.loss_kind == MSE else softmax_ce_loss)(out, y)
+    outputs = list(layer_outputs(net, x))  # input first
+    loss, delta = (mse_loss if net.loss_kind == MSE else softmax_ce_loss)(outputs[-1], y)
 
     wanted = set(block)
     lowest = min(wanted)
     grads: dict[int, Matrix] = {}
     for l in range(net.num_layers - 1, lowest - 1, -1):
-        a_prev = cache.post_activations[l - 1] if l > 0 else cache.inputs
         if l in wanted:
-            grads[l] = delta @ a_prev.T
+            grads[l] = delta @ outputs[l].T
         if l > lowest:
             upstream = net.layer_weights[l].T @ delta
-            delta = leaky_relu_backward(cache.pre_activations[l - 1], upstream, net.activation_slope)
+            delta = leaky_relu_backward(outputs[l], upstream, net.activation_slope)
     return loss, grads

@@ -6,11 +6,11 @@ returns the new network, the engine for the next step and the step's
 (plain SGD, Adam and a hypergradient rate adapter) are immutable: a step
 builds a new engine.  The adaptive engine carries a trainable step size
 and its step model psi, which it owns and mutates: `psi_step` updates
-psi's weight arrays in place.  A bypassed adaptive engine pins beta = 1
-and eta_hat = 0.5 itself and never consults psi, so its step stays at
-the initial value.  The adaptive engine raises `FloatingPointError`
-when psi's input, psi's raw heads or its meta loss are not finite,
-before psi's weights are touched.
+psi's weight arrays in place.  The engine raises `FloatingPointError`
+when psi's input, raw heads or meta loss are not finite, before psi's
+weights are touched.  A `psi_bypass` run has no adaptive engine: with
+psi unconsulted and beta pinned to 1, each arm it may run steps at
+eta0, so `harness.build_state` gives it `SgdEngine(eta0)`.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .stepsize import (
     StepSize,
     StepSizeKind,
     candidate_weights,
-    compose_step,
+    compose_step,  # not called here; perfbench's tracer patches optim.compose_step
     grad_features,
 )
 
@@ -56,24 +56,17 @@ class StepEvent:
 
 @dataclass(frozen=True)
 class OagdState:
-    """Joint state of one adaptive block: its step size and step model.
-
-    `bypass` leaves psi untouched and keeps the step at its initial value.
-    """
+    """Joint state of one adaptive block: its step size and the step
+    model psi, which records the step-size kind."""
 
     step: StepSize
     psi: EtaModel
     meta_lag: int = 0
     arm: str = ARM_FULL
-    bypass: bool = False
 
     def __post_init__(self):
         if self.meta_lag not in (0, 1):
             raise ValueError(f"meta_lag must be 0 or 1, got {self.meta_lag}")
-        if self.psi.kind is not self.step.kind:
-            raise ValueError(
-                f"step kind {self.step.kind} does not match model kind {self.psi.kind}"
-            )
 
 
 @dataclass(frozen=True)
@@ -169,32 +162,24 @@ class OagdEngine:
 
     def step(self, net, block, main_batch, meta_batch):
         state = self.state
-        if state.step.kind is not StepSizeKind.SCALAR and len(block) != 1:
+        if state.psi.kind is not StepSizeKind.SCALAR and len(block) != 1:
             raise ValueError("non-scalar step sizes serve single-layer blocks only")
         loss, grads = block_loss_and_gradients(net, main_batch, block)
         g_list = [grads[l] for l in block]
         w_list = [net.layer_weights[l] for l in block]
-        eta0 = state.step.init_values
-
-        updates = None
-        if state.bypass:
-            beta, eta_hat, meta_loss = np.ones(eta0.shape), np.full(eta0.shape, 0.5), None
-            step_cand, _, _ = compose_step(state.arm, beta, eta0, eta_hat)
+        # psi reads the statistics of all the block's gradients at once
+        g_all = g_list[0] if len(g_list) == 1 else np.concatenate([g.ravel() for g in g_list])
+        meta = meta_gradients(
+            state.psi, grad_features(g_all), block, w_list, g_list, state.step.init_values,
+            meta_batch, net, arm=state.arm,
+        )
+        if not math.isfinite(meta.meta_loss):
+            raise FloatingPointError(f"meta loss is {meta.meta_loss}")
+        psi_step(state.psi, meta.psi_grads)
+        if state.meta_lag == 0:
+            updates = meta.w_prime
         else:
-            # psi reads the statistics of all the block's gradients at once
-            g_all = g_list[0] if len(g_list) == 1 else np.concatenate([g.ravel() for g in g_list])
-            feats = grad_features(g_all)
-            meta = meta_gradients(
-                state.psi, feats, block, w_list, g_list, eta0, meta_batch, net, arm=state.arm
-            )
-            if not math.isfinite(meta.meta_loss):
-                raise FloatingPointError(f"meta loss is {meta.meta_loss}")
-            psi_step(state.psi, meta.psi_grads)
-            step_cand, beta, eta_hat, meta_loss = meta.step_candidate, meta.beta, meta.eta_hat, meta.meta_loss
-            if state.meta_lag == 0:
-                updates = meta.w_prime
-        if updates is None:
-            commit = step_cand if state.meta_lag == 0 else state.step.values
-            updates = candidate_weights(block, w_list, g_list, commit)
-        new = OagdEngine(replace(state, step=state.step.with_values(step_cand)))
-        return net.with_layers(updates), new, StepEvent(loss, step_cand, meta_loss, beta, eta_hat)
+            updates = candidate_weights(block, w_list, g_list, state.step.values)
+        new = OagdEngine(replace(state, step=state.step.with_values(meta.step_candidate)))
+        event = StepEvent(loss, meta.step_candidate, meta.meta_loss, meta.beta, meta.eta_hat)
+        return net.with_layers(updates), new, event

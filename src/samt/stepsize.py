@@ -48,7 +48,6 @@ class StepSizeKind(enum.Enum):
 class StepSize:
     """Current and initial step values for one block, shaped per kind."""
 
-    kind: StepSizeKind
     values: Matrix
     init_values: Matrix
 
@@ -66,7 +65,7 @@ class StepSize:
         if not 0.0 < eta0 < 1.0:
             raise ValueError(f"initial step must be in (0,1), got {eta0}")
         v = np.full(kind.shape_for(layer_shape), eta0)
-        return StepSize(kind=kind, values=v, init_values=v.copy())
+        return StepSize(values=v, init_values=v.copy())
 
     def with_values(self, values: Matrix) -> "StepSize":
         return replace(self, values=values)

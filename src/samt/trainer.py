@@ -149,7 +149,7 @@ def evaluate(net: NetworkModel, dataset: Dataset, batch_size: int = 1000):
     for start in range(0, n, batch_size):
         stop = min(start + batch_size, n)
         x = dataset.features[:, start:stop]
-        out, _ = forward(net, x)
+        out = forward(net, x)
         b = stop - start
         if dataset.kind == CLASSIFICATION:
             y = dataset.targets[start:stop]

@@ -90,17 +90,17 @@ class TestPsiForward:
         assert beta.shape == shape and eta_hat.shape == shape
 
     def test_bypass_pins_beta_to_one(self):
-        # bypass lives in the adaptive engine: psi is never run and the
-        # step's event reports heads beta = 1, eta_hat = 0.5
-        from samt.optim import OagdEngine, OagdState, StepEvent
+        # psi is never run when bypassed: beta = 1 composes eta0 bitwise on
+        # every arm a bypassed run may take, whatever eta_hat is, so the
+        # run is plain SGD at eta0
+        from samt.stepsize import ARM_BASELINE, ARM_FULL, ARM_LEFT, compose_step
 
-        net = init_network((2, 2), make_rng(4))
-        psi = init_eta_model(StepSizeKind.SCALAR, (2, 2), make_rng(4))
-        step = StepSize.initial(StepSizeKind.SCALAR, (2, 2), 0.1)
-        batch = (np.ones((2, 3)), np.array([0, 1, 0]))
-        _, _, event = OagdEngine(OagdState(step, psi, bypass=True)).step(net, (0,), batch, batch)
-        assert isinstance(event, StepEvent)
-        assert (event.beta == 1.0).all() and (event.eta_hat == 0.5).all()
+        for kind in StepSizeKind:
+            eta0 = StepSize.initial(kind, (2, 3), 0.1).init_values
+            for arm in (ARM_FULL, ARM_BASELINE, ARM_LEFT):
+                beta, eta_hat = np.ones(eta0.shape), np.full(eta0.shape, 0.5)
+                value, _, _ = compose_step(arm, beta, eta0, eta_hat)
+                assert value.tobytes() == eta0.tobytes(), (kind, arm)
 
 
 class TestInitEtaModel:
@@ -412,21 +412,25 @@ class TestPendingUpdates:
 
 
 def test_bypass_keeps_step_at_initial_forever():
-    from samt.optim import OagdEngine, OagdState
+    from samt.data import CLASSIFICATION, Dataset
+    from samt.harness import TrainConfig, build_state
+    from samt.optim import SgdEngine
     from samt.stepsize import step_update
 
     net = init_network((2, 2), make_rng(8))
-    psi = init_eta_model(StepSizeKind.ELEMENT, (2, 2), make_rng(8))
-    step = StepSize.initial(StepSizeKind.ELEMENT, (2, 2), 0.1)
-    eta0 = step.init_values.copy()
-    engine = OagdEngine(OagdState(step, psi, bypass=True))
+    eta0 = StepSize.initial(StepSizeKind.ELEMENT, (2, 2), 0.1).init_values
+    config = TrainConfig(widths=(2, 2), optimizer="samt_e", eta0=0.1, psi_bypass=True)
+    ds = Dataset(np.zeros((2, 2)), np.zeros(2, dtype=np.int64), CLASSIFICATION)
+    (engine,) = build_state(config, ds).engines
+    assert type(engine) is SgdEngine
     rng = np.random.default_rng(0)
     for _ in range(200):
         batch = (rng.standard_normal((2, 3)), rng.integers(0, 2, 3))
         net, engine, event = engine.step(net, (0,), batch, batch)
-    values = step_update(event.beta, eta0, event.eta_hat)
+    values = step_update(np.ones(eta0.shape), eta0, np.full(eta0.shape, 0.5))
     assert np.array_equal(values, eta0)
-    assert np.array_equal(engine.state.step.values, eta0)
+    assert np.array_equal(np.full(eta0.shape, engine.eta), eta0)
+    assert event.step == engine.eta
 
 
 def test_meta_gradients_over_multi_layer_scalar_block():

@@ -9,6 +9,9 @@ from samt.cli import main as cli_main
 from samt.data import load_csv
 from samt import harness
 from samt.errors import ConfigError, DivergenceError
+from samt.etamodel import EtaModel
+from samt.optim import SgdEngine
+from samt.trainer import train_epoch
 from samt.numerics import make_rng
 from samt.harness import (
     CSV_HEADER,
@@ -130,6 +133,39 @@ class TestLoadDatasets:
         assert test.features.tobytes() == ((x_test - mean[:, None]) / scale[:, None]).tobytes()
         for stats in (train.normalization, test.normalization):
             assert stats[0].tobytes() == mean.tobytes() and stats[1].tobytes() == scale.tobytes()
+
+
+class TestBuildState:
+    def test_bypassed_samt_is_sgd_at_eta0_and_builds_no_psi(self, monkeypatch):
+        base = quick_config(widths=(6, 5, 4, 1), eta0=0.05)
+        train, _ = load_datasets(base)
+
+        def trained(config):
+            state = build_state(config, train)
+            for _ in range(config.epochs):
+                state, _ = train_epoch(state, train, config.train_batch)
+            return state
+
+        def no_psi(self):
+            raise AssertionError("a bypassed run built an EtaModel")
+
+        grouped = ((0, 1), (2,))
+        sgd = {
+            g: trained(dataclasses.replace(base, optimizer="sgd", grouping=g)).net
+            for g in (None, grouped)
+        }
+        monkeypatch.setattr(EtaModel, "__post_init__", no_psi)
+        variants = [
+            dict(optimizer=optimizer, ablation=arm, meta_lag=lag)
+            for optimizer in ("samt_s", "samt_e", "samt_r", "samt_c")
+            for arm in ("full", "baseline", "left_only")
+            for lag in (0, 1)
+        ] + [dict(optimizer="samt_s", grouping=grouped)]
+        for variant in variants:
+            state = trained(dataclasses.replace(base, psi_bypass=True, **variant))
+            assert all(type(e) is SgdEngine and e.eta == base.eta0 for e in state.engines), variant
+            want = sgd[variant.get("grouping")].layer_weights
+            assert [w.tobytes() for w in state.net.layer_weights] == [w.tobytes() for w in want], variant
 
 
 class TestRunExperiment:
@@ -279,6 +315,8 @@ class TestCli:
         "args,engine",
         [
             (["widths=10,50,1", "optimizer=sgd", "sgd_rate=5"], "SgdEngine"),
+            # a bypassed samt run is plain SGD at eta0
+            (["widths=10,50,1", "optimizer=samt_s", "psi_bypass=true", "eta0=0.9"], "SgdEngine"),
             (["widths=10,32,32,1", "optimizer=samt_e", "seed=0"], "OagdEngine"),
             # the gradient's statistics overflow while the loss is still finite
             (["widths=10,32,32,1", "optimizer=samt_r"], "OagdEngine"),
@@ -313,6 +351,10 @@ class TestCli:
             (["optimizer=sgd", "csv_test_fraction=0"], "csv_test_fraction"),
             (["optimizer=sgd", "csv_test_fraction=1"], "csv_test_fraction"),
             (["optimizer=samt_s", "psi_bypass=true", "ablation=right_only"], "psi_bypass"),
+            (["optimizer=sgd", "synth_noise_sd=nan"], "synth_noise_sd"),
+            (["optimizer=sgd", "synth_noise_sd=-1"], "synth_noise_sd"),
+            (["optimizer=sgd", "img_noise_sd=nan"], "img_noise_sd"),
+            (["optimizer=sgd", "widths=10,0,1"], "widths"),
         ],
     )
     def test_bad_rate_or_width_exits_one_naming_the_key(self, args, key, tmp_path, capsys):

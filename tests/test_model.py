@@ -13,6 +13,7 @@ from samt.model import (
     block_loss_and_gradients,
     forward,
     init_network,
+    layer_outputs,
     leaky_relu,
     leaky_relu_backward,
     mse_loss,
@@ -33,6 +34,8 @@ def bits(a):
 # finite floats of every magnitude, with signed zeros, infinities and NaN mixed in
 SPECIAL = (0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan)
 any_float = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(SPECIAL))
+SUBNORMAL = (5e-324, -5e-324, 2.225073858507201e-308, -2.225073858507201e-308)
+any_or_subnormal = st.one_of(any_float, st.sampled_from(SUBNORMAL))
 open_slope = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 small_shape = hnp.array_shapes(min_dims=2, max_dims=2, max_side=6)
 
@@ -73,6 +76,16 @@ class TestLeakyRelu:
             reference = t * np.where(x > 0, 1.0, slope)
             assert np.array_equal(bits(leaky_relu_backward(x, t, slope)), bits(reference))
 
+    @settings(max_examples=200)
+    @given(st.data(), small_shape, open_slope)
+    def test_backward_masks_the_same_on_output_as_on_input(self, data, shape, slope):
+        # the backward pass masks on layer outputs: leaky_relu(x) > 0 exactly where x > 0
+        x = data.draw(hnp.arrays(np.float64, shape, elements=any_or_subnormal))
+        t = data.draw(hnp.arrays(np.float64, shape, elements=any_float))
+        with np.errstate(all="ignore"):
+            on_output = leaky_relu_backward(leaky_relu(x, slope), t, slope)
+            assert np.array_equal(bits(on_output), bits(leaky_relu_backward(x, t, slope)))
+
     @given(small_shape, open_slope)
     def test_derivative_at_exactly_zero_is_the_slope(self, shape, slope):
         x = np.zeros(shape)
@@ -82,17 +95,17 @@ class TestLeakyRelu:
 
 class TestForward:
     def test_single_layer_product(self):
-        out, _ = forward(tiny_net([[2.0]]), np.array([[3.0]]))
+        out = forward(tiny_net([[2.0]]), np.array([[3.0]]))
         assert out[0, 0] == 6.0
 
     def test_zero_weights_give_zero_output(self):
         net = tiny_net(np.zeros((3, 4)), np.zeros((2, 3)))
-        out, _ = forward(net, np.ones((4, 5)))
+        out = forward(net, np.ones((4, 5)))
         assert np.array_equal(out, np.zeros((2, 5)))
 
     def test_bias_free_maps_zero_to_zero(self):
         net = init_network((4, 6, 2), make_rng(0))
-        out, _ = forward(net, np.zeros((4, 3)))
+        out = forward(net, np.zeros((4, 3)))
         assert np.array_equal(out, np.zeros((2, 3)))
 
     def test_shape_error_names_layer(self):
@@ -100,13 +113,14 @@ class TestForward:
         with pytest.raises(ShapeError, match="layer 0"):
             forward(net, np.ones((5, 1)))
 
-    def test_cache_replays_forward(self):
+    def test_layer_outputs_start_with_input_and_end_with_forward(self):
         net = init_network((3, 5, 2), make_rng(1))
         x = make_rng(2).standard_normal((3, 4))
-        out, cache = forward(net, x)
-        out2, _ = forward(net, cache.inputs)
-        assert np.array_equal(out, out2)
-        assert len(cache.pre_activations) == net.num_layers
+        outputs = list(layer_outputs(net, x))
+        assert len(outputs) == net.num_layers + 1
+        assert outputs[0] is x
+        assert outputs[-1].tobytes() == forward(net, x).tobytes()
+        assert outputs[1].tobytes() == leaky_relu(net.layer_weights[0] @ x, net.activation_slope).tobytes()
 
     def test_layer_chain_validated_at_construction(self):
         with pytest.raises(ShapeError, match="layer 0"):

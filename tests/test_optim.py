@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from samt.data import CLASSIFICATION, Dataset
 from samt.etamodel import init_eta_model
+from samt.harness import TrainConfig, build_state
 from samt.model import MSE, NetworkModel, batch_loss, block_loss_and_gradients, init_network
 from samt.numerics import make_rng
 from samt.optim import AdamEngine, HdEngine, OagdEngine, OagdState, SgdEngine, StepEvent
@@ -124,6 +126,13 @@ def make_oagd(kind, layer_shape, seed=0, eta0=0.1, **kwargs):
     return OagdState(step, psi, **kwargs)
 
 
+def bypassed_engines(optimizer, widths, eta0=0.1):
+    """The engines `build_state` gives a psi_bypass=true samt run on a classification net."""
+    config = TrainConfig(widths=widths, optimizer=optimizer, eta0=eta0, psi_bypass=True)
+    ds = Dataset(np.zeros((widths[0], 2)), np.zeros(2, dtype=np.int64), CLASSIFICATION)
+    return build_state(config, ds).engines
+
+
 def oagd_step(state, net, block, main_batch, meta_batch):
     """One OagdEngine step, returning (net, state, event)."""
     net_new, engine, event = OagdEngine(state).step(net, block, main_batch, meta_batch)
@@ -145,14 +154,14 @@ class TestOagdScalar:
         widths = (6, 4, 3)
         net_a = init_network(widths, make_rng(42))
         net_b = net_a
-        state = make_oagd(StepSizeKind.SCALAR, net_a.layer_weights[0].shape, bypass=True)
-        states = [state, make_oagd(StepSizeKind.SCALAR, net_a.layer_weights[1].shape, bypass=True)]
+        engines = bypassed_engines("samt_s", widths)
+        assert all(type(e) is SgdEngine and e.eta == 0.1 for e in engines)
         batches = classification_batches(widths, 200 * 2, seed=3)
         it = iter(batches)
         for _ in range(200):
             for bi, block in enumerate(((0,), (1,))):
                 batch = next(it)
-                net_a, states[bi], _ = oagd_step(states[bi], net_a, block, batch, batch)
+                net_a, engines[bi], _ = engines[bi].step(net_a, block, batch, batch)
                 updates = {
                     l: net_b.layer_weights[l] - 0.1 * g
                     for l, g in block_loss_and_gradients(net_b, batch, block)[1].items()
@@ -162,6 +171,7 @@ class TestOagdScalar:
             np.max(np.abs(a - b)) for a, b in zip(net_a.layer_weights, net_b.layer_weights)
         )
         assert worst <= 1e-12
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(net_a.layer_weights, net_b.layer_weights))
 
     def test_zero_gradient_updates_step_but_not_weights(self):
         net = NetworkModel((np.array([[1.5]]),), loss_kind=MSE)
@@ -240,30 +250,28 @@ class TestOagdNonScalar:
     def test_uniform_element_bypass_matches_scalar_bypass(self):
         widths = (4, 3)
         net = init_network(widths, make_rng(7))
-        shape = net.layer_weights[0].shape
-        elem = make_oagd(StepSizeKind.ELEMENT, shape, bypass=True)
-        scal = make_oagd(StepSizeKind.SCALAR, shape, bypass=True)
+        (elem,), (scal,) = bypassed_engines("samt_e", widths), bypassed_engines("samt_s", widths)
         batch = classification_batches(widths, 1, seed=8)[0]
-        net_e, _, _ = oagd_step(elem, net, (0,), batch, batch)
-        net_s, _, _ = oagd_step(scal, net, (0,), batch, batch)
+        net_e, _, _ = elem.step(net, (0,), batch, batch)
+        net_s, _, _ = scal.step(net, (0,), batch, batch)
         assert np.array_equal(net_e.layer_weights[0], net_s.layer_weights[0])
 
     def test_element_bypass_keeps_step_and_psi_for_200_steps(self):
         widths = (5, 4, 3)
         net = init_network(widths, make_rng(13))
-        state = make_oagd(StepSizeKind.ELEMENT, net.layer_weights[1].shape, seed=14, bypass=True)
-        eta0 = state.step.init_values.copy()
-        psi_before = [w.copy() for w in state.psi.weights]
+        shape = net.layer_weights[1].shape
+        eta0 = StepSize.initial(StepSizeKind.ELEMENT, shape, 0.1).init_values
+        # the bypassed block is plain SGD at eta0: no psi to keep, no heads to report
+        engine = bypassed_engines("samt_e", widths)[1]
+        assert not hasattr(engine, "state")
         events = []
         for main, meta in zip(*[iter(classification_batches(widths, 400, seed=15))] * 2):
-            net, engine, event = OagdEngine(state).step(net, (1,), main, meta)
+            net, engine_new, event = engine.step(net, (1,), main, meta)
             events.append(event)
-            state = engine.state
-            assert state.step.values.tobytes() == eta0.tobytes()
+            assert engine_new is engine
+            assert np.full(shape, event.step).tobytes() == eta0.tobytes()
         assert len(events) == 200
-        assert all((e.beta == 1.0).all() and (e.eta_hat == 0.5).all() for e in events)
-        for before, after in zip(psi_before, state.psi.weights):
-            assert before.tobytes() == after.tobytes()
+        assert all(e.beta is None and e.eta_hat is None and e.meta_loss is None for e in events)
 
     def test_row_step_matches_expand_then_multiply(self):
         from samt.numerics import expand
@@ -297,11 +305,6 @@ class TestOagdNonScalar:
 
 
 class TestEngineContracts:
-    def test_state_rejects_mismatched_psi_kind(self):
-        psi = init_eta_model(StepSizeKind.SCALAR, (2, 2), make_rng(0), hidden=4)
-        with pytest.raises(ValueError, match="does not match"):
-            OagdState(StepSize.initial(StepSizeKind.ELEMENT, (2, 2), 0.1), psi)
-
     def test_deterministic_given_seed(self):
         def run():
             widths = (5, 4, 3)
@@ -333,7 +336,7 @@ class TestEngineContracts:
             "hd": HdEngine((g.copy(),), rate=0.1, hyper_rate=1e-2),
             "samt_s": OagdEngine(make_oagd(StepSizeKind.SCALAR, shape, seed=32)),
             "samt_e": OagdEngine(make_oagd(StepSizeKind.ELEMENT, shape, seed=32)),
-            "samt_e_bypass": OagdEngine(make_oagd(StepSizeKind.ELEMENT, shape, seed=32, bypass=True)),
+            "samt_e_bypass": bypassed_engines("samt_e", widths)[0],
         }
         for name, engine in engines.items():
             net_new, engine_new, event = engine.step(net, (0,), main, meta)
@@ -350,8 +353,10 @@ class TestEngineContracts:
             if name == "hd":
                 assert np.array_equal(np.ravel(event.step), [engine_new.rate])
                 assert engine_new.rate > engine.rate
-            if name.startswith("samt"):
+            if isinstance(engine, OagdEngine):
                 assert np.array_equal(np.ravel(event.step), np.ravel(engine_new.state.step.values)), name
+            if name == "samt_e_bypass":
+                assert event.step == 0.1
             # the reported step is the one the update applied, bit for bit
             assert np.array_equal(net_new.layer_weights[0], w - event.step * direction), name
 

@@ -188,13 +188,13 @@ class TestStepSizeType:
         with pytest.raises(ValueError):
             StepSize.initial(StepSizeKind.SCALAR, (1, 1), 1.0)
         with pytest.raises(ValueError):
-            StepSize(StepSizeKind.SCALAR, np.array([[0.0]]), np.array([[0.1]]))
+            StepSize(np.array([[0.0]]), np.array([[0.1]]))
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
-            StepSize(StepSizeKind.SCALAR, np.array([[np.nan]]), np.array([[0.1]]))
+            StepSize(np.array([[np.nan]]), np.array([[0.1]]))
         with pytest.raises(ValueError):
-            StepSize(StepSizeKind.ROW, np.array([[0.1], [0.2]]), np.array([[0.1], [np.nan]]))
+            StepSize(np.array([[0.1], [0.2]]), np.array([[0.1], [np.nan]]))
 
 
 class TestComposeArms:

@@ -6,6 +6,7 @@ import pytest
 from samt.data import CLASSIFICATION, Dataset, meta_subset, sample_minibatch
 from samt.errors import DivergenceError, PlanError
 from samt.etamodel import init_eta_model
+from samt.harness import TrainConfig, build_state
 from samt.model import MSE, NetworkModel, block_loss_and_gradients, init_network
 from samt.numerics import make_rng
 from samt.optim import OagdEngine, OagdState, SgdEngine
@@ -49,14 +50,13 @@ def class_dataset(seed, n, d=6, classes=3):
     )
 
 
-def bypassed_samt_state(net, seed, eta0=0.1):
-    """One scalar bypassed engine per layer (step pinned at eta0)."""
-    engines = []
-    for l in range(net.num_layers):
-        shape = net.layer_weights[l].shape
-        psi = init_eta_model(StepSizeKind.SCALAR, shape, make_rng(1000 + l), hidden=4)
-        step = StepSize.initial(StepSizeKind.SCALAR, shape, eta0)
-        engines.append(OagdEngine(OagdState(step, psi, bypass=True)))
+def bypassed_samt_engines(widths, grouping=None, eta0=0.1):
+    """The engines `build_state` gives a psi_bypass=true samt_s run (step pinned at eta0)."""
+    config = TrainConfig(
+        widths=widths, optimizer="samt_s", eta0=eta0, psi_bypass=True, grouping=grouping
+    )
+    engines = build_state(config, class_dataset(0, n=2, d=widths[0])).engines
+    assert all(type(e) is SgdEngine and e.eta == eta0 for e in engines)
     return engines
 
 
@@ -66,15 +66,10 @@ class TestTrainEpoch:
         # standard mini-batch SGD loop on the whole net, same rng stream.
         ds = class_dataset(0, n=64, d=5, classes=3)
         net = init_network((5, 4, 3), make_rng(1))
-        shape = net.layer_weights[0].shape
-        psi = init_eta_model(StepSizeKind.SCALAR, shape, make_rng(2), hidden=4)
-        engine = OagdEngine(
-            OagdState(StepSize.initial(StepSizeKind.SCALAR, shape, 0.1), psi, bypass=True)
-        )
         state = TrainRunState(
             net=net,
             plan=block_partition(2, grouping=[(0, 1)]),
-            engines=[engine],
+            engines=bypassed_samt_engines((5, 4, 3), grouping=((0, 1),)),
             rng_main=make_rng(77),
             rng_meta=make_rng(78),
             meta_source=meta_subset(ds),
@@ -94,6 +89,7 @@ class TestTrainEpoch:
             for a, b in zip(state.net.layer_weights, reference.layer_weights)
         )
         assert worst <= 1e-12
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(state.net.layer_weights, reference.layer_weights))
 
     def test_fixed_seed_gives_identical_epochs(self):
         def run():
@@ -102,7 +98,7 @@ class TestTrainEpoch:
             state = TrainRunState(
                 net=net,
                 plan=block_partition(2),
-                engines=bypassed_samt_state(net, 5),
+                engines=bypassed_samt_engines((4, 3, 2)),
                 rng_main=make_rng(6),
                 rng_meta=make_rng(7),
                 meta_source=meta_subset(ds),
