@@ -27,7 +27,13 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from samt.harness import OPTIMIZERS, TrainConfig, build_state, load_datasets, validate_config  # noqa: E402
+from samt.harness import (  # noqa: E402
+    OPTIMIZERS,
+    TrainConfig,
+    build_state,
+    load_datasets,
+    validate_config,
+)
 from samt.stepsize import PROJECTION_STYLES  # noqa: E402
 from samt.trainer import evaluate, train_epoch  # noqa: E402
 
@@ -123,7 +129,8 @@ def runs(csv_path: Path):
     for ds, config in data.items():
         for optimizer in OPTIMIZERS:
             for style in PROJECTION_STYLES:
-                yield f"{ds}/{optimizer}/{style}", replace(config, optimizer=optimizer, projection_style=style)
+                run = replace(config, optimizer=optimizer, projection_style=style)
+                yield f"{ds}/{optimizer}/{style}", run
     for name, overrides in VARIANTS.items():
         yield f"synthetic_images/{name}", replace(data["synthetic_images"], **overrides)
 
