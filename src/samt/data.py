@@ -4,7 +4,7 @@ Datasets store features column-per-sample (d x N).  Classification
 targets are an int vector of class indices; regression targets are a
 (k x N) matrix.  Mini-batches are drawn uniformly with replacement from
 a seeded generator, and the step-size model trains on its own subset:
-every second sample of the parent ordering.
+every second sample of the parent ordering, a view that copies nothing.
 """
 
 from __future__ import annotations
@@ -62,22 +62,11 @@ class Dataset:
         return Dataset(features, self.targets, self.kind, stats)
 
 
-@dataclass(frozen=True)
-class MetaSubset:
-    """Index view into a parent dataset: samples 0, 2, 4, ..."""
-
-    dataset: Dataset
-    indices: np.ndarray
-
-    @property
-    def num_samples(self) -> int:
-        return len(self.indices)
-
-
-def meta_subset(dataset: Dataset) -> MetaSubset:
+def meta_subset(dataset: Dataset) -> Dataset:
+    """Samples 0, 2, 4, ... of `dataset`: a view by basic slicing, no copy."""
     if dataset.num_samples == 0:
         raise ValueError("dataset is empty")
-    return MetaSubset(dataset, np.arange(0, dataset.num_samples, 2))
+    return dataset.take(slice(0, None, 2))
 
 
 def _read_be_u32(buf: bytes, offset: int, path: str) -> int:
@@ -245,20 +234,13 @@ def synth_classification(
     return images, labels
 
 
-def sample_minibatch(source, b: int, rng: np.random.Generator):
+def sample_minibatch(dataset: Dataset, b: int, rng: np.random.Generator):
     """Draw b samples uniformly with replacement; deterministic per seed."""
     if b < 1:
         raise ValueError(f"batch size must be >= 1, got {b}")
-    if isinstance(source, MetaSubset):
-        if source.num_samples == 0:
-            raise ValueError("cannot sample from an empty subset")
-        idx = source.indices[rng.integers(0, source.num_samples, size=b)]
-        dataset = source.dataset
-    else:
-        dataset = source
-        if dataset.num_samples == 0:
-            raise ValueError("cannot sample from an empty dataset")
-        idx = rng.integers(0, dataset.num_samples, size=b)
+    if dataset.num_samples == 0:
+        raise ValueError("cannot sample from an empty dataset")
+    idx = rng.integers(0, dataset.num_samples, size=b)
     x = dataset.features[:, idx]
     y = dataset.targets[idx] if dataset.targets.ndim == 1 else dataset.targets[:, idx]
     return x, y

@@ -6,10 +6,11 @@ MLP (5 -> hidden -> hidden -> 2k) that reads the (5, 1) feature column
 of `stepsize.grad_features`.  The first k outputs become the scale
 factor beta, the last k the candidate step; both heads pass through a
 unit-interval projection and are reshaped to the step-size kind's
-shape.  The model is trained by plain gradient descent on the loss a
-candidate weight update achieves on a held-aside mini-batch, its output
-layer's updates deferred and folded in PSI_PENDING at a time.  The
-model carries the step-size kind; a `psi_bypass` run builds none.
+shape.  The model is trained in place (`psi_step`) by plain gradient
+descent on the loss a candidate weight update achieves on a held-aside
+mini-batch, its output layer's updates deferred and folded in
+PSI_PENDING at a time.  The model carries the step-size kind; a
+`psi_bypass` run builds none.
 """
 
 from __future__ import annotations
@@ -56,16 +57,15 @@ class _Pending:
         return self.u[:, self.n : self.n + 1]
 
 
-@dataclass(frozen=True)
+@dataclass
 class EtaModel:
     """Three weight matrices, the output layer's pending updates (see
     `_Pending`) and the head bookkeeping for one block.
 
-    The weight arrays are owned by the one training loop that holds the
-    model and are mutated in place by `psi_step`; `frozen` freezes only
-    the attribute bindings, not the arrays behind them.  A
-    `dataclasses.replace` copy shares the weight arrays but gets its own
-    copy of the pending updates.
+    The weight arrays and pending updates are owned by the one adaptive
+    engine that holds the model and are mutated in place by `psi_step`.
+    A `dataclasses.replace` copy shares the weight arrays but gets its
+    own copy of the pending updates.
     """
 
     w1: Matrix  # hidden x 5
@@ -86,7 +86,7 @@ class EtaModel:
                 f"output layer has {rows} rows, head shape {self.head_shape} needs {2 * self.entry_count}"
             )
         p = self.pending
-        object.__setattr__(self, "pending", _Pending(*(a if a is None else a.copy() for a in (p.u, p.v)), p.n))
+        self.pending = _Pending(*(a if a is None else a.copy() for a in (p.u, p.v)), p.n)
 
     @property
     def entry_count(self) -> int:
@@ -224,7 +224,7 @@ def meta_gradients(
     return MetaStep(psi_grads, beta, eta_hat, step_cand, w_prime, meta_loss)
 
 
-def psi_step(psi: EtaModel, grads) -> EtaModel:
+def psi_step(psi: EtaModel, grads) -> None:
     """One plain gradient-descent step on the model's three matrices.
 
     `grads` holds one factor pair (u, v) per matrix, as in
@@ -232,9 +232,7 @@ def psi_step(psi: EtaModel, grads) -> EtaModel:
     The output layer's pair joins the pending updates as (u, lr * v);
     the PSI_PENDING-th folds them into w3, one matmul per block of whole
     columns (at most PSI_CHUNK_ENTRIES entries, at least one), in any
-    layout.  The weight arrays are owned by the one training loop that
-    holds the model and are mutated in place; the returned object is
-    that same model.
+    layout.  The model's arrays are mutated in place.
     """
     for (u, v), w in zip(grads, psi.weights, strict=True):
         if u.shape != (w.shape[0], 1) or v.shape != (w.shape[1], 1):
@@ -258,4 +256,3 @@ def psi_step(psi: EtaModel, grads) -> EtaModel:
             np.matmul(p.u, p.v[s:e].T, out=chunk)
             w3[:, s:e] -= chunk
         p.n = 0
-    return psi

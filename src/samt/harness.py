@@ -9,6 +9,7 @@ writes one CSV row per epoch and split with the exact header
 
 from __future__ import annotations
 
+import math
 import time
 import typing
 from dataclasses import dataclass, replace
@@ -238,17 +239,15 @@ def validate_config(config: TrainConfig) -> None:
         raise ConfigError(f"meta_lag must be 0 or 1, got {config.meta_lag}")
     if config.epochs < 1:
         raise ConfigError(f"epochs must be >= 1, got {config.epochs}")
-    # written as `not x >= 0` so that NaN fails too
+    # written as `not lo <= x < inf` so that NaN fails too
     for key in ("meta_learning_rate", "hd_hyper_rate", "synth_noise_sd", "img_noise_sd"):
-        if not getattr(config, key) >= 0.0:
-            raise ConfigError(f"{key} must be >= 0, got {getattr(config, key)}")
-    if not config.adam_rate > 0.0:
-        raise ConfigError(f"adam_rate must be > 0, got {config.adam_rate}")
-    if config.psi_hidden < 1:
-        raise ConfigError(f"psi_hidden must be >= 1, got {config.psi_hidden}")
-    for key in ("n_train", "n_test"):
-        value = getattr(config, key)
-        if value is not None and value < 1:
+        if not 0.0 <= getattr(config, key) < math.inf:
+            raise ConfigError(f"{key} must be finite and >= 0, got {getattr(config, key)}")
+    for key in ("adam_rate", "sgd_rate"):  # sgd_rate may be None: it defaults to eta0
+        if (value := getattr(config, key)) is not None and not 0.0 < value < math.inf:
+            raise ConfigError(f"{key} must be finite and > 0, got {value}")
+    for key in ("psi_hidden", "synth_d", "img_side", "img_classes", "n_train", "n_test"):
+        if (value := getattr(config, key)) is not None and value < 1:
             raise ConfigError(f"{key} must be >= 1, got {value}")
     if not 0.0 < config.csv_test_fraction < 1.0:
         raise ConfigError(f"csv_test_fraction must be in (0,1), got {config.csv_test_fraction}")

@@ -1,22 +1,23 @@
 """Per-block update engines.
 
-Every engine takes `step(net, block, main_batch, meta_batch)` and
-returns the new network, the engine for the next step and the step's
-`StepEvent`; the trainer alone checks and traces events.  The baselines
-(plain SGD, Adam and a hypergradient rate adapter) are immutable: a step
-builds a new engine.  The adaptive engine carries a trainable step size
-and its step model psi, which it owns and mutates: `psi_step` updates
-psi's weight arrays in place.  The engine raises `FloatingPointError`
-when psi's input, raw heads or meta loss are not finite, before psi's
-weights are touched.  A `psi_bypass` run has no adaptive engine: with
-psi unconsulted and beta pinned to 1, each arm it may run steps at
-eta0, so `harness.build_state` gives it `SgdEngine(eta0)`.
+`harness.build_state` builds each block's engine once.  `step(net,
+block, main_batch, meta_batch)` returns the new network and the step's
+`StepEvent`; the trainer alone checks and traces events.  Engines keep
+their state by rebinding fields to each step's new arrays, never by
+writing into old ones, which events and `AdamEngine.fresh`'s shared
+zeros may hold.  SGD has no state.  The adaptive engine rebinds its step
+size's values, and `psi_step` updates psi in place; it raises
+`FloatingPointError` when psi's input, raw heads or meta loss are not
+finite, and `ValueError` when the composed step leaves (0,1), both
+before psi is touched.  A `psi_bypass` run has no adaptive engine: with
+psi unconsulted and beta pinned to 1, each arm it may run steps at eta0,
+so `build_state` gives it `SgdEngine(eta0)`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .stepsize import (
     StepSize,
     StepSizeKind,
     candidate_weights,
+    check_open_unit,
     compose_step,  # not called here; perfbench's tracer patches optim.compose_step
     grad_features,
 )
@@ -54,7 +56,7 @@ class StepEvent:
     meta_batch: tuple | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class OagdState:
     """Joint state of one adaptive block: its step size and the step
     model psi, which records the step-size kind."""
@@ -84,10 +86,10 @@ class SgdEngine:
     def step(self, net, block, main_batch, meta_batch=None):
         loss, grads = block_loss_and_gradients(net, main_batch, block)
         updates = {l: net.layer_weights[l] - self.eta * grads[l] for l in block}
-        return net.with_layers(updates), self, StepEvent(loss, self.eta)
+        return net.with_layers(updates), StepEvent(loss, self.eta)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AdamEngine:
     """Bias-corrected Adam; the moments align with the block's layer order."""
 
@@ -108,7 +110,7 @@ class AdamEngine:
 
     def step(self, net, block, main_batch, meta_batch=None):
         loss, grads = block_loss_and_gradients(net, main_batch, block)
-        t = self.t + 1
+        self.t = t = self.t + 1
         b1, b2 = self.beta1, self.beta2
         updates, ms, vs = {}, [], []
         for l, m, v in zip(block, self.m, self.v):
@@ -120,11 +122,11 @@ class AdamEngine:
             updates[l] = net.layer_weights[l] - self.rate * m_hat / (np.sqrt(v_hat) + self.eps)
             ms.append(m)
             vs.append(v)
-        new = replace(self, m=tuple(ms), v=tuple(vs), t=t)
-        return net.with_layers(updates), new, StepEvent(loss, self.rate)
+        self.m, self.v = tuple(ms), tuple(vs)
+        return net.with_layers(updates), StepEvent(loss, self.rate)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class HdEngine:
     """One rate per block, adapted by the inner product of consecutive gradients."""
 
@@ -146,13 +148,13 @@ class HdEngine:
     def step(self, net, block, main_batch, meta_batch=None):
         loss, grads = block_loss_and_gradients(net, main_batch, block)
         inner = sum(float(np.vdot(grads[l], gp)) for l, gp in zip(block, self.g_prev))
-        rate = max(self.rate_floor, self.rate + self.hyper_rate * inner)
+        self.rate = rate = max(self.rate_floor, self.rate + self.hyper_rate * inner)
         updates = {l: net.layer_weights[l] - rate * grads[l] for l in block}
-        new = replace(self, g_prev=tuple(grads[l] for l in block), rate=rate)
-        return net.with_layers(updates), new, StepEvent(loss, rate)
+        self.g_prev = tuple(grads[l] for l in block)
+        return net.with_layers(updates), StepEvent(loss, rate)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class OagdEngine:
     """Adaptive engine: one trainable step size and its step model psi."""
 
@@ -175,11 +177,12 @@ class OagdEngine:
         )
         if not math.isfinite(meta.meta_loss):
             raise FloatingPointError(f"meta loss is {meta.meta_loss}")
+        check_open_unit("step values", meta.step_candidate)
         psi_step(state.psi, meta.psi_grads)
         if state.meta_lag == 0:
             updates = meta.w_prime
         else:
             updates = candidate_weights(block, w_list, g_list, state.step.values)
-        new = OagdEngine(replace(state, step=state.step.with_values(meta.step_candidate)))
+        state.step.values = meta.step_candidate
         event = StepEvent(loss, meta.step_candidate, meta.meta_loss, meta.beta, meta.eta_hat)
-        return net.with_layers(updates), new, event
+        return net.with_layers(updates), event

@@ -6,13 +6,14 @@ shipped: one value for the whole layer (scalar), one per entry
 (element), one per output row (row) and one per input column (column).
 The step-size model reads a gradient as a (5, 1) column of summary
 statistics, and its two heads are composed into a step per ablation
-arm; the candidate update w - step * g lives here too.
+arm; the candidate update w - step * g lives here too.  The adaptive
+engine rebinds `StepSize.values` to each step `check_open_unit` passes.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +45,13 @@ class StepSizeKind(enum.Enum):
         }[self]
 
 
-@dataclass(frozen=True)
+def check_open_unit(name: str, v: Matrix) -> None:
+    """Raise ValueError unless every entry of `v` lies strictly in (0,1); NaN fails."""
+    if not ((v > 0.0) & (v < 1.0)).all():
+        raise ValueError(f"{name} must lie strictly in (0,1)")
+
+
+@dataclass(slots=True)
 class StepSize:
     """Current and initial step values for one block, shaped per kind."""
 
@@ -57,8 +64,7 @@ class StepSize:
                 f"values {self.values.shape} and init_values {self.init_values.shape} differ"
             )
         for name, v in (("values", self.values), ("init_values", self.init_values)):
-            if not ((v > 0.0) & (v < 1.0)).all():
-                raise ValueError(f"step {name} must lie strictly in (0,1)")
+            check_open_unit(f"step {name}", v)
 
     @staticmethod
     def initial(kind: StepSizeKind, layer_shape: tuple[int, int], eta0: float) -> "StepSize":
@@ -66,9 +72,6 @@ class StepSize:
             raise ValueError(f"initial step must be in (0,1), got {eta0}")
         v = np.full(kind.shape_for(layer_shape), eta0)
         return StepSize(values=v, init_values=v.copy())
-
-    def with_values(self, values: Matrix) -> "StepSize":
-        return replace(self, values=values)
 
 
 def grad_features(g: Matrix) -> Matrix:

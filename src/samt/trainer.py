@@ -4,8 +4,10 @@ Each outer iteration sweeps the blocks in ascending order and runs K
 inner engine steps per block, drawing a fresh main mini-batch (and, for
 adaptive engines, a fresh held-aside mini-batch) for every inner step.
 Later blocks see earlier blocks' already-updated weights within the
-same sweep.  `train_epoch` alone reads the engines' `StepEvent`s: it
-checks each loss, traces and summarises the step sizes.
+same sweep.  The run's engines are built once and update their own
+state in place; each step rebinds the run's network.  `train_epoch`
+alone reads the engines' `StepEvent`s: it checks each loss, traces and
+summarises the step sizes.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CLASSIFICATION, Dataset, MetaSubset, sample_minibatch
+from .data import CLASSIFICATION, Dataset, sample_minibatch
 from .errors import DivergenceError, PlanError
 from .model import NetworkModel, forward, mse_loss, softmax_ce_loss
 
@@ -72,7 +74,7 @@ class TrainRunState:
     engines: list  # one per block, aligned with plan.blocks
     rng_main: np.random.Generator
     rng_meta: np.random.Generator
-    meta_source: MetaSubset | None = None
+    meta_source: Dataset | None = None  # the `data.meta_subset` view
     epoch: int = 0
 
     def __post_init__(self):
@@ -112,7 +114,7 @@ def train_epoch(state: TrainRunState, dataset: Dataset, batch_size: int, trace=N
                         raise ValueError("adaptive engine needs a meta_source subset")
                     meta_batch = sample_minibatch(state.meta_source, batch_size, state.rng_meta)
                 try:
-                    state.net, engine, event = engine.step(state.net, block, main_batch, meta_batch)
+                    state.net, event = engine.step(state.net, block, main_batch, meta_batch)
                     last[bi] = event
                     if not math.isfinite(event.loss):
                         raise FloatingPointError(f"loss is {event.loss}")
@@ -128,7 +130,6 @@ def train_epoch(state: TrainRunState, dataset: Dataset, batch_size: int, trace=N
                 else:  # only `last` holds it: free the heads before the block's next step
                     event.beta = event.eta_hat = None
                 losses.append(event.loss)
-            state.engines[bi] = engine
     state.epoch += 1
     eta = np.concatenate([np.ravel(e.step) for e in last])
     stats = {

@@ -110,8 +110,7 @@ def fingerprint(config: TrainConfig) -> tuple[str, str, str]:
             trajectory.add(w)
         for engine in state.engines:
             adaptive = getattr(engine, "state", None)
-            # a bypassed adaptive engine, where one exists, never consults its psi
-            if adaptive is None or getattr(adaptive, "bypass", False):
+            if adaptive is None:
                 continue
             for w in adaptive.psi.weights:
                 trajectory.add(w)

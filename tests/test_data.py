@@ -5,6 +5,7 @@ import pytest
 from scipy import stats as scipy_stats
 
 from samt.data import (
+    CLASSIFICATION,
     Dataset,
     load_csv,
     load_idx,
@@ -175,20 +176,26 @@ class TestSampleMinibatch:
 
 class TestMetaSubset:
     def test_stride_two_indices(self):
-        ds, _ = synth_regression(6, n=5, d=2, noise_sd=0.0)
-        assert list(meta_subset(ds).indices) == [0, 2, 4]
+        ds = Dataset(np.arange(10.0).reshape(2, 5), np.arange(5), CLASSIFICATION)
+        sub = meta_subset(ds)
+        assert sub.features.tolist() == [[0.0, 2.0, 4.0], [5.0, 7.0, 9.0]]
+        assert sub.targets.tolist() == [0, 2, 4]
+        assert np.shares_memory(sub.features, ds.features) and np.shares_memory(sub.targets, ds.targets)
 
     def test_singleton(self):
         ds, _ = synth_regression(7, n=1, d=2, noise_sd=0.0)
-        assert list(meta_subset(ds).indices) == [0]
+        sub = meta_subset(ds)
+        assert sub.num_samples == 1 and np.array_equal(sub.features, ds.features)
+        assert np.shares_memory(sub.features, ds.features)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 10, 11])
     def test_size_is_ceil_half(self, n):
         ds, _ = synth_regression(8, n=n, d=2, noise_sd=0.0)
         sub = meta_subset(ds)
         assert sub.num_samples == (n + 1) // 2
-        assert all(np.diff(sub.indices) > 0)
-        assert set(sub.indices) <= set(range(n))
+        assert np.array_equal(sub.features, ds.features[:, ::2])
+        assert np.array_equal(sub.targets, ds.targets[:, ::2])
+        assert np.shares_memory(sub.features, ds.features) and np.shares_memory(sub.targets, ds.targets)
 
     def test_sampling_from_subset_uses_even_rows(self):
         ds, _ = synth_regression(9, n=10, d=2, noise_sd=0.0)
@@ -197,6 +204,13 @@ class TestMetaSubset:
         even_columns = ds.features[:, ::2]
         for col in x.T:
             assert any(np.array_equal(col, c) for c in even_columns.T)
+
+    def test_draws_are_the_parents_even_samples(self):
+        # the same generator call as an index into the parent, 2 * i, gives the same batch
+        ds, _ = synth_regression(11, n=11, d=3, noise_sd=0.1)
+        x, y = sample_minibatch(meta_subset(ds), 32, make_rng(12))
+        i = 2 * make_rng(12).integers(0, 6, size=32)
+        assert x.tobytes() == ds.features[:, i].tobytes() and y.tobytes() == ds.targets[:, i].tobytes()
 
 
 def test_synth_classification_shapes_and_determinism():

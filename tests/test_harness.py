@@ -355,6 +355,17 @@ class TestCli:
             (["optimizer=sgd", "synth_noise_sd=-1"], "synth_noise_sd"),
             (["optimizer=sgd", "img_noise_sd=nan"], "img_noise_sd"),
             (["optimizer=sgd", "widths=10,0,1"], "widths"),
+            (["optimizer=sgd", "sgd_rate=nan"], "sgd_rate"),
+            (["optimizer=sgd", "sgd_rate=-1"], "sgd_rate"),
+            (["optimizer=sgd", "sgd_rate=inf"], "sgd_rate"),
+            (["optimizer=adam", "adam_rate=inf"], "adam_rate"),
+            (["optimizer=hd", "hd_hyper_rate=inf"], "hd_hyper_rate"),
+            (["optimizer=samt_s", "meta_learning_rate=inf"], "meta_learning_rate"),
+            (["optimizer=sgd", "synth_noise_sd=inf"], "synth_noise_sd"),
+            (["optimizer=sgd", "img_noise_sd=inf"], "img_noise_sd"),
+            (["optimizer=sgd", "synth_d=0"], "synth_d"),
+            (["optimizer=sgd", "dataset=synthetic_images", "widths=784,10", "img_side=0"], "img_side"),
+            (["optimizer=sgd", "dataset=synthetic_images", "widths=784,10", "img_classes=0"], "img_classes"),
         ],
     )
     def test_bad_rate_or_width_exits_one_naming_the_key(self, args, key, tmp_path, capsys):

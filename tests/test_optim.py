@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from samt import optim
 from samt.data import CLASSIFICATION, Dataset
 from samt.etamodel import init_eta_model
-from samt.harness import TrainConfig, build_state
+from samt.harness import OPTIMIZERS, TrainConfig, build_state
 from samt.model import MSE, NetworkModel, batch_loss, block_loss_and_gradients, init_network
 from samt.numerics import make_rng
 from samt.optim import AdamEngine, HdEngine, OagdEngine, OagdState, SgdEngine, StepEvent
 from samt.stepsize import StepSize, StepSizeKind
+from samt.trainer import train_epoch
 
 
 def scalar_net(w):
@@ -26,13 +28,13 @@ class TestSgdStep:
     def test_zero_gradient_fixed_point(self):
         net = scalar_net([[1.0, 2.0]])
         batch = (np.zeros((2, 1)), np.zeros((1, 1)))
-        net_new, _, _ = SgdEngine(0.5).step(net, (0,), batch)
+        net_new, _ = SgdEngine(0.5).step(net, (0,), batch)
         assert np.array_equal(net_new.layer_weights[0], net.layer_weights[0])
 
     def test_hand_value(self):
         # w=1, x=1, y=0: gradient 2, so 1 - 0.1 * 2
         batch = (np.array([[1.0]]), np.array([[0.0]]))
-        net_new, _, _ = SgdEngine(0.1).step(scalar_net([[1.0]]), (0,), batch)
+        net_new, _ = SgdEngine(0.1).step(scalar_net([[1.0]]), (0,), batch)
         assert net_new.layer_weights[0][0, 0] == pytest.approx(0.8)
 
     def test_step_is_linear_in_rate(self):
@@ -56,16 +58,16 @@ class TestAdamStep:
         rate = 0.25
         engine = AdamEngine.fresh(scalar_net([[0.0]]), (0,), rate)
         batch = (np.array([[1.0]]), np.array([[-0.5]]))
-        net_new, engine_new, _ = engine.step(scalar_net([[0.0]]), (0,), batch)
+        net_new, _ = engine.step(scalar_net([[0.0]]), (0,), batch)
         assert net_new.layer_weights[0][0, 0] == pytest.approx(-rate / (1 + engine.eps), rel=1e-12)
-        assert engine_new.t == 1
+        assert engine.t == 1
 
     def test_zero_gradients_never_move(self):
         net = scalar_net([[3.0, -1.0]])
         engine = AdamEngine.fresh(net, (0,), 1e-3)
         batch = (np.zeros((2, 1)), np.zeros((1, 1)))
         for _ in range(10):
-            net, engine, _ = engine.step(net, (0,), batch)
+            net, _ = engine.step(net, (0,), batch)
         assert np.array_equal(net.layer_weights[0], [[3.0, -1.0]])
 
     def test_update_opposes_constant_gradient(self):
@@ -76,7 +78,7 @@ class TestAdamStep:
         engine = AdamEngine.fresh(net, (0,), 1e-3)
         for _ in range(5):
             g = grad_of(net, batch)
-            net_new, engine, _ = engine.step(net, (0,), batch)
+            net_new, _ = engine.step(net, (0,), batch)
             moved = net_new.layer_weights[0] - net.layer_weights[0]
             big = np.abs(g) > 0.1
             assert big.any()
@@ -93,8 +95,8 @@ class TestHdStep:
         for seed in range(5):
             r = make_rng(seed)
             batch = (r.standard_normal((2, 3)), r.standard_normal((2, 3)))
-            net_hd, hd, _ = hd.step(net_hd, (0,), batch)
-            net_sgd, sgd, _ = sgd.step(net_sgd, (0,), batch)
+            net_hd, _ = hd.step(net_hd, (0,), batch)
+            net_sgd, _ = sgd.step(net_sgd, (0,), batch)
         assert np.allclose(net_hd.layer_weights[0], net_sgd.layer_weights[0], atol=1e-15)
         assert hd.rate == 0.1
 
@@ -103,21 +105,22 @@ class TestHdStep:
         net = scalar_net([[0.0]])
         engine = HdEngine.fresh(net, (0,), rate=0.1, hyper_rate=1e-2)
         batch = (np.array([[1.0]]), np.array([[-1.0]]))
-        net, engine, _ = engine.step(net, (0,), batch)
-        _, engine2, _ = engine.step(net, (0,), batch)
-        assert engine2.rate > engine.rate
+        net, _ = engine.step(net, (0,), batch)
+        first = engine.rate
+        engine.step(net, (0,), batch)
+        assert engine.rate > first
 
     def test_first_step_keeps_rate(self):
         net = scalar_net([[0.0]])
         engine = HdEngine.fresh(net, (0,), rate=0.07)
-        _, engine_new, _ = engine.step(net, (0,), (np.array([[1.0]]), np.array([[-2.5]])))
-        assert engine_new.rate == 0.07
+        engine.step(net, (0,), (np.array([[1.0]]), np.array([[-2.5]])))
+        assert engine.rate == 0.07
 
     def test_rate_floor(self):
         # previous gradient 1e6, current gradient -1 (w=0, x=1, y=0.5)
         engine = HdEngine(g_prev=(np.array([[1e6]]),), rate=1e-8, hyper_rate=1.0)
-        _, engine_new, _ = engine.step(scalar_net([[0.0]]), (0,), (np.array([[1.0]]), np.array([[0.5]])))
-        assert engine_new.rate == engine.rate_floor
+        engine.step(scalar_net([[0.0]]), (0,), (np.array([[1.0]]), np.array([[0.5]])))
+        assert engine.rate == engine.rate_floor
 
 
 def make_oagd(kind, layer_shape, seed=0, eta0=0.1, **kwargs):
@@ -134,9 +137,8 @@ def bypassed_engines(optimizer, widths, eta0=0.1):
 
 
 def oagd_step(state, net, block, main_batch, meta_batch):
-    """One OagdEngine step, returning (net, state, event)."""
-    net_new, engine, event = OagdEngine(state).step(net, block, main_batch, meta_batch)
-    return net_new, engine.state, event
+    """One OagdEngine step, which updates `state` in place; returns (net, event)."""
+    return OagdEngine(state).step(net, block, main_batch, meta_batch)
 
 
 def classification_batches(widths, count, seed):
@@ -161,7 +163,7 @@ class TestOagdScalar:
         for _ in range(200):
             for bi, block in enumerate(((0,), (1,))):
                 batch = next(it)
-                net_a, engines[bi], _ = engines[bi].step(net_a, block, batch, batch)
+                net_a, _ = engines[bi].step(net_a, block, batch, batch)
                 updates = {
                     l: net_b.layer_weights[l] - 0.1 * g
                     for l, g in block_loss_and_gradients(net_b, batch, block)[1].items()
@@ -177,10 +179,11 @@ class TestOagdScalar:
         net = NetworkModel((np.array([[1.5]]),), loss_kind=MSE)
         state = make_oagd(StepSizeKind.SCALAR, (1, 1), seed=5)
         batch = (np.array([[0.0]]), np.array([[0.0]]))
-        net_new, state_new, event = oagd_step(state, net, (0,), batch, batch)
+        before = state.step.values
+        net_new, event = oagd_step(state, net, (0,), batch, batch)
         assert event.loss == 0.0
         assert np.array_equal(net_new.layer_weights[0], net.layer_weights[0])
-        assert not np.array_equal(state_new.step.values, state.step.values)
+        assert not np.array_equal(state.step.values, before)
 
     def test_hand_computed_full_chain_on_1x1_net(self):
         # independent pure-python oracle for every quantity in one step
@@ -232,18 +235,18 @@ class TestOagdScalar:
         du1 = [dh1[i] * dlrelu(u1[i]) for i in range(len(u1))]
         dw1 = [[du1[i] * feats[j] for j in range(5)] for i in range(len(du1))]
 
-        net_new, state_new, event = oagd_step(
+        net_new, event = oagd_step(
             state, net, (0,), (np.array([[x]]), np.array([[y]])), (np.array([[mx]]), np.array([[my]]))
         )
         assert event.loss == pytest.approx(loss, rel=1e-12)
-        assert state_new.step.values[0, 0] == pytest.approx(eta_cand, rel=1e-12)
+        assert state.step.values[0, 0] == pytest.approx(eta_cand, rel=1e-12)
         assert net_new.layer_weights[0][0, 0] == pytest.approx(w_prime, rel=1e-12)
         # the output layer's update is pending: compare its effective matrix
-        pending = state_new.psi.pending
-        w3_new = state_new.psi.w3 - pending.u[:, : pending.n] @ pending.v[:, : pending.n].T
+        pending = state.psi.pending
+        w3_new = state.psi.w3 - pending.u[:, : pending.n] @ pending.v[:, : pending.n].T
         assert np.allclose(w3_new, w3 - meta_lr * np.array(dw3), atol=1e-15)
-        assert np.allclose(state_new.psi.w2, w2 - meta_lr * np.array(dw2), atol=1e-15)
-        assert np.allclose(state_new.psi.w1, w1 - meta_lr * np.array(dw1), atol=1e-15)
+        assert np.allclose(state.psi.w2, w2 - meta_lr * np.array(dw2), atol=1e-15)
+        assert np.allclose(state.psi.w1, w1 - meta_lr * np.array(dw1), atol=1e-15)
 
 
 class TestOagdNonScalar:
@@ -252,8 +255,8 @@ class TestOagdNonScalar:
         net = init_network(widths, make_rng(7))
         (elem,), (scal,) = bypassed_engines("samt_e", widths), bypassed_engines("samt_s", widths)
         batch = classification_batches(widths, 1, seed=8)[0]
-        net_e, _, _ = elem.step(net, (0,), batch, batch)
-        net_s, _, _ = scal.step(net, (0,), batch, batch)
+        net_e, _ = elem.step(net, (0,), batch, batch)
+        net_s, _ = scal.step(net, (0,), batch, batch)
         assert np.array_equal(net_e.layer_weights[0], net_s.layer_weights[0])
 
     def test_element_bypass_keeps_step_and_psi_for_200_steps(self):
@@ -266,9 +269,8 @@ class TestOagdNonScalar:
         assert not hasattr(engine, "state")
         events = []
         for main, meta in zip(*[iter(classification_batches(widths, 400, seed=15))] * 2):
-            net, engine_new, event = engine.step(net, (1,), main, meta)
+            net, event = engine.step(net, (1,), main, meta)
             events.append(event)
-            assert engine_new is engine
             assert np.full(shape, event.step).tobytes() == eta0.tobytes()
         assert len(events) == 200
         assert all(e.beta is None and e.eta_hat is None and e.meta_loss is None for e in events)
@@ -282,7 +284,7 @@ class TestOagdNonScalar:
         y = np.array([[0.2, 0.1], [0.0, -1.0]])
         g = block_loss_and_gradients(net, (x, y), (0,))[1][0]
         expected = net.layer_weights[0] - expand(state.step.values, (2, 2)) * g
-        net_new, _, _ = oagd_step(state, net, (0,), (x, y), (x, y))
+        net_new, _ = oagd_step(state, net, (0,), (x, y), (x, y))
         assert np.allclose(net_new.layer_weights[0], expected, atol=1e-15)
 
     def test_rejects_grouped_blocks(self):
@@ -299,7 +301,7 @@ class TestOagdNonScalar:
         for _ in range(1000):
             x = rng.standard_normal((3, 4))
             y = rng.integers(0, 2, 4)
-            net, state, _ = oagd_step(state, net, (0,), (x, y), (x, y))
+            net, _ = oagd_step(state, net, (0,), (x, y), (x, y))
             v = state.step.values
             assert (v > 0.0).all() and (v < 1.0).all()
 
@@ -315,7 +317,7 @@ class TestEngineContracts:
             ]
             for batch in classification_batches(widths, 50, seed=24):
                 for bi, block in enumerate(((0,), (1,))):
-                    net, states[bi], _ = oagd_step(states[bi], net, block, batch, batch)
+                    net, _ = oagd_step(states[bi], net, block, batch, batch)
             return net
 
         a, b = run(), run()
@@ -323,7 +325,7 @@ class TestEngineContracts:
             assert np.array_equal(wa, wb)
 
     def test_reported_loss_is_pre_update_loss(self):
-        # one protocol for every engine: (network, same engine class, StepEvent)
+        # one protocol for every engine: (network, StepEvent)
         widths = (4, 3)
         net = init_network(widths, make_rng(31))
         shape = net.layer_weights[0].shape
@@ -339,22 +341,23 @@ class TestEngineContracts:
             "samt_e_bypass": bypassed_engines("samt_e", widths)[0],
         }
         for name, engine in engines.items():
-            net_new, engine_new, event = engine.step(net, (0,), main, meta)
-            assert isinstance(net_new, NetworkModel) and type(engine_new) is type(engine), name
+            rate = getattr(engine, "rate", None)
+            net_new, event = engine.step(net, (0,), main, meta)
+            assert isinstance(net_new, NetworkModel), name
             assert isinstance(event, StepEvent), name
             assert event.loss == pytest.approx(batch_loss(net, main), rel=1e-12), name
             if name == "adam":
-                m_hat = engine_new.m[0] / (1 - engine.beta1)
-                v_hat = engine_new.v[0] / (1 - engine.beta2)
+                m_hat = engine.m[0] / (1 - engine.beta1)
+                v_hat = engine.v[0] / (1 - engine.beta2)
                 direction = m_hat / (np.sqrt(v_hat) + engine.eps)
                 assert np.array_equal(np.ravel(event.step), [0.01])
             else:
                 direction = g
             if name == "hd":
-                assert np.array_equal(np.ravel(event.step), [engine_new.rate])
-                assert engine_new.rate > engine.rate
+                assert np.array_equal(np.ravel(event.step), [engine.rate])
+                assert engine.rate > rate
             if isinstance(engine, OagdEngine):
-                assert np.array_equal(np.ravel(event.step), np.ravel(engine_new.state.step.values)), name
+                assert np.array_equal(np.ravel(event.step), np.ravel(engine.state.step.values)), name
             if name == "samt_e_bypass":
                 assert event.step == 0.1
             # the reported step is the one the update applied, bit for bit
@@ -367,7 +370,49 @@ class TestEngineContracts:
         rng = make_rng(43)
         x, y = rng.standard_normal((3, 2)), rng.standard_normal((2, 2))
         g = block_loss_and_gradients(net, (x, y), (0,))[1][0]
-        net_new, state_new, _ = oagd_step(state, net, (0,), (x, y), (x, y))
+        net_new, _ = oagd_step(state, net, (0,), (x, y), (x, y))
         # the committed update used the stored 0.1, not the fresh candidate
         assert np.allclose(net_new.layer_weights[0], net.layer_weights[0] - 0.1 * g, atol=1e-15)
-        assert state_new.step.values[0, 0] != pytest.approx(0.1)
+        assert state.step.values[0, 0] != pytest.approx(0.1)
+
+
+class TestEnginesUpdateInPlace:
+    @pytest.mark.parametrize("optimizer", OPTIMIZERS)
+    def test_engines_from_build_state_carry_their_state_through_training(self, optimizer):
+        rng = make_rng(50)
+        ds = Dataset(rng.standard_normal((6, 40)), rng.integers(0, 3, 40), CLASSIFICATION)
+        state = build_state(TrainConfig(widths=(6, 4, 3), optimizer=optimizer, psi_hidden=4), ds)
+        built = list(state.engines)
+        events = {block: [] for block in state.plan.blocks}
+        for _ in range(2):
+            state, _ = train_epoch(state, ds, batch_size=10, trace=lambda e: events[e.block].append(e))
+        for engine, block, kept in zip(built, state.plan.blocks, state.engines, strict=True):
+            assert kept is engine
+            last = events[block][-1]
+            assert len(events[block]) == 8  # 4 iterations per epoch, 2 epochs
+            if isinstance(engine, AdamEngine):
+                assert engine.t == 8
+            if isinstance(engine, HdEngine):
+                assert engine.rate == last.step
+            if isinstance(engine, OagdEngine):
+                assert engine.state.step.values is last.step
+
+    @pytest.mark.parametrize("bad", [1.0, float("nan")])
+    def test_composed_step_outside_open_interval_raises(self, monkeypatch, bad):
+        real = optim.meta_gradients
+
+        def leaving(*args, **kwargs):
+            meta = real(*args, **kwargs)
+            meta.step_candidate = np.full_like(meta.step_candidate, bad)
+            return meta
+
+        monkeypatch.setattr(optim, "meta_gradients", leaving)
+        net = init_network((4, 3), make_rng(60))
+        state = make_oagd(StepSizeKind.ELEMENT, net.layer_weights[0].shape, seed=61)
+        values, weights = state.step.values, [w.copy() for w in state.psi.weights]
+        main, meta = classification_batches((4, 3), 2, seed=62)
+        with pytest.raises(ValueError, match=r"step values must lie strictly in \(0,1\)"):
+            oagd_step(state, net, (0,), main, meta)
+        # the step is checked before psi or the step size is touched
+        assert state.step.values is values and state.psi.pending.n == 0
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(state.psi.weights, weights))

@@ -178,10 +178,10 @@ class TestTrainEpoch:
 
             def step(self, net, block, main_batch, meta_batch=None):
                 NanAtStep.calls += 1
-                net, engine, event = super().step(net, block, main_batch, meta_batch)
+                net, event = super().step(net, block, main_batch, meta_batch)
                 if NanAtStep.calls == 6:
                     event.loss = float("nan")
-                return net, engine, event
+                return net, event
 
         ds = class_dataset(24, n=20, d=4, classes=2)
         state = TrainRunState(
@@ -272,9 +272,9 @@ class TestTrainEpoch:
 
         class Recording(OagdEngine):
             def step(self, *args):
-                net, engine, event = super().step(*args)
+                net, event = super().step(*args)
                 returned.append(event)
-                return net, Recording(engine.state), event
+                return net, event
 
         step = StepSize.initial(StepSizeKind.ELEMENT, shape, 0.1)
         state = TrainRunState(
