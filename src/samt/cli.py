@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import ConfigError, DataFormatError, DivergenceError, PlanError
+from .errors import DivergenceError
 from .harness import parse_config, run_experiment, run_gradcheck, run_matrix, run_theory_suite
 
 
@@ -60,7 +60,7 @@ def main(argv=None) -> int:
             return run_theory_suite(args.suite, args.out_dir, args.seed, args.inject_bug)
         if args.command == "gradcheck":
             return run_gradcheck(args.seed)
-    except (ConfigError, DataFormatError, PlanError, OSError, ValueError) as e:
+    except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except DivergenceError as e:

@@ -58,6 +58,7 @@ VARIANTS = {
     "samt_c/right_only": dict(optimizer="samt_c", ablation="right_only"),
     "samt_s/baseline,inner_steps=2": dict(optimizer="samt_s", ablation="baseline", inner_steps=2),
     "samt_s/grouped": dict(optimizer="samt_s", grouping=((0, 1), (2,))),
+    "samt_s/grouped,meta_lag=1": dict(optimizer="samt_s", grouping=((0, 1), (2,)), meta_lag=1),
 }
 
 
