@@ -6,11 +6,13 @@ MLP (5 -> hidden -> hidden -> 2k) that reads the (5, 1) feature column
 of `stepsize.grad_features`.  The first k outputs become the scale
 factor beta, the last k the candidate step; both heads pass through a
 unit-interval projection and are reshaped to the step-size kind's
-shape.  The model is trained in place (`psi_step`) by plain gradient
-descent on the loss a candidate weight update achieves on a held-aside
-mini-batch, its output layer's updates deferred and folded in
-PSI_PENDING at a time.  The model carries the step-size kind; a
-`psi_bypass` run builds none.
+shape.  `meta_gradients` composes the heads into a step
+(`stepsize.compose_step`) and takes the candidate weights from
+`stepsize.candidate_weights` and the block's gradient dict.  The model
+is trained in place (`psi_step`) by plain gradient descent on the loss
+those weights achieve on a held-aside mini-batch, its output layer's
+updates deferred and folded in PSI_PENDING at a time.  The model
+carries the step-size kind; a `psi_bypass` run builds none.
 """
 
 from __future__ import annotations
@@ -123,7 +125,6 @@ def init_eta_model(
 
 @dataclass
 class _PsiCache:
-    d_col: Matrix
     h1: Matrix  # hidden layer outputs; the backward pass masks on them
     h2: Matrix
     core: Matrix  # squash(u3): the (2k, 1) raw heads through tanh or sigmoid
@@ -147,7 +148,7 @@ def psi_forward(psi: EtaModel, d_col: Matrix) -> tuple[Matrix, Matrix, _PsiCache
     core = squash(u3, style)
     beta = project_unit(u3[:k], style, core[:k]).reshape(psi.head_shape)
     eta_hat = project_unit(u3[k:], style, core[k:]).reshape(psi.head_shape)
-    cache = _PsiCache(d_col, h1, h2, core)
+    cache = _PsiCache(h1, h2, core)
     return beta, eta_hat, cache
 
 
@@ -174,8 +175,7 @@ def meta_gradients(
     psi: EtaModel,
     d_col: Matrix,
     block,
-    weights,
-    grads,
+    grads: dict[int, Matrix],
     eta0: Matrix,
     meta_batch,
     net: NetworkModel,
@@ -190,20 +190,20 @@ def meta_gradients(
 
     Args:
         d_col: the (5, 1) feature column of the block's gradient.
-        block: layer indices the step size serves (weights/grads align).
-        weights, grads: per-layer current weights and main-batch gradients.
+        block: layer indices the step size serves.
+        grads: each block layer's main-batch gradient, keyed by layer.
         eta0: initial step values, shaped like the step size.
     """
     block = tuple(block)
     beta, eta_hat, cache = psi_forward(psi, d_col)
     step_cand, dstep_dbeta, dstep_deta = compose_step(arm, beta, eta0, eta_hat)
 
-    w_prime = candidate_weights(block, weights, grads, step_cand)
+    w_prime = candidate_weights(net, block, grads, step_cand)
     meta_loss, dW = block_loss_and_gradients(net.with_layers(w_prime), meta_batch, block)
 
     dstep = np.zeros(psi.head_shape)
-    for l, g in zip(block, grads):
-        dstep += reduce_to_kind(-dW.pop(l) * g, psi.kind)  # frees dW before the head chain
+    for l in block:
+        dstep += reduce_to_kind(-dW.pop(l) * grads[l], psi.kind)  # frees dW before the head chain
 
     k = psi.entry_count
     du3 = psi.pending.column(*psi.w3.shape)

@@ -328,6 +328,15 @@ def build_state(config: TrainConfig, train_ds: Dataset) -> TrainRunState:
         raise ConfigError(
             f"first width {config.widths[0]} != feature dimension {train_ds.features.shape[0]}"
         )
+    if config.train_batch > train_ds.num_samples:
+        raise ConfigError(
+            f"train_batch {config.train_batch} exceeds the {train_ds.num_samples} training samples"
+        )
+    last, targets = config.widths[-1], train_ds.targets
+    if train_ds.kind == CLASSIFICATION and last <= targets.max():
+        raise ConfigError(f"widths: last width {last} cannot score training label {targets.max()}")
+    if train_ds.kind != CLASSIFICATION and last != targets.shape[0]:
+        raise ConfigError(f"widths: last width {last} != {targets.shape[0]} target rows")
     net = init_network(
         config.widths, init_rng, activation_slope=config.activation_slope, loss_kind=loss_kind
     )
@@ -557,14 +566,14 @@ def fd_layer_gradients(net: NetworkModel, batch, h: float = 1e-5) -> float:
     return worst
 
 
-def fd_meta_gradients(psi, feats, block, weights, grads, eta0, meta_batch, net, arm="full", h: float = 1e-5) -> float:
+def fd_meta_gradients(psi, feats, block, grads, eta0, meta_batch, net, arm="full", h: float = 1e-5) -> float:
     """Worst relative error between the meta chain and central differences."""
-    meta = meta_gradients(psi, feats, block, weights, grads, eta0, meta_batch, net, arm=arm)
+    meta = meta_gradients(psi, feats, block, grads, eta0, meta_batch, net, arm=arm)
 
     def meta_loss_with(psi_variant) -> float:
         beta, eta_hat, _ = psi_forward(psi_variant, feats)
         value, _, _ = compose_step(arm, beta, eta0, eta_hat)
-        return batch_loss(net.with_layers(candidate_weights(block, weights, grads, value)), meta_batch)
+        return batch_loss(net.with_layers(candidate_weights(net, block, grads, value)), meta_batch)
 
     worst = 0.0
     for name, (u, v) in zip(("w1", "w2", "w3"), meta.psi_grads):
@@ -598,17 +607,16 @@ def run_gradcheck(seed: int = 0) -> int:
 
     for kind in StepSizeKind:
         net = init_network((4, 5, 3), rng, loss_kind=SOFTMAX_CE)
-        block = (1,)
-        weights = [net.layer_weights[1]]
+        block, shape = (1,), net.layer_weights[1].shape
         x = rng.standard_normal((4, 3))
         y = rng.integers(0, 3, 3)
-        grads = [block_loss_and_gradients(net, (x, y), block)[1][1]]
-        feats = grad_features(grads[0])
-        psi = init_eta_model(kind, weights[0].shape, rng, hidden=6)
-        eta0 = StepSize.initial(kind, weights[0].shape, 0.1).init_values
+        grads = block_loss_and_gradients(net, (x, y), block)[1]
+        feats = grad_features(grads[1])
+        psi = init_eta_model(kind, shape, rng, hidden=6)
+        eta0 = StepSize.initial(kind, shape, 0.1).init_values
         mx = rng.standard_normal((4, 3))
         my = rng.integers(0, 3, 3)
-        worst = fd_meta_gradients(psi, feats, block, weights, grads, eta0, (mx, my), net)
+        worst = fd_meta_gradients(psi, feats, block, grads, eta0, (mx, my), net)
         status = "pass" if worst <= 1e-5 else "FAIL"
         ok &= worst <= 1e-5
         print(f"gradcheck meta {kind.value}: worst rel err {worst:.3e} [{status}]")

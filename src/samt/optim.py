@@ -5,13 +5,15 @@ block, main_batch, meta_batch)` returns the new network and the step's
 `StepEvent`; the trainer alone checks and traces events.  Engines keep
 their state by rebinding fields to each step's new arrays, never by
 writing into old ones, which events and `AdamEngine.fresh`'s shared
-zeros may hold.  SGD has no state.  The adaptive engine rebinds its step
-size's values, and `psi_step` updates psi in place; it raises
-`FloatingPointError` when psi's input, raw heads or meta loss are not
-finite, and `ValueError` when the composed step leaves (0,1), both
-before psi is touched.  A `psi_bypass` run has no adaptive engine: with
-psi unconsulted and beta pinned to 1, each arm it may run steps at eta0,
-so `build_state` gives it `SgdEngine(eta0)`.
+zeros may hold.  SGD, HD and the adaptive engine form their weight
+updates with `stepsize.candidate_weights`; only Adam's differs.  SGD has
+no state.  The adaptive engine rebinds its step size's values, and
+`psi_step` updates psi in place; it raises `FloatingPointError` when
+psi's input, raw heads or meta loss are not finite, and `ValueError`
+when the composed step leaves (0,1), both before psi is touched.  A
+`psi_bypass` run has no adaptive engine: with psi unconsulted and beta
+pinned to 1, each arm it may run steps at eta0, so `build_state` gives
+it `SgdEngine(eta0)`.
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ class SgdEngine:
 
     def step(self, net, block, main_batch, meta_batch=None):
         loss, grads = block_loss_and_gradients(net, main_batch, block)
-        updates = {l: net.layer_weights[l] - self.eta * grads[l] for l in block}
+        updates = candidate_weights(net, block, grads, self.eta)
         return net.with_layers(updates), StepEvent(loss, self.eta)
 
 
@@ -149,7 +151,7 @@ class HdEngine:
         loss, grads = block_loss_and_gradients(net, main_batch, block)
         inner = sum(float(np.vdot(grads[l], gp)) for l, gp in zip(block, self.g_prev))
         self.rate = rate = max(self.rate_floor, self.rate + self.hyper_rate * inner)
-        updates = {l: net.layer_weights[l] - rate * grads[l] for l in block}
+        updates = candidate_weights(net, block, grads, rate)
         self.g_prev = tuple(grads[l] for l in block)
         return net.with_layers(updates), StepEvent(loss, rate)
 
@@ -167,13 +169,12 @@ class OagdEngine:
         if state.psi.kind is not StepSizeKind.SCALAR and len(block) != 1:
             raise ValueError("non-scalar step sizes serve single-layer blocks only")
         loss, grads = block_loss_and_gradients(net, main_batch, block)
-        g_list = [grads[l] for l in block]
-        w_list = [net.layer_weights[l] for l in block]
-        # psi reads the statistics of all the block's gradients at once
-        g_all = g_list[0] if len(g_list) == 1 else np.concatenate([g.ravel() for g in g_list])
+        g_all = grads[block[0]]
+        if len(block) > 1:  # psi reads the statistics of all the block's gradients at once
+            g_all = np.concatenate([grads[l].ravel() for l in block])
         meta = meta_gradients(
-            state.psi, grad_features(g_all), block, w_list, g_list, state.step.init_values,
-            meta_batch, net, arm=state.arm,
+            state.psi, grad_features(g_all), block, grads, state.step.init_values, meta_batch, net,
+            arm=state.arm,
         )
         if not math.isfinite(meta.meta_loss):
             raise FloatingPointError(f"meta loss is {meta.meta_loss}")
@@ -182,7 +183,7 @@ class OagdEngine:
         if state.meta_lag == 0:
             updates = meta.w_prime
         else:
-            updates = candidate_weights(block, w_list, g_list, state.step.values)
+            updates = candidate_weights(net, block, grads, state.step.values)
         state.step.values = meta.step_candidate
         event = StepEvent(loss, meta.step_candidate, meta.meta_loss, meta.beta, meta.eta_hat)
         return net.with_layers(updates), event

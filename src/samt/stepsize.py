@@ -3,11 +3,13 @@
 A step size is a small matrix of values in the open interval (0,1) that
 multiplies a layer gradient through broadcasting.  Four kinds are
 shipped: one value for the whole layer (scalar), one per entry
-(element), one per output row (row) and one per input column (column).
-The step-size model reads a gradient as a (5, 1) column of summary
-statistics, and its two heads are composed into a step per ablation
-arm; the candidate update w - step * g lives here too.  The adaptive
-engine rebinds `StepSize.values` to each step `check_open_unit` passes.
+(element), one per output row (row) and one per input column (column);
+`StepSizeKind.shape_for` is the one statement of their shapes.  The
+step-size model reads a gradient as a (5, 1) column of summary
+statistics, and `compose_step` turns its two heads into a step per
+ablation arm.  `candidate_weights` is every engine's w - step * g and
+the one check that a step conforms to a layer.  The adaptive engine
+rebinds `StepSize.values` to each step `check_open_unit` passes.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .numerics import Matrix, _broadcastable, expand
+from .numerics import Matrix
 
 # Projections are clipped to this open interval so saturation can never
 # emit exactly 0.0 or 1.0 in float64.
@@ -121,40 +123,22 @@ def project_unit_derivative(core: Matrix, style: str) -> Matrix:
     return p * (1.0 - p)
 
 
-def step_update(beta: Matrix, eta0: Matrix, eta_hat: Matrix) -> Matrix:
-    """Convex combination beta * eta0 + (1 - beta) * eta_hat.
-
-    Hadamard product with scalar (1,1) broadcasting.  With beta and
-    eta_hat in [0,1] and eta0 in (0,1) the result stays inside the
-    elementwise interval spanned by eta0 and eta_hat.
-    """
-    try:
-        target = np.broadcast_shapes(beta.shape, eta0.shape, eta_hat.shape)
-    except ValueError:
-        raise ShapeError(
-            f"step_update shapes do not conform: beta {beta.shape}, "
-            f"eta0 {eta0.shape}, eta_hat {eta_hat.shape}"
-        ) from None
-    for name, a in (("beta", beta), ("eta0", eta0), ("eta_hat", eta_hat)):
-        if not _broadcastable(a.shape, target):
-            raise ShapeError(f"{name} shape {a.shape} does not conform to {target}")
-    for name, a in (("beta", beta), ("eta_hat", eta_hat)):
-        if not ((a >= 0.0) & (a <= 1.0)).all():
-            raise ValueError(f"{name} entries must lie in [0,1]")
-    return beta * eta0 + (1.0 - beta) * eta_hat
-
-
-def candidate_weights(block, weights, grads, step: Matrix) -> dict[int, Matrix]:
+def candidate_weights(net, block, grads, step: Matrix | float) -> dict[int, Matrix]:
     """The candidate update w' = w - step (*) g for every layer of a block.
 
-    `block`, `weights` and `grads` align; the step multiplies each
-    gradient by broadcasting, so it must conform to every layer's shape.
+    `grads` maps each layer of `block` to its gradient, as
+    `model.block_loss_and_gradients` returns it.  The step multiplies
+    each gradient by broadcasting, so its shape must be the
+    `StepSizeKind.shape_for` of some kind and each layer; a 0-d float
+    counts as the scalar shape.
     """
+    step_shape = np.shape(step) or (1, 1)
     updates = {}
-    for l, w, g in zip(block, weights, grads):
-        if w.shape != g.shape or not _broadcastable(step.shape, w.shape):
+    for l in block:
+        w, g = net.layer_weights[l], grads[l]
+        if w.shape != g.shape or all(k.shape_for(w.shape) != step_shape for k in StepSizeKind):
             raise ShapeError(
-                f"step {step.shape} does not conform to weight {w.shape} and gradient {g.shape}"
+                f"step {step_shape} does not conform to weight {w.shape} and gradient {g.shape}"
             )
         updates[l] = w - step * g
     return updates
@@ -163,8 +147,8 @@ def candidate_weights(block, weights, grads, step: Matrix) -> dict[int, Matrix]:
 def reduce_to_kind(full_grad: Matrix, kind: StepSizeKind) -> Matrix:
     """Adjoint of broadcasting: sum over every axis the kind broadcasts along.
 
-    Guarantees <expand(s, shape), G> == <s, reduce_to_kind(G, kind)> for
-    any step s of the kind's shape.  The element kind returns G itself.
+    Guarantees <broadcast_to(s, G.shape), G> == <s, reduce_to_kind(G, kind)>
+    for any step s of the kind's shape.  The element kind returns G itself.
     """
     if kind is StepSizeKind.SCALAR:
         return np.array([[full_grad.sum()]])
@@ -186,15 +170,29 @@ ABLATION_ARMS = (ARM_FULL, ARM_BASELINE, ARM_LEFT, ARM_RIGHT)
 def compose_step(arm: str, beta: Matrix, eta0: Matrix, eta_hat: Matrix):
     """Step composition for one ablation arm.
 
+    The full arm is the convex combination beta * eta0 + (1 - beta) *
+    eta_hat; with beta and eta_hat in [0,1] and eta0 in (0,1) it stays
+    inside the elementwise interval spanned by eta0 and eta_hat.  Every
+    arm raises `ShapeError` unless the three shapes broadcast together,
+    and `ValueError` unless beta and eta_hat lie in [0,1] (NaN fails).
     Returns (value, d_value/d_beta, d_value/d_eta_hat); the derivatives
     give the meta-gradient chain the same shape as `value`.
     """
-    shape = np.broadcast_shapes(beta.shape, eta0.shape, eta_hat.shape)
+    try:
+        shape = np.broadcast_shapes(beta.shape, eta0.shape, eta_hat.shape)
+    except ValueError:
+        raise ShapeError(
+            f"step shapes do not conform: beta {beta.shape}, "
+            f"eta0 {eta0.shape}, eta_hat {eta_hat.shape}"
+        ) from None
+    for name, a in (("beta", beta), ("eta_hat", eta_hat)):
+        if not ((a >= 0.0) & (a <= 1.0)).all():
+            raise ValueError(f"{name} entries must lie in [0,1]")
     if arm == ARM_FULL:
-        return step_update(beta, eta0, eta_hat), eta0 - eta_hat, 1.0 - beta
+        return beta * eta0 + (1.0 - beta) * eta_hat, eta0 - eta_hat, 1.0 - beta
     if arm == ARM_BASELINE:
         zeros = np.zeros(shape)
-        return expand(eta0, shape) if eta0.shape != shape else eta0.copy(), zeros, zeros.copy()
+        return np.broadcast_to(eta0, shape).copy(), zeros, zeros.copy()
     if arm == ARM_LEFT:
         return beta * eta0, np.broadcast_to(eta0, shape).copy(), np.zeros(shape)
     if arm == ARM_RIGHT:

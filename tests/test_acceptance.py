@@ -180,16 +180,16 @@ def test_criterion_2_gradient_suite():
             block = (1,)
             x = rng.standard_normal((5, 3))
             y = rng.integers(0, 4, 3)
-            grads = [block_loss_and_gradients(net, (x, y), block)[1][1]]
-            weights = [net.layer_weights[1]]
-            feats = grad_features(grads[0])
-            psi = init_eta_model(kind, weights[0].shape, rng, hidden=8)
-            eta0 = StepSize.initial(kind, weights[0].shape, 0.1).init_values
+            grads = block_loss_and_gradients(net, (x, y), block)[1]
+            shape = net.layer_weights[1].shape
+            feats = grad_features(grads[1])
+            psi = init_eta_model(kind, shape, rng, hidden=8)
+            eta0 = StepSize.initial(kind, shape, 0.1).init_values
             mx = rng.standard_normal((5, 3))
             my = rng.integers(0, 4, 3)
             worst_meta = max(
                 worst_meta,
-                fd_meta_gradients(psi, feats, block, weights, grads, eta0, (mx, my), net),
+                fd_meta_gradients(psi, feats, block, grads, eta0, (mx, my), net),
             )
     elapsed = time.perf_counter() - t0
     assert worst_meta <= 1e-5

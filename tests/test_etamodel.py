@@ -33,15 +33,13 @@ def make_setup(kind, seed=0, widths=(4, 5, 3), block=(1,), hidden=6):
     x = rng.standard_normal((widths[0], 3))
     y = rng.integers(0, widths[-1], 3)
     _, grads = block_loss_and_gradients(net, (x, y), block)
-    weights = [net.layer_weights[l] for l in block]
-    g_list = [grads[l] for l in block]
-    feats = grad_features(g_list[0])
-    layer_shape = weights[0].shape
+    feats = grad_features(grads[block[0]])
+    layer_shape = net.layer_weights[block[0]].shape
     psi = init_eta_model(kind, layer_shape, rng, hidden=hidden)
     eta0 = StepSize.initial(kind, layer_shape, 0.1).init_values
     mx = rng.standard_normal((widths[0], 3))
     my = rng.integers(0, widths[-1], 3)
-    return net, psi, feats, block, weights, g_list, eta0, (mx, my)
+    return net, psi, feats, block, grads, eta0, (mx, my)
 
 
 class TestPsiForward:
@@ -140,12 +138,12 @@ class TestInitEtaModel:
 
 class TestMetaGradients:
     def test_zero_gradient_kills_sensitivity(self):
-        net, psi, feats, block, weights, _, eta0, meta_batch = make_setup(StepSizeKind.ELEMENT)
-        zero_g = [np.zeros_like(w) for w in weights]
-        meta = meta_gradients(psi, grad_features(zero_g[0]), block, weights, zero_g, eta0, meta_batch, net)
+        net, psi, feats, block, _, eta0, meta_batch = make_setup(StepSizeKind.ELEMENT)
+        zero_g = {l: np.zeros_like(net.layer_weights[l]) for l in block}
+        meta = meta_gradients(psi, grad_features(zero_g[block[0]]), block, zero_g, eta0, meta_batch, net)
         for u, v in meta.psi_grads:
             assert not (u @ v.T).any()
-        assert np.array_equal(meta.w_prime[block[0]], weights[0])
+        assert np.array_equal(meta.w_prime[block[0]], net.layer_weights[block[0]])
 
     def test_scalar_chain_hand_value(self):
         # dL/d(step) for a scalar step is sum(-dLdW * g)
@@ -155,23 +153,19 @@ class TestMetaGradients:
 
     @pytest.mark.parametrize("kind", list(StepSizeKind))
     def test_matches_finite_differences(self, kind):
-        net, psi, feats, block, weights, g_list, eta0, meta_batch = make_setup(kind, seed=7)
-        worst = fd_meta_gradients(psi, feats, block, weights, g_list, eta0, meta_batch, net)
+        net, psi, feats, block, grads, eta0, meta_batch = make_setup(kind, seed=7)
+        worst = fd_meta_gradients(psi, feats, block, grads, eta0, meta_batch, net)
         assert worst <= 1e-5
 
     @pytest.mark.parametrize("arm", ["full", "left_only", "right_only", "baseline"])
     def test_arm_chains_match_finite_differences(self, arm):
-        net, psi, feats, block, weights, g_list, eta0, meta_batch = make_setup(
-            StepSizeKind.ELEMENT, seed=11
-        )
-        worst = fd_meta_gradients(psi, feats, block, weights, g_list, eta0, meta_batch, net, arm=arm)
+        net, psi, feats, block, grads, eta0, meta_batch = make_setup(StepSizeKind.ELEMENT, seed=11)
+        worst = fd_meta_gradients(psi, feats, block, grads, eta0, meta_batch, net, arm=arm)
         assert worst <= 1e-5
 
     def test_meta_loss_matches_direct_evaluation(self):
-        net, psi, feats, block, weights, g_list, eta0, meta_batch = make_setup(
-            StepSizeKind.ROW, seed=3
-        )
-        meta = meta_gradients(psi, feats, block, weights, g_list, eta0, meta_batch, net)
+        net, psi, feats, block, grads, eta0, meta_batch = make_setup(StepSizeKind.ROW, seed=3)
+        meta = meta_gradients(psi, feats, block, grads, eta0, meta_batch, net)
         direct = batch_loss(net.with_layers(meta.w_prime), meta_batch)
         assert meta.meta_loss == pytest.approx(direct)
 
@@ -300,7 +294,7 @@ class TestPsiStep:
         meta_batch = (rng.standard_normal((784, 8)), rng.integers(0, 10, 8))
         tracemalloc.start()
         try:
-            meta = meta_gradients(psi, feats, (0,), [w], [grads[0]], eta0, meta_batch, net)
+            meta = meta_gradients(psi, feats, (0,), grads, eta0, meta_batch, net)
             psi_step(psi, meta.psi_grads)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -327,7 +321,7 @@ class TestPsiStep:
             for main_batch, meta_batch in batches:
                 _, grads = block_loss_and_gradients(net, main_batch, (0,))
                 feats = grad_features(grads[0])
-                meta = meta_gradients(psi, feats, (0,), [w], [grads[0]], eta0, meta_batch, net)
+                meta = meta_gradients(psi, feats, (0,), grads, eta0, meta_batch, net)
                 psi_step(psi, meta.psi_grads)
                 del meta, grads
             peak = tracemalloc.get_traced_memory()[1]
@@ -337,13 +331,11 @@ class TestPsiStep:
         assert peak < psi.w3.nbytes / 2
 
     def test_one_step_reduces_meta_loss(self):
-        net, psi, feats, block, weights, g_list, eta0, meta_batch = make_setup(
-            StepSizeKind.SCALAR, seed=5
-        )
+        net, psi, feats, block, grads, eta0, meta_batch = make_setup(StepSizeKind.SCALAR, seed=5)
         psi = replace(psi, meta_learning_rate=1e-3)
-        meta = meta_gradients(psi, feats, block, weights, g_list, eta0, meta_batch, net)
+        meta = meta_gradients(psi, feats, block, grads, eta0, meta_batch, net)
         psi_step(psi, meta.psi_grads)
-        after = meta_gradients(psi, feats, block, weights, g_list, eta0, meta_batch, net)
+        after = meta_gradients(psi, feats, block, grads, eta0, meta_batch, net)
         assert after.meta_loss <= meta.meta_loss
 
     def test_many_random_steps_stay_finite(self):
@@ -356,9 +348,7 @@ class TestPsiStep:
             y = rng.integers(0, 2, 2)
             _, grads = block_loss_and_gradients(net, (x, y), (1,))
             feats = grad_features(grads[1])
-            meta = meta_gradients(
-                psi, feats, (1,), [net.layer_weights[1]], [grads[1]], eta0, (x, y), net
-            )
+            meta = meta_gradients(psi, feats, (1,), grads, eta0, (x, y), net)
             psi_step(psi, meta.psi_grads)
         for w in psi.weights:
             assert np.isfinite(w).all()
@@ -381,9 +371,9 @@ class TestPendingUpdates:
     @pytest.mark.parametrize("steps", [1, 2, 3])
     @pytest.mark.parametrize("kind", list(StepSizeKind))
     def test_pending_chain_matches_finite_differences(self, kind, steps):
-        psi, (net, _, feats, block, weights, g_list, eta0, meta_batch) = self.stepped(kind, steps)
+        psi, (net, _, feats, block, grads, eta0, meta_batch) = self.stepped(kind, steps)
         assert psi.pending.n == steps
-        worst = fd_meta_gradients(psi, feats, block, weights, g_list, eta0, meta_batch, net)
+        worst = fd_meta_gradients(psi, feats, block, grads, eta0, meta_batch, net)
         assert worst <= 1e-5
 
     @pytest.mark.parametrize("steps", [1, 2, 3])
@@ -415,11 +405,11 @@ def test_bypass_keeps_step_at_initial_forever():
     from samt.data import CLASSIFICATION, Dataset
     from samt.harness import TrainConfig, build_state
     from samt.optim import SgdEngine
-    from samt.stepsize import step_update
+    from samt.stepsize import ARM_FULL, compose_step
 
     net = init_network((2, 2), make_rng(8))
     eta0 = StepSize.initial(StepSizeKind.ELEMENT, (2, 2), 0.1).init_values
-    config = TrainConfig(widths=(2, 2), optimizer="samt_e", eta0=0.1, psi_bypass=True)
+    config = TrainConfig(widths=(2, 2), optimizer="samt_e", eta0=0.1, psi_bypass=True, train_batch=2)
     ds = Dataset(np.zeros((2, 2)), np.zeros(2, dtype=np.int64), CLASSIFICATION)
     (engine,) = build_state(config, ds).engines
     assert type(engine) is SgdEngine
@@ -427,7 +417,7 @@ def test_bypass_keeps_step_at_initial_forever():
     for _ in range(200):
         batch = (rng.standard_normal((2, 3)), rng.integers(0, 2, 3))
         net, event = engine.step(net, (0,), batch, batch)
-    values = step_update(np.ones(eta0.shape), eta0, np.full(eta0.shape, 0.5))
+    values, _, _ = compose_step(ARM_FULL, np.ones(eta0.shape), eta0, np.full(eta0.shape, 0.5))
     assert np.array_equal(values, eta0)
     assert np.array_equal(np.full(eta0.shape, engine.eta), eta0)
     assert event.step == engine.eta
@@ -441,17 +431,16 @@ def test_meta_gradients_over_multi_layer_scalar_block():
     block = (0, 1)
     x = rng.standard_normal((4, 3))
     y = rng.integers(0, 3, 3)
-    _, grads_map = block_loss_and_gradients(net, (x, y), block)
-    weights = [net.layer_weights[l] for l in block]
-    g_list = [grads_map[l] for l in block]
-    stacked = np.concatenate([g.ravel() for g in g_list]).reshape(-1, 1)
+    _, grads = block_loss_and_gradients(net, (x, y), block)
+    stacked = np.concatenate([grads[l].ravel() for l in block]).reshape(-1, 1)
     feats = grad_features(stacked)
-    psi = init_eta_model(StepSizeKind.SCALAR, weights[0].shape, rng, hidden=6)
-    eta0 = StepSize.initial(StepSizeKind.SCALAR, weights[0].shape, 0.1).init_values
+    shape = net.layer_weights[0].shape
+    psi = init_eta_model(StepSizeKind.SCALAR, shape, rng, hidden=6)
+    eta0 = StepSize.initial(StepSizeKind.SCALAR, shape, 0.1).init_values
     mx = rng.standard_normal((4, 3))
     my = rng.integers(0, 3, 3)
 
     from samt.harness import fd_meta_gradients
 
-    worst = fd_meta_gradients(psi, feats, block, weights, g_list, eta0, (mx, my), net)
+    worst = fd_meta_gradients(psi, feats, block, grads, eta0, (mx, my), net)
     assert worst <= 1e-5

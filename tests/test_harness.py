@@ -355,6 +355,9 @@ class TestCli:
             (["optimizer=sgd", "synth_noise_sd=-1"], "synth_noise_sd"),
             (["optimizer=sgd", "img_noise_sd=nan"], "img_noise_sd"),
             (["optimizer=sgd", "widths=10,0,1"], "widths"),
+            (["optimizer=sgd", "n_train=64", "train_batch=100"], "train_batch"),
+            (["optimizer=sgd", "widths=10,2"], "widths"),
+            (["optimizer=sgd", "dataset=synthetic_images", "img_side=8", "widths=64,16,5"], "widths"),
             (["optimizer=sgd", "sgd_rate=nan"], "sgd_rate"),
             (["optimizer=sgd", "sgd_rate=-1"], "sgd_rate"),
             (["optimizer=sgd", "sgd_rate=inf"], "sgd_rate"),

@@ -131,7 +131,7 @@ def make_oagd(kind, layer_shape, seed=0, eta0=0.1, **kwargs):
 
 def bypassed_engines(optimizer, widths, eta0=0.1):
     """The engines `build_state` gives a psi_bypass=true samt run on a classification net."""
-    config = TrainConfig(widths=widths, optimizer=optimizer, eta0=eta0, psi_bypass=True)
+    config = TrainConfig(widths=widths, optimizer=optimizer, eta0=eta0, psi_bypass=True, train_batch=2)
     ds = Dataset(np.zeros((widths[0], 2)), np.zeros(2, dtype=np.int64), CLASSIFICATION)
     return build_state(config, ds).engines
 
@@ -275,15 +275,13 @@ class TestOagdNonScalar:
         assert len(events) == 200
         assert all(e.beta is None and e.eta_hat is None and e.meta_loss is None for e in events)
 
-    def test_row_step_matches_expand_then_multiply(self):
-        from samt.numerics import expand
-
+    def test_row_step_matches_broadcast_then_multiply(self):
         net = init_network((2, 2), make_rng(11), loss_kind=MSE)
         state = make_oagd(StepSizeKind.ROW, (2, 2), seed=12, meta_lag=1)
         x = np.array([[1.0, -0.5], [0.3, 2.0]])
         y = np.array([[0.2, 0.1], [0.0, -1.0]])
         g = block_loss_and_gradients(net, (x, y), (0,))[1][0]
-        expected = net.layer_weights[0] - expand(state.step.values, (2, 2)) * g
+        expected = net.layer_weights[0] - np.broadcast_to(state.step.values, (2, 2)) * g
         net_new, _ = oagd_step(state, net, (0,), (x, y), (x, y))
         assert np.allclose(net_new.layer_weights[0], expected, atol=1e-15)
 
@@ -381,7 +379,8 @@ class TestEnginesUpdateInPlace:
     def test_engines_from_build_state_carry_their_state_through_training(self, optimizer):
         rng = make_rng(50)
         ds = Dataset(rng.standard_normal((6, 40)), rng.integers(0, 3, 40), CLASSIFICATION)
-        state = build_state(TrainConfig(widths=(6, 4, 3), optimizer=optimizer, psi_hidden=4), ds)
+        config = TrainConfig(widths=(6, 4, 3), optimizer=optimizer, psi_hidden=4, train_batch=10)
+        state = build_state(config, ds)
         built = list(state.engines)
         events = {block: [] for block in state.plan.blocks}
         for _ in range(2):

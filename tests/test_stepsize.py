@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from samt.errors import ShapeError
-from samt.numerics import expand, make_rng
+from samt.numerics import make_rng
 from samt.stepsize import (
     ARM_BASELINE,
     ARM_FULL,
@@ -18,7 +18,6 @@ from samt.stepsize import (
     project_unit_derivative,
     reduce_to_kind,
     squash,
-    step_update,
 )
 
 
@@ -102,29 +101,39 @@ class TestProjectUnit:
             project_unit(np.array([[0.0]]), "relu")
 
 
-class TestStepUpdate:
+def full_step(beta, eta0, eta_hat):
+    """The full arm's composed step, beta * eta0 + (1 - beta) * eta_hat."""
+    return compose_step(ARM_FULL, beta, eta0, eta_hat)[0]
+
+
+ARMS = (ARM_FULL, ARM_BASELINE, ARM_LEFT, ARM_RIGHT)
+
+
+class TestFullStep:
     def test_beta_one_returns_initial(self):
         eta0 = np.array([[0.1, 0.2]])
-        out = step_update(np.ones((1, 2)), eta0, np.array([[0.9, 0.9]]))
+        out = full_step(np.ones((1, 2)), eta0, np.array([[0.9, 0.9]]))
         assert np.array_equal(out, eta0)
 
     def test_midpoint(self):
-        out = step_update(np.array([[0.5]]), np.array([[0.1]]), np.array([[0.3]]))
+        out = full_step(np.array([[0.5]]), np.array([[0.1]]), np.array([[0.3]]))
         assert out[0, 0] == pytest.approx(0.2)
 
     def test_hand_vector_case(self):
-        out = step_update(np.array([[0.2], [0.8]]), np.array([[0.1]]), np.array([[0.5], [0.25]]))
+        out = full_step(np.array([[0.2], [0.8]]), np.array([[0.1]]), np.array([[0.5], [0.25]]))
         assert np.allclose(out, [[0.42], [0.13]])
 
-    def test_shape_mismatch(self):
+    @pytest.mark.parametrize("arm", ARMS)
+    def test_shape_mismatch(self, arm):
         with pytest.raises(ShapeError):
-            step_update(np.full((2, 3), 0.5), np.full((2, 2), 0.1), np.full((2, 2), 0.5))
+            compose_step(arm, np.full((2, 3), 0.5), np.full((2, 2), 0.1), np.full((2, 2), 0.5))
 
-    def test_nan_rejected(self):
+    @pytest.mark.parametrize("arm", ARMS)
+    def test_nan_rejected(self, arm):
         with pytest.raises(ValueError, match="beta"):
-            step_update(np.array([[0.5, np.nan]]), np.array([[0.1]]), np.full((1, 2), 0.5))
+            compose_step(arm, np.array([[0.5, np.nan]]), np.array([[0.1]]), np.full((1, 2), 0.5))
         with pytest.raises(ValueError, match="eta_hat"):
-            step_update(np.full((1, 2), 0.5), np.array([[0.1]]), np.array([[np.nan, 0.5]]))
+            compose_step(arm, np.full((1, 2), 0.5), np.array([[0.1]]), np.array([[np.nan, 0.5]]))
 
     @settings(max_examples=60)
     @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32 - 1))
@@ -133,7 +142,7 @@ class TestStepUpdate:
         beta = rng.uniform(1e-9, 1 - 1e-9, (m, n))
         eta0 = rng.uniform(1e-9, 1 - 1e-9, (m, n))
         eta_hat = rng.uniform(1e-9, 1 - 1e-9, (m, n))
-        out = step_update(beta, eta0, eta_hat)
+        out = full_step(beta, eta0, eta_hat)
         lo, hi = np.minimum(eta0, eta_hat), np.maximum(eta0, eta_hat)
         assert (out >= lo).all() and (out <= hi).all()
         assert (out > 0).all() and (out < 1).all()
@@ -167,7 +176,7 @@ class TestReduceToKind:
         rng = make_rng(seed)
         g = rng.standard_normal((m, n))
         s = rng.standard_normal(kind.shape_for((m, n)))
-        lhs = float(np.vdot(expand(s, (m, n)), g))
+        lhs = float(np.vdot(np.broadcast_to(s, (m, n)), g))
         rhs = float(np.vdot(s, reduce_to_kind(g, kind)))
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
@@ -204,9 +213,10 @@ class TestComposeArms:
         self.eta0 = np.full((2, 2), 0.1)
         self.eta_hat = rng.uniform(0.1, 0.9, (2, 2))
 
-    def test_full_matches_step_update(self):
+    def test_full_is_the_convex_combination(self):
         value, dbeta, deta = compose_step(ARM_FULL, self.beta, self.eta0, self.eta_hat)
-        assert np.array_equal(value, step_update(self.beta, self.eta0, self.eta_hat))
+        expected = self.beta * self.eta0 + (1.0 - self.beta) * self.eta_hat
+        assert value.tobytes() == expected.tobytes()
         assert np.allclose(dbeta, self.eta0 - self.eta_hat)
         assert np.allclose(deta, 1.0 - self.beta)
 

@@ -53,9 +53,10 @@ def class_dataset(seed, n, d=6, classes=3):
 def bypassed_samt_engines(widths, grouping=None, eta0=0.1):
     """The engines `build_state` gives a psi_bypass=true samt_s run (step pinned at eta0)."""
     config = TrainConfig(
-        widths=widths, optimizer="samt_s", eta0=eta0, psi_bypass=True, grouping=grouping
+        widths=widths, optimizer="samt_s", eta0=eta0, psi_bypass=True, grouping=grouping,
+        train_batch=2,
     )
-    engines = build_state(config, class_dataset(0, n=2, d=widths[0])).engines
+    engines = build_state(config, class_dataset(0, n=2, d=widths[0], classes=widths[-1])).engines
     assert all(type(e) is SgdEngine and e.eta == eta0 for e in engines)
     return engines
 
