@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from .errors import DivergenceError
-from .harness import parse_config, run_experiment, run_gradcheck, run_matrix, run_theory_suite
+from .harness import THEORY_SUITES, parse_config, run_experiment, run_gradcheck, run_matrix, run_theory_suite
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -33,7 +33,7 @@ def _build_parser() -> argparse.ArgumentParser:
     matrix.add_argument("overrides", nargs="*")
 
     theory = sub.add_parser("theory", help="run the convergence verification suites")
-    theory.add_argument("--suite", choices=("contractivity", "recursion", "all"), default="all")
+    theory.add_argument("--suite", choices=THEORY_SUITES, default="all")
     theory.add_argument("--out-dir", default=".")
     theory.add_argument("--seed", type=int, default=0)
     theory.add_argument("--inject-bug", action="store_true",

@@ -111,10 +111,10 @@ def load_idx(images_path, labels_path, limit: int | None = None) -> Dataset:
         raise DataFormatError(f"{n} images but {n_labels} labels")
 
     pixels = np.frombuffer(img_buf, dtype=np.uint8, count=n * rows * cols, offset=16)
-    features = (pixels.reshape(n, rows * cols).T / 255.0).astype(np.float64)
+    features = pixels.reshape(n, rows * cols).T / 255.0
     labels = np.frombuffer(lab_buf, dtype=np.uint8, count=n, offset=8).astype(np.int64)
     ds = Dataset(features, labels, CLASSIFICATION)
-    return ds if limit is None else ds.take(np.arange(min(limit, n)))
+    return ds if limit is None else ds.take(slice(0, limit))
 
 
 def write_idx(images_path, labels_path, images: np.ndarray, labels: np.ndarray) -> None:

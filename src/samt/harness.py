@@ -37,7 +37,7 @@ from .model import (
     block_loss_and_gradients,
     init_network,
 )
-from .numerics import make_rng, spawn_rngs
+from .numerics import Matrix, make_rng, spawn_rngs
 from .optim import AdamEngine, HdEngine, OagdEngine, OagdState, SgdEngine
 from .stepsize import (
     ABLATION_ARMS,
@@ -282,8 +282,7 @@ def load_datasets(config: TrainConfig) -> tuple[Dataset, Dataset]:
         full, _ = synth_regression(
             config.seed, n_train + n_test, config.synth_d, config.synth_noise_sd
         )
-        idx = np.arange(full.num_samples)
-        return full.take(idx[:n_train]), full.take(idx[n_train:])
+        return full.take(slice(0, n_train)), full.take(slice(n_train, None))
     if config.dataset == "synthetic_images":
         n_train = 10000 if config.n_train is None else config.n_train
         n_test = 2000 if config.n_test is None else config.n_test
@@ -296,9 +295,8 @@ def load_datasets(config: TrainConfig) -> tuple[Dataset, Dataset]:
         )
         d = config.img_side**2
         feats = images.reshape(-1, d).T / 255.0
-        full = Dataset(feats.astype(np.float64), labels.astype(np.int64), CLASSIFICATION)
-        idx = np.arange(full.num_samples)
-        return full.take(idx[:n_train]), full.take(idx[n_train:])
+        full = Dataset(feats, labels.astype(np.int64), CLASSIFICATION)
+        return full.take(slice(0, n_train)), full.take(slice(n_train, None))
     if config.dataset == "idx":
         train = load_idx(config.idx_train_images, config.idx_train_labels, limit=config.n_train)
         test = load_idx(config.idx_test_images, config.idx_test_labels, limit=config.n_test)
@@ -307,8 +305,7 @@ def load_datasets(config: TrainConfig) -> tuple[Dataset, Dataset]:
     full = load_csv(config.csv_path, config.csv_target)
     n = full.num_samples
     n_test = max(1, int(n * config.csv_test_fraction))
-    idx = np.arange(n)
-    train, test = full.take(idx[: n - n_test]), full.take(idx[n - n_test :])
+    train, test = full.take(slice(0, n - n_test)), full.take(slice(n - n_test, None))
     if config.csv_standardize:
         train = train.standardized()
         test = test.standardized(train.normalization)
@@ -473,12 +470,17 @@ def run_matrix(config: TrainConfig, vary: str, out_dir="."):
 # Theory suite
 # ---------------------------------------------------------------------------
 
+THEORY_SUITES = ("contractivity", "recursion", "all")
+
 
 def run_theory_suite(suite: str = "all", out_dir=".", seed: int = 0, inject_bug: bool = False) -> int:
     """Run the inequality suites; write reports; return a process exit code.
 
-    Returns 0 when every asserted inequality holds, 2 otherwise.
+    Returns 0 when every asserted inequality holds, 2 otherwise.  An
+    unknown suite raises ValueError before anything is written.
     """
+    if suite not in THEORY_SUITES:
+        raise ValueError(f"suite must be one of {', '.join(THEORY_SUITES)}, got {suite!r}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ok = True
@@ -543,52 +545,46 @@ def run_theory_suite(suite: str = "all", out_dir=".", seed: int = 0, inject_bug:
 # ---------------------------------------------------------------------------
 
 
-def _rel_err(analytic: float, numeric: float) -> float:
-    return abs(analytic - numeric) / (1.0 + abs(analytic))
+def _fd_worst(analytic: Matrix, w: Matrix, loss_with, h: float) -> float:
+    """Worst relative error between `analytic` and central differences of
+    `loss_with` over every entry of `w`."""
+    worst = 0.0
+    for i in range(w.shape[0]):
+        for j in range(w.shape[1]):
+            bumped = w.copy()
+            bumped[i, j] = w[i, j] + h
+            up = loss_with(bumped)
+            bumped[i, j] = w[i, j] - h
+            down = loss_with(bumped)
+            numeric = (up - down) / (2 * h)
+            exact = float(analytic[i, j])
+            worst = max(worst, abs(exact - numeric) / (1.0 + abs(exact)))
+    return worst
 
 
 def fd_layer_gradients(net: NetworkModel, batch, h: float = 1e-5) -> float:
     """Worst relative error between backprop and central differences."""
-    worst = 0.0
     block = tuple(range(net.num_layers))
     _, grads = block_loss_and_gradients(net, batch, block)
-    for l in block:
-        w = net.layer_weights[l]
-        for i in range(w.shape[0]):
-            for j in range(w.shape[1]):
-                bumped = w.copy()
-                bumped[i, j] = w[i, j] + h
-                up = batch_loss(net.with_layers({l: bumped}), batch)
-                bumped[i, j] = w[i, j] - h
-                down = batch_loss(net.with_layers({l: bumped}), batch)
-                numeric = (up - down) / (2 * h)
-                worst = max(worst, _rel_err(float(grads[l][i, j]), numeric))
-    return worst
+    return max(
+        _fd_worst(grads[l], net.layer_weights[l], lambda w: batch_loss(net.with_layers({l: w}), batch), h)
+        for l in block
+    )
 
 
 def fd_meta_gradients(psi, feats, block, grads, eta0, meta_batch, net, arm="full", h: float = 1e-5) -> float:
     """Worst relative error between the meta chain and central differences."""
     meta = meta_gradients(psi, feats, block, grads, eta0, meta_batch, net, arm=arm)
 
-    def meta_loss_with(psi_variant) -> float:
-        beta, eta_hat, _ = psi_forward(psi_variant, feats)
+    def meta_loss_with(name, w) -> float:
+        beta, eta_hat, _ = psi_forward(replace(psi, **{name: w}), feats)
         value, _, _ = compose_step(arm, beta, eta0, eta_hat)
         return batch_loss(net.with_layers(candidate_weights(net, block, grads, value)), meta_batch)
 
-    worst = 0.0
-    for name, (u, v) in zip(("w1", "w2", "w3"), meta.psi_grads):
-        analytic = u @ v.T
-        w = getattr(psi, name)
-        for i in range(w.shape[0]):
-            for j in range(w.shape[1]):
-                bumped = w.copy()
-                bumped[i, j] = w[i, j] + h
-                up = meta_loss_with(replace(psi, **{name: bumped}))
-                bumped[i, j] = w[i, j] - h
-                down = meta_loss_with(replace(psi, **{name: bumped}))
-                numeric = (up - down) / (2 * h)
-                worst = max(worst, _rel_err(float(analytic[i, j]), numeric))
-    return worst
+    return max(
+        _fd_worst(u @ v.T, getattr(psi, name), lambda w: meta_loss_with(name, w), h)
+        for name, (u, v) in zip(("w1", "w2", "w3"), meta.psi_grads)
+    )
 
 
 def run_gradcheck(seed: int = 0) -> int:

@@ -39,12 +39,12 @@ class StepSizeKind(enum.Enum):
 
     def shape_for(self, layer_shape: tuple[int, int]) -> tuple[int, int]:
         m, n = layer_shape
-        return {
-            StepSizeKind.SCALAR: (1, 1),
-            StepSizeKind.ELEMENT: (m, n),
-            StepSizeKind.ROW: (m, 1),
-            StepSizeKind.COLUMN: (1, n),
-        }[self]
+        return (
+            (1, 1) if self is StepSizeKind.SCALAR
+            else (m, n) if self is StepSizeKind.ELEMENT
+            else (m, 1) if self is StepSizeKind.ROW
+            else (1, n)  # COLUMN
+        )
 
 
 def check_open_unit(name: str, v: Matrix) -> None:

@@ -7,7 +7,8 @@ objective is an exactly known coupled quadratic.  Per block d,
 lambda_d / mu_d are the extreme eigenvalues of the diagonal covariance
 block and gamma_d is the largest cross-block operator norm: together
 they determine the contraction and coupling constants the inequality
-checks use.
+checks use.  All of them come from LAPACK (`np.linalg.eigvalsh` and
+`np.linalg.norm(., 2)`).
 
 An iterate is one stacked (m, R) matrix: block d is the row slice
 `problem.slices[d]` and each of the R columns is an independent point
@@ -41,48 +42,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import Matrix, spawn_rngs
-
-
-# ---------------------------------------------------------------------------
-# Spectral constants by power iteration (dense decompositions stay in tests
-# as the independent oracle).
-# ---------------------------------------------------------------------------
-
-
-def power_eigmax(sym: Matrix, tol: float = 1e-12, max_iter: int = 100_000) -> float:
-    """Largest eigenvalue of a symmetric PSD matrix by power iteration."""
-    n = sym.shape[0]
-    if not np.any(sym):
-        return 0.0
-    v = np.full(n, 1.0 / math.sqrt(n))
-    v += 1e-4 * np.sin(np.arange(n) + 1.0)  # deterministic de-symmetrizing nudge
-    v /= np.linalg.norm(v)
-    w = sym @ v
-    lam = 0.0
-    for _ in range(max_iter):
-        norm = math.sqrt(w @ w)  # np.linalg.norm's own formula, without its checks
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        w = sym @ v  # serves the Rayleigh quotient, the residual and the next step
-        lam = float(v @ w)
-        residual = w - lam * v
-        if math.sqrt(residual @ residual) <= tol * max(1.0, abs(lam)):
-            break
-    return lam
-
-
-def eig_extremes(sym: Matrix, tol: float = 1e-12) -> tuple[float, float]:
-    """(smallest, largest) eigenvalue of a symmetric PSD matrix."""
-    hi = power_eigmax(sym, tol)
-    shifted = hi * np.eye(sym.shape[0]) - sym
-    lo = hi - power_eigmax(shifted, tol)
-    return lo, hi
-
-
-def operator_norm(a: Matrix, tol: float = 1e-12) -> float:
-    """Spectral norm via power iteration on a^T a."""
-    return math.sqrt(max(0.0, power_eigmax(a.T @ a, tol)))
 
 
 # ---------------------------------------------------------------------------
@@ -133,12 +92,12 @@ def make_problem(factor: Matrix, dims, w_star, noise_sd: float, radii) -> Quadra
     given per block; the spectral constants are measured here, once."""
     slices = _slices(int(d) for d in dims)
     cov = factor @ factor.T
-    extremes = [eig_extremes(cov[sl, sl]) for sl in slices]
-    lambdas = tuple(lo for lo, _ in extremes)
+    spectra = [np.linalg.eigvalsh(cov[sl, sl]) for sl in slices]  # ascending
+    lambdas = tuple(float(eigs[0]) for eigs in spectra)
     if min(lambdas) <= 0:
         raise ValueError(f"every diagonal block must be positive definite, got lambdas {lambdas}")
     gammas = tuple(
-        max((operator_norm(cov[sl, si]) for i, si in enumerate(slices) if i != d), default=0.0)
+        max((float(np.linalg.norm(cov[sl, si], 2)) for i, si in enumerate(slices) if i != d), default=0.0)
         for d, sl in enumerate(slices)
     )
     return QuadraticProblem(
@@ -149,7 +108,7 @@ def make_problem(factor: Matrix, dims, w_star, noise_sd: float, radii) -> Quadra
         noise_sd=float(noise_sd),
         radii=tuple(float(r) for r in radii),
         lambdas=lambdas,
-        mus=tuple(hi for _, hi in extremes),
+        mus=tuple(float(eigs[-1]) for eigs in spectra),
         gammas=gammas,
     )
 
@@ -184,7 +143,7 @@ def isotropic_problem(seed, dims, coupling: float = 0.1, noise_sd: float = 0.05,
     for d, sd in enumerate(slices):
         for si in slices[d + 1:]:
             b = rng.standard_normal((sd.stop - sd.start, si.stop - si.start))
-            b *= coupling / operator_norm(b)
+            b *= coupling / np.linalg.norm(b, 2)
             cov[sd, si] = b
             cov[si, sd] = b.T
     # PSD factor via symmetric eigendecomposition
@@ -388,11 +347,11 @@ def noise_second_moment_bound(problem: QuadraticProblem) -> float:
     constraint balls (Gaussian fourth moments via Isserlis)."""
     cov = problem.cov
     r_sq = sum(r * r for r in problem.radii)
-    cov_norm = power_eigmax(cov)
+    cov_norm = np.linalg.norm(cov, 2)
     total = 0.0
     for sl in problem.slices:
         trace_d = float(np.trace(cov[sl, sl]))
-        row_norm = operator_norm(cov[sl, :])
+        row_norm = np.linalg.norm(cov[sl, :], 2)
         total += trace_d * (cov_norm * r_sq + problem.noise_sd**2) + 2.0 * row_norm**2 * r_sq
     return total
 

@@ -82,6 +82,17 @@ class TestLoadIdx:
         ds = load_idx(ip, lp, limit=2)
         assert ds.num_samples == 2 and list(ds.targets) == [0, 1]
 
+    def test_limit_is_a_view_equal_to_the_index_copy(self, tmp_path):
+        rng = make_rng(4)
+        images = rng.integers(0, 256, (6, 3, 2)).astype(np.uint8)
+        ip, lp = write_fixture_pair(tmp_path, images, rng.integers(0, 10, 6).astype(np.uint8))
+        full, head = load_idx(ip, lp), load_idx(ip, lp, limit=4)
+        copy = full.take(np.arange(4))
+        for got, want in ((head.features, copy.features), (head.targets, copy.targets)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert got.base is not None and got.base.shape[-1] == 6  # a slice of all six samples
+
 
 class TestLoadCsv:
     def test_two_row_file(self, tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from samt.cli import main as cli_main
-from samt.data import load_csv
+from samt.data import CLASSIFICATION, Dataset, load_csv, synth_classification, synth_regression
 from samt import harness
 from samt.errors import ConfigError, DivergenceError
 from samt.etamodel import EtaModel
@@ -21,6 +21,7 @@ from samt.harness import (
     parse_config,
     run_experiment,
     run_matrix,
+    run_theory_suite,
 )
 
 
@@ -133,6 +134,34 @@ class TestLoadDatasets:
         assert test.features.tobytes() == ((x_test - mean[:, None]) / scale[:, None]).tobytes()
         for stats in (train.normalization, test.normalization):
             assert stats[0].tobytes() == mean.tobytes() and stats[1].tobytes() == scale.tobytes()
+
+
+    @pytest.mark.parametrize("dataset", ["synthetic", "synthetic_images", "csv"])
+    def test_splits_are_views_equal_to_index_copies(self, dataset, tmp_path):
+        p = tmp_path / "d.csv"
+        table = make_rng(6).normal(0.0, 1.0, (20, 3))
+        p.write_text("a,b,y\n" + "".join(",".join(repr(float(v)) for v in r) + "\n" for r in table))
+        cfg = TrainConfig(
+            dataset=dataset, seed=3, n_train=15, n_test=5, synth_d=3, img_side=4, img_classes=3,
+            csv_path=str(p), csv_target="y", csv_standardize=False, csv_test_fraction=0.25,
+        )
+        if dataset == "synthetic":
+            full = synth_regression(3, 20, 3, cfg.synth_noise_sd)[0]
+        elif dataset == "synthetic_images":
+            images, labels = synth_classification(3, 20, side=4, num_classes=3, noise_sd=cfg.img_noise_sd)
+            full = Dataset((images.reshape(-1, 16).T / 255.0).astype(np.float64), labels.astype(np.int64),
+                           CLASSIFICATION)
+        else:
+            full = load_csv(p, "y")
+        train, test = load_datasets(cfg)
+        idx = np.arange(20)
+        for split, rows in ((train, idx[:15]), (test, idx[15:])):
+            copy = full.take(rows)
+            for got, want in ((split.features, copy.features), (split.targets, copy.targets)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+        assert train.features.base is test.features.base is not None
+        assert train.targets.base is test.targets.base is not None
 
 
 class TestBuildState:
@@ -414,6 +443,14 @@ class TestTheorySuite:
         )
         assert code == 2
         assert "FAIL" in capsys.readouterr().out
+
+    def test_unknown_suite_raises_before_writing(self, tmp_path):
+        # a misspelled suite must not pass by checking nothing
+        out_dir = tmp_path / "out"
+        with pytest.raises(ValueError, match="contractivty") as info:
+            run_theory_suite("contractivty", out_dir)
+        assert all(name in str(info.value) for name in ("contractivity", "recursion", "all"))
+        assert not out_dir.exists()
 
 
 def test_grouped_scalar_blocks_train(tmp_path):

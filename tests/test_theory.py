@@ -7,16 +7,13 @@ from samt.theory import (
     ball_project,
     contractivity_check,
     default_balls,
-    eig_extremes,
     full_gradient,
     isotropic_problem,
     make_problem,
     noise_second_moment_bound,
-    operator_norm,
     plateau,
     plateau_halving_factor,
     plateau_quartering_step,
-    power_eigmax,
     random_problem,
     recursion_check,
     recursion_ratio,
@@ -33,7 +30,7 @@ def diag_quadratic(noise_sd=0.0, radius=2.0):
 
 class TestSpectralConstants:
     @pytest.mark.parametrize("seed", range(8))
-    def test_power_iteration_matches_dense_oracle(self, seed):
+    def test_constants_match_dense_oracle(self, seed):
         problem = random_problem(seed, dims=(5, 4, 7), coupling=0.2)
         cov = problem.cov
         for d, sl in enumerate(problem.slices):
@@ -47,17 +44,20 @@ class TestSpectralConstants:
                     worst = max(worst, np.linalg.svd(cov[sl, si], compute_uv=False)[0])
             assert problem.gammas[d] == pytest.approx(worst, abs=1e-8)
 
-    def test_eig_extremes_on_known_matrix(self):
-        lo, hi = eig_extremes(np.diag([0.5, 3.0, 1.0]))
-        assert lo == pytest.approx(0.5, abs=1e-10)
-        assert hi == pytest.approx(3.0, abs=1e-10)
+    def test_diagonal_block_gives_its_extremes(self):
+        factor = np.diag(np.sqrt([0.5, 3.0, 1.0]))
+        problem = make_problem(factor, (3,), [np.zeros((3, 1))], 0.0, [1.0])
+        assert problem.lambdas[0] == pytest.approx(0.5, abs=1e-12)
+        assert problem.mus[0] == pytest.approx(3.0, abs=1e-12)
 
-    def test_operator_norm_rank_one(self):
-        u = np.array([[3.0], [4.0]])
-        assert operator_norm(u @ u.T / 5.0) == pytest.approx(5.0, abs=1e-10)
+    @pytest.mark.parametrize("dims", [(6, 6), (3, 4, 5)])
+    def test_isotropic_gammas_equal_the_coupling(self, dims):
+        problem = isotropic_problem(0, dims, coupling=0.1)
+        assert problem.gammas == pytest.approx((0.1,) * len(dims), abs=1e-12)
 
-    def test_zero_matrix(self):
-        assert power_eigmax(np.zeros((3, 3))) == 0.0
+    def test_uncoupled_blocks_have_zero_gamma(self):
+        problem = random_problem(2, dims=(3, 4), coupling=0.0)
+        assert problem.gammas == (0.0, 0.0)
 
 
 class TestBallProject:
