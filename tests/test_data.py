@@ -84,7 +84,7 @@ class TestLoadIdx:
 
     def test_limit_is_a_view_equal_to_the_index_copy(self, tmp_path):
         rng = make_rng(4)
-        images = rng.integers(0, 256, (6, 3, 2)).astype(np.uint8)
+        images = rng.integers(0, 256, (6, 3, 3)).astype(np.uint8)
         ip, lp = write_fixture_pair(tmp_path, images, rng.integers(0, 10, 6).astype(np.uint8))
         full, head = load_idx(ip, lp), load_idx(ip, lp, limit=4)
         copy = full.take(np.arange(4))
