@@ -10,6 +10,9 @@ the exception that ended it):
 - ``events`` covers every step event's loss, step, meta loss, beta and
   eta_hat, with ``None`` hashed as a marker.
 
+A last line hashes the bytes of a 1,000-glyph synthetic corpus
+(``images=`` and ``labels=``), so a change to the generator shows too.
+
 Diffing the output of two trees shows which runs' floats moved.  The
 hashes hold for one numpy/BLAS build and OpenBLAS thread count, so none
 are kept; ``test_fingerprint.py`` checks that two processes agree.
@@ -27,6 +30,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from samt.data import synth_classification  # noqa: E402
 from samt.harness import (  # noqa: E402
     OPTIMIZERS,
     TrainConfig,
@@ -143,6 +147,8 @@ def main() -> None:
         for name, config in runs(csv_path):
             traj, events, status = fingerprint(config)
             print(f"{name:<46} trajectory={traj} events={events} {status}", flush=True)
+    images, labels = (hashlib.sha256(a.tobytes()).hexdigest()[:16] for a in synth_classification(0, 1000))
+    print(f"{'data/synth_classification(0,1000)':<46} images={images} labels={labels} ok")
 
 
 if __name__ == "__main__":
