@@ -25,6 +25,9 @@ IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 
 VARIANCE_FLOOR = 1e-12
+# Pixels `synth_classification` noises, blurs and quantizes at a time (128
+# cache-sized images at side 28); the corpus bytes do not depend on it.
+SYNTH_BLOCK_PIXELS = 128 * 28 * 28
 
 
 @dataclass(frozen=True)
@@ -224,13 +227,17 @@ def synth_classification(
     max_shift = side // 7
     shifts = rng.integers(-max_shift, max_shift + 1, size=(n, 2))
     gain = rng.uniform(0.6, 1.4, size=(n, 1))
-    glyphs = prototypes[labels]
-    rows = (np.arange(side)[None, :, None] - shifts[:, 0, None, None]) % side
-    cols = (np.arange(side)[None, None, :] - shifts[:, 1, None, None]) % side
-    glyphs = glyphs[np.arange(n)[:, None, None], rows, cols].reshape(n, d)
-    noise = smooth(rng.standard_normal((n, d)))
-    pixels = np.clip(gain * glyphs + noise_sd * noise, 0.0, 1.0)
-    images = np.round(pixels * 255.0).astype(np.uint8).reshape(n, side, side)
+    images = np.empty((n, side, side), dtype=np.uint8)
+    m = max(1, SYNTH_BLOCK_PIXELS // d)
+    for s in range(0, n, m):
+        # block draws continue one stream: together they are one (n, d) draw
+        e = min(s + m, n)
+        rows = (np.arange(side)[None, :, None] - shifts[s:e, 0, None, None]) % side
+        cols = (np.arange(side)[None, None, :] - shifts[s:e, 1, None, None]) % side
+        glyphs = prototypes[labels[s:e, None, None], rows, cols].reshape(e - s, d)
+        noise = smooth(rng.standard_normal((e - s, d)))
+        pixels = np.clip(gain[s:e] * glyphs + noise_sd * noise, 0.0, 1.0)
+        images[s:e] = np.round(pixels * 255.0).reshape(e - s, side, side)
     return images, labels
 
 

@@ -39,9 +39,9 @@ NUM_FEATURES = 5
 DEFAULT_HIDDEN = 64
 # Rank-1 output-layer updates `psi_step` gathers before folding them in.
 PSI_PENDING = 4
-# Scratch entries of one pass of that fold (512 rows of a 64-wide
-# matrix); a pass updates as many whole columns as fit, at least one.
-PSI_CHUNK_ENTRIES = 512 * 64
+# Scratch entries of one tile of that fold (4,096 rows of a 64-wide
+# matrix, 2 MiB); a tile updates as many whole rows as fit, at least one.
+PSI_CHUNK_ENTRIES = 4096 * 64
 
 
 @dataclass
@@ -230,9 +230,10 @@ def psi_step(psi: EtaModel, grads) -> None:
     `grads` holds one factor pair (u, v) per matrix, as in
     `MetaStep.psi_grads`.  The hidden layers become w - lr * (u @ v.T).
     The output layer's pair joins the pending updates as (u, lr * v);
-    the PSI_PENDING-th folds them into w3, one matmul per block of whole
-    columns (at most PSI_CHUNK_ENTRIES entries, at least one), in any
-    layout.  The model's arrays are mutated in place.
+    the PSI_PENDING-th folds them into w3, one matmul per tile of whole
+    rows (at most PSI_CHUNK_ENTRIES entries, at least one row), so each
+    tile reads its rows of u once, in any layout.  The model's arrays
+    are mutated in place.
     """
     for (u, v), w in zip(grads, psi.weights, strict=True):
         if u.shape != (w.shape[0], 1) or v.shape != (w.shape[1], 1):
@@ -248,11 +249,11 @@ def psi_step(psi: EtaModel, grads) -> None:
     p.n += 1
     if p.n == PSI_PENDING:
         rows, cols = w3.shape
-        width = max(1, min(cols, PSI_CHUNK_ENTRIES // rows))
-        buf = np.empty((rows, width), order="F")
-        for s in range(0, cols, width):
-            e = min(s + width, cols)
-            chunk = buf[:, : e - s]
-            np.matmul(p.u, p.v[s:e].T, out=chunk)
-            w3[:, s:e] -= chunk
+        height = max(1, min(rows, PSI_CHUNK_ENTRIES // cols))
+        buf = np.empty((height, cols), order="F")
+        for s in range(0, rows, height):
+            e = min(s + height, rows)
+            chunk = buf[: e - s]
+            np.matmul(p.u[s:e], p.v.T, out=chunk)
+            w3[s:e] -= chunk
         p.n = 0

@@ -79,10 +79,11 @@ def init_network(widths, rng, activation_slope=0.01, loss_kind=SOFTMAX_CE) -> Ne
     return NetworkModel(weights, activation_slope=activation_slope, loss_kind=loss_kind)
 
 
-def leaky_relu(x: Matrix, slope: float) -> Matrix:
+def leaky_relu(x: Matrix, slope: float, out: Matrix | None = None) -> Matrix:
     """x where x > 0, else slope * x: for 0 < slope < 1 that is bitwise
-    max(x, slope * x), signed zeros, infinities and NaN included."""
-    return np.maximum(x, slope * x)
+    max(x, slope * x), signed zeros, infinities and NaN included.  With
+    `out=x` it overwrites x, holding one temporary instead of two."""
+    return np.maximum(x, slope * x, out=out)
 
 
 def leaky_relu_backward(x: Matrix, upstream: Matrix, slope: float) -> Matrix:
@@ -105,7 +106,7 @@ def layer_outputs(net: NetworkModel, batch_x: Matrix):
             raise ShapeError(f"layer {l} expects {w.shape[1]} input features, got {a.shape[0]}")
         a = w @ a
         if l < net.num_layers - 1:
-            a = leaky_relu(a, net.activation_slope)
+            leaky_relu(a, net.activation_slope, out=a)  # a is fresh: overwrite it
         yield a
 
 

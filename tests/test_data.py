@@ -1,11 +1,14 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
+from samt import data
 from samt.data import (
     CLASSIFICATION,
+    SYNTH_BLOCK_PIXELS,
     Dataset,
     load_csv,
     load_idx,
@@ -230,3 +233,71 @@ def test_synth_classification_shapes_and_determinism():
     assert labels.shape == (100,) and labels.max() < 4
     imgs2, labels2 = synth_classification(0, n=100, side=8, num_classes=4)
     assert np.array_equal(imgs, imgs2) and np.array_equal(labels, labels2)
+
+
+def whole_corpus_glyphs(seed, n, side=28, num_classes=10, separation=1.0, noise_sd=0.5):
+    """The glyph generator as one whole-corpus pass: every per-sample
+    array, the noise draw included, is (n, side * side) at once."""
+    rng = np.random.default_rng(seed)
+    d = side * side
+
+    def smooth(img_rows):
+        imgs = img_rows.reshape(-1, side, side)
+        for _ in range(2):
+            acc = np.zeros_like(imgs)
+            for off in range(-2, 3):
+                acc += np.roll(imgs, off, axis=1) + np.roll(imgs, off, axis=2)
+            imgs = acc / 10.0
+        return imgs.reshape(-1, d)
+
+    base = smooth(rng.standard_normal((num_classes, d)))
+    cut = np.quantile(base, 0.7, axis=1, keepdims=True)
+    prototypes = np.maximum(base - cut, 0.0)
+    prototypes *= separation / prototypes.max(axis=1, keepdims=True)
+    prototypes = prototypes.reshape(num_classes, side, side)
+
+    labels = rng.integers(0, num_classes, size=n).astype(np.uint8)
+    max_shift = side // 7
+    shifts = rng.integers(-max_shift, max_shift + 1, size=(n, 2))
+    gain = rng.uniform(0.6, 1.4, size=(n, 1))
+    glyphs = prototypes[labels]
+    rows = (np.arange(side)[None, :, None] - shifts[:, 0, None, None]) % side
+    cols = (np.arange(side)[None, None, :] - shifts[:, 1, None, None]) % side
+    glyphs = glyphs[np.arange(n)[:, None, None], rows, cols].reshape(n, d)
+    noise = smooth(rng.standard_normal((n, d)))
+    pixels = np.clip(gain * glyphs + noise_sd * noise, 0.0, 1.0)
+    images = np.round(pixels * 255.0).astype(np.uint8).reshape(n, side, side)
+    return images, labels
+
+
+class TestSynthClassification:
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("side, num_classes", [(28, 10), (8, 4)])
+    @pytest.mark.parametrize("blocks", [0, 0.5, 2, 2.25])
+    def test_bytes_are_the_whole_corpus_generators(self, seed, side, num_classes, blocks):
+        # n = 0, below one block, an exact multiple of it and a tail
+        n = int(blocks * (SYNTH_BLOCK_PIXELS // side**2))
+        images, labels = synth_classification(seed, n, side=side, num_classes=num_classes)
+        want_images, want_labels = whole_corpus_glyphs(seed, n, side=side, num_classes=num_classes)
+        assert images.shape == (n, side, side) and images.dtype == np.uint8
+        assert images.tobytes() == want_images.tobytes()
+        assert labels.dtype == np.uint8 and labels.tobytes() == want_labels.tobytes()
+
+    @pytest.mark.parametrize("block_images", [1, 7, 64])
+    def test_bytes_do_not_depend_on_the_block_size(self, monkeypatch, block_images):
+        monkeypatch.setattr(data, "SYNTH_BLOCK_PIXELS", block_images * 8 * 8)
+        images, labels = synth_classification(3, 100, side=8, num_classes=4, noise_sd=0.8)
+        want_images, want_labels = whole_corpus_glyphs(3, 100, side=8, num_classes=4, noise_sd=0.8)
+        assert images.tobytes() == want_images.tobytes() and labels.tobytes() == want_labels.tobytes()
+
+    def test_peak_memory_stays_below_half_a_float_corpus(self):
+        n, d = 4000, 28 * 28
+        synth_classification(0, 8)  # warm numpy's caches outside the trace
+        tracemalloc.start()
+        try:
+            synth_classification(0, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the uint8 corpus is n * d bytes; one float64 corpus would be 8x that
+        assert peak < n * d * 8 / 2

@@ -227,13 +227,13 @@ class TestPsiStep:
             bound = 4 * np.finfo(float).eps * (np.abs(w3) + 0.37 * np.abs(u @ v.T))
             assert (np.abs(effective_w3(psi) - expected[2]) <= bound).all()
 
-    @pytest.mark.parametrize("rows", [510, 1030, 10_000, 40_000])
+    @pytest.mark.parametrize("rows", [510, 1030, 10_000, 40_000, 74_898])
     def test_fold_every_pending_steps_matches_the_dense_updates(self, rows):
-        # the fold takes PSI_CHUNK_ENTRIES // rows whole columns a pass: up
-        # to 1,030 rows all seven in one pass, 10,000 rows 3 + 3 + 1
-        # columns, 40,000 rows one column per pass
-        assert PSI_CHUNK_ENTRIES // 1030 >= 7
-        assert PSI_CHUNK_ENTRIES // 10_000 == 3 and PSI_CHUNK_ENTRIES // 40_000 == 0
+        # the fold takes PSI_CHUNK_ENTRIES // 7 whole rows a tile: up to
+        # 10,000 rows one tile, 40,000 rows a full tile and a tail tile,
+        # 74,898 rows exactly two full tiles
+        height = PSI_CHUNK_ENTRIES // 7
+        assert 10_000 <= height < 40_000 < 2 * height and 2 * height == 74_898
         psi = init_eta_model(
             StepSizeKind.ELEMENT, (rows // 2, 1), make_rng(rows), hidden=7, meta_learning_rate=0.37
         )

@@ -66,6 +66,9 @@ class TestLeakyRelu:
         with np.errstate(all="ignore"):
             reference = np.where(x > 0, x, slope * x)
             assert np.array_equal(bits(leaky_relu(x, slope)), bits(reference))
+            # in place, as layer_outputs applies it to a fresh pre-activation
+            assert leaky_relu(x, slope, out=x) is x
+            assert np.array_equal(bits(x), bits(reference))
 
     @settings(max_examples=200)
     @given(st.data(), small_shape, open_slope)

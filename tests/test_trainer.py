@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -329,6 +330,22 @@ class TestEvaluate:
         evaluate(net, ds, batch_size=7)
         for w0, w1 in zip(before, net.layer_weights):
             assert np.array_equal(w0, w1)
+
+    def test_desk_net_evaluation_holds_two_hidden_activations(self):
+        # the hidden layer's pre-activation is overwritten by its
+        # activation, so its peak is that array and slope * it; an
+        # out-of-place activation holds a third
+        rng = make_rng(33)
+        net = init_network((784, 100, 10), rng)
+        ds = Dataset(rng.random((784, 1000)), rng.integers(0, 10, 1000), CLASSIFICATION)
+        evaluate(net, ds, batch_size=1000)  # warm numpy's caches outside the trace
+        tracemalloc.start()
+        try:
+            evaluate(net, ds, batch_size=1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * (100 * 1000 * 8)
 
     def test_regression_metric_is_mse(self):
         net = NetworkModel((np.array([[2.0]]),), loss_kind=MSE)
