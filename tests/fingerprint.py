@@ -10,8 +10,12 @@ the exception that ended it):
 - ``events`` covers every step event's loss, step, meta loss, beta and
   eta_hat, with ``None`` hashed as a marker.
 
-A last line hashes the bytes of a 1,000-glyph synthetic corpus
-(``images=`` and ``labels=``), so a change to the generator shows too.
+A line hashes the bytes of a 1,000-glyph synthetic corpus (``images=``
+and ``labels=``), so a change to the generator shows too.  The last line
+hashes a small theory run: the rows, ratio and noise term of a noisy
+and a noise-free recursion check with the plateau halving factor
+(``recursion=``), and one contractivity check's slacks and violations
+(``contractivity=``).
 
 Diffing the output of two trees shows which runs' floats moved.  The
 hashes hold for one numpy/BLAS build and OpenBLAS thread count, so none
@@ -30,6 +34,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from samt import theory  # noqa: E402
 from samt.data import synth_classification  # noqa: E402
 from samt.harness import (  # noqa: E402
     OPTIMIZERS,
@@ -126,6 +131,30 @@ def fingerprint(config: TrainConfig) -> tuple[str, str, str]:
     return trajectory.hex(), events.hex(), status
 
 
+def theory_fingerprint() -> tuple[str, str]:
+    """(recursion hash, contractivity hash) of a reduced `run_theory_suite`."""
+    recursion, contractivity = Digest(), Digest()
+    noisy = theory.isotropic_problem(0, (6, 6), coupling=0.1, noise_sd=0.05)
+    for problem in (noisy, theory.isotropic_problem(0, (6, 6), coupling=0.1, noise_sd=0.0)):
+        report = theory.recursion_check(problem, 0.1, mc_runs=4, steps=60, seed=0)
+        for value in (report.rows, report.ratio, report.noise_term, len(report.violations)):
+            recursion.add(value)
+    eta = theory.plateau_quartering_step(noisy)
+    recursion.add(theory.plateau_halving_factor(noisy, eta, mc_runs=4, steps=60, seed=0))
+    problem = theory.random_problem((0, 1), dims=(3, 4), coupling=0.15)
+    eta = 2.0 / (problem.mus[0] + problem.lambdas[0])
+    report = theory.contractivity_check(problem, 0, eta, trials=20, rng=np.random.default_rng(0))
+    for value in (
+        report.worst_squared_slack,
+        report.worst_cross_slack,
+        report.worst_unsquared_slack,
+        report.worst_literal_cross_slack,
+        [v[1:] for v in report.violations],
+    ):
+        contractivity.add(value)
+    return recursion.hex(), contractivity.hex()
+
+
 def runs(csv_path: Path):
     """(name, config) for every optimizer x projection x dataset, then the variants."""
     data = {k: replace(BASE, **v) for k, v in DATASETS.items()}
@@ -149,6 +178,8 @@ def main() -> None:
             print(f"{name:<46} trajectory={traj} events={events} {status}", flush=True)
     images, labels = (hashlib.sha256(a.tobytes()).hexdigest()[:16] for a in synth_classification(0, 1000))
     print(f"{'data/synth_classification(0,1000)':<46} images={images} labels={labels} ok")
+    recursion, contractivity = theory_fingerprint()
+    print(f"{'theory/recursion,plateau,contractivity':<46} recursion={recursion} contractivity={contractivity} ok")
 
 
 if __name__ == "__main__":
