@@ -17,7 +17,7 @@ carries the step-size kind; a `psi_bypass` run builds none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,14 +48,12 @@ PSI_CHUNK_ENTRIES = 4096 * 64
 class _Pending:
     """Updates not yet folded into w3: psi's output layer is w3 - u[:, :n] @ v[:, :n].T."""
 
-    u: Matrix | None = None  # 2k x PSI_PENDING, column-major; allocated on first use
-    v: Matrix | None = None  # hidden x PSI_PENDING, meta learning rate folded in
+    u: Matrix  # 2k x PSI_PENDING, column-major; allocated with psi, as is v
+    v: Matrix  # hidden x PSI_PENDING, meta learning rate folded in
     n: int = 0
 
-    def column(self, rows: int, cols: int) -> Matrix:
-        """u's (rows, 1) column for the next update; allocates u and v on first use."""
-        if self.u is None:
-            self.u, self.v = np.empty((rows, PSI_PENDING), order="F"), np.empty((cols, PSI_PENDING))
+    def column(self) -> Matrix:
+        """u's (2k, 1) column for the next update."""
         return self.u[:, self.n : self.n + 1]
 
 
@@ -66,8 +64,8 @@ class EtaModel:
 
     The weight arrays and pending updates are owned by the one adaptive
     engine that holds the model and are mutated in place by `psi_step`.
-    A `dataclasses.replace` copy shares the weight arrays but gets its
-    own copy of the pending updates.
+    A `dataclasses.replace` copy shares every array it does not replace,
+    the pending updates included.
     """
 
     w1: Matrix  # hidden x 5
@@ -75,10 +73,10 @@ class EtaModel:
     w3: Matrix  # 2k x hidden base B, column-major: each column is contiguous
     kind: StepSizeKind
     head_shape: tuple[int, int]  # shape both heads are reshaped to
-    activation_slope: float = 0.01
-    projection_style: str = "tanh"
-    meta_learning_rate: float = 1e-3
-    pending: _Pending = field(default_factory=_Pending)
+    activation_slope: float
+    projection_style: str
+    meta_learning_rate: float
+    pending: _Pending
 
     def __post_init__(self):
         if not 0.0 < self.activation_slope < 1.0:
@@ -87,8 +85,6 @@ class EtaModel:
             raise ShapeError(
                 f"output layer has {rows} rows, head shape {self.head_shape} needs {2 * self.entry_count}"
             )
-        p = self.pending
-        self.pending = _Pending(*(a if a is None else a.copy() for a in (p.u, p.v)), p.n)
 
     @property
     def entry_count(self) -> int:
@@ -120,6 +116,7 @@ def init_eta_model(
         activation_slope=activation_slope,
         projection_style=projection_style,
         meta_learning_rate=meta_learning_rate,
+        pending=_Pending(np.empty((2 * k, PSI_PENDING), order="F"), np.empty((hidden, PSI_PENDING))),
     )
 
 
@@ -146,8 +143,8 @@ def psi_forward(psi: EtaModel, d_col: Matrix) -> tuple[Matrix, Matrix, _PsiCache
         raise FloatingPointError("psi raw heads are not finite")
     k, style = psi.entry_count, psi.projection_style
     core = squash(u3, style)
-    beta = project_unit(u3[:k], style, core[:k]).reshape(psi.head_shape)
-    eta_hat = project_unit(u3[k:], style, core[k:]).reshape(psi.head_shape)
+    beta = project_unit(core[:k], style).reshape(psi.head_shape)
+    eta_hat = project_unit(core[k:], style).reshape(psi.head_shape)
     cache = _PsiCache(h1, h2, core)
     return beta, eta_hat, cache
 
@@ -206,7 +203,7 @@ def meta_gradients(
         dstep += reduce_to_kind(-dW.pop(l) * grads[l], psi.kind)  # frees dW before the head chain
 
     k = psi.entry_count
-    du3 = psi.pending.column(*psi.w3.shape)
+    du3 = psi.pending.column()
     for head, dstep_dhead, core in (
         (du3[:k], dstep_dbeta, cache.core[:k]),
         (du3[k:], dstep_deta, cache.core[k:]),
@@ -244,7 +241,7 @@ def psi_step(psi: EtaModel, grads) -> None:
     for (u, v), w in zip(grads[:2], psi.weights):
         w -= lr * (u @ v.T)
     (u3, h2), w3, p = grads[2], psi.w3, psi.pending
-    p.column(*w3.shape)[...] = u3  # numpy skips the copy when meta_gradients wrote u3 there
+    p.column()[...] = u3  # numpy skips the copy when meta_gradients wrote u3 there
     p.v[:, p.n] = lr * h2[:, 0]
     p.n += 1
     if p.n == PSI_PENDING:

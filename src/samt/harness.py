@@ -28,7 +28,7 @@ from .data import (
     synth_regression,
 )
 from .errors import ConfigError, DivergenceError
-from .etamodel import init_eta_model, meta_gradients, psi_forward
+from .etamodel import DEFAULT_HIDDEN, init_eta_model, meta_gradients, psi_forward
 from .model import (
     MSE,
     SOFTMAX_CE,
@@ -73,7 +73,7 @@ class TrainConfig:
     inner_steps: int = 1
     meta_lag: int = 0
     meta_learning_rate: float = 1e-3
-    psi_hidden: int = 64
+    psi_hidden: int = DEFAULT_HIDDEN
     psi_bypass: bool = False
     activation_slope: float = 0.01
     train_batch: int = 64
@@ -197,21 +197,18 @@ def _read_config_file(path) -> dict[str, str]:
 def parse_config(path=None, overrides=()) -> TrainConfig:
     """Build a validated TrainConfig from a file and/or override pairs.
 
-    `overrides` is an iterable of "key=value" strings (or a mapping);
-    they win over file values.  Unknown keys and invalid enum values
+    `overrides` is an iterable of "key=value" strings; they win over
+    file values.  Unknown keys and invalid enum values
     raise ConfigError.
     """
     pairs: dict[str, str] = {}
     if path is not None:
         pairs.update(_read_config_file(path))
-    if isinstance(overrides, dict):
-        pairs.update({k: str(v) for k, v in overrides.items()})
-    else:
-        for item in overrides:
-            key, sep, value = item.lstrip("-").partition("=")
-            if not sep:
-                raise ConfigError(f"override must look like key=value, got {item!r}")
-            pairs[key.strip()] = value.strip()
+    for item in overrides:
+        key, sep, value = item.lstrip("-").partition("=")
+        if not sep:
+            raise ConfigError(f"override must look like key=value, got {item!r}")
+        pairs[key.strip()] = value.strip()
 
     kwargs = {}
     for key, raw in pairs.items():
@@ -239,6 +236,8 @@ def validate_config(config: TrainConfig) -> None:
         raise ConfigError(f"meta_lag must be 0 or 1, got {config.meta_lag}")
     if config.epochs < 1:
         raise ConfigError(f"epochs must be >= 1, got {config.epochs}")
+    if config.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {config.seed}")
     # written as `not lo <= x < inf` so that NaN fails too
     for key in ("meta_learning_rate", "hd_hyper_rate", "synth_noise_sd", "img_noise_sd"):
         if not 0.0 <= getattr(config, key) < math.inf:
@@ -544,35 +543,37 @@ def run_theory_suite(suite: str = "all", out_dir=".", seed: int = 0, inject_bug:
 # Finite-difference checks shared by the CLI and the acceptance tests
 # ---------------------------------------------------------------------------
 
+FD_STEP = 1e-5  # central-difference step
 
-def _fd_worst(analytic: Matrix, w: Matrix, loss_with, h: float) -> float:
+
+def _fd_worst(analytic: Matrix, w: Matrix, loss_with) -> float:
     """Worst relative error between `analytic` and central differences of
     `loss_with` over every entry of `w`."""
     worst = 0.0
     for i in range(w.shape[0]):
         for j in range(w.shape[1]):
             bumped = w.copy()
-            bumped[i, j] = w[i, j] + h
+            bumped[i, j] = w[i, j] + FD_STEP
             up = loss_with(bumped)
-            bumped[i, j] = w[i, j] - h
+            bumped[i, j] = w[i, j] - FD_STEP
             down = loss_with(bumped)
-            numeric = (up - down) / (2 * h)
+            numeric = (up - down) / (2 * FD_STEP)
             exact = float(analytic[i, j])
             worst = max(worst, abs(exact - numeric) / (1.0 + abs(exact)))
     return worst
 
 
-def fd_layer_gradients(net: NetworkModel, batch, h: float = 1e-5) -> float:
+def fd_layer_gradients(net: NetworkModel, batch) -> float:
     """Worst relative error between backprop and central differences."""
     block = tuple(range(net.num_layers))
     _, grads = block_loss_and_gradients(net, batch, block)
     return max(
-        _fd_worst(grads[l], net.layer_weights[l], lambda w: batch_loss(net.with_layers({l: w}), batch), h)
+        _fd_worst(grads[l], net.layer_weights[l], lambda w: batch_loss(net.with_layers({l: w}), batch))
         for l in block
     )
 
 
-def fd_meta_gradients(psi, feats, block, grads, eta0, meta_batch, net, arm="full", h: float = 1e-5) -> float:
+def fd_meta_gradients(psi, feats, block, grads, eta0, meta_batch, net, arm="full") -> float:
     """Worst relative error between the meta chain and central differences."""
     meta = meta_gradients(psi, feats, block, grads, eta0, meta_batch, net, arm=arm)
 
@@ -582,7 +583,7 @@ def fd_meta_gradients(psi, feats, block, grads, eta0, meta_batch, net, arm="full
         return batch_loss(net.with_layers(candidate_weights(net, block, grads, value)), meta_batch)
 
     return max(
-        _fd_worst(u @ v.T, getattr(psi, name), lambda w: meta_loss_with(name, w), h)
+        _fd_worst(u @ v.T, getattr(psi, name), lambda w: meta_loss_with(name, w))
         for name, (u, v) in zip(("w1", "w2", "w3"), meta.psi_grads)
     )
 

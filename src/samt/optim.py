@@ -91,17 +91,19 @@ class SgdEngine:
         return net.with_layers(updates), StepEvent(loss, self.eta)
 
 
+# Adam's moment decays and denominator guard (Kingma & Ba's defaults)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+HD_RATE_FLOOR = 1e-8  # negative inner products cannot drive HD's rate to 0 or below
+
+
 @dataclass(slots=True)
 class AdamEngine:
     """Bias-corrected Adam; the moments align with the block's layer order."""
 
     m: tuple[Matrix, ...]
     v: tuple[Matrix, ...]
-    rate: float = 1e-3
+    rate: float
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     needs_meta_batch = False
 
@@ -113,15 +115,14 @@ class AdamEngine:
     def step(self, net, block, main_batch, meta_batch=None):
         loss, grads = block_loss_and_gradients(net, main_batch, block)
         self.t = t = self.t + 1
-        b1, b2 = self.beta1, self.beta2
         updates, ms, vs = {}, [], []
         for l, m, v in zip(block, self.m, self.v):
             g = grads[l]
-            m = b1 * m + (1 - b1) * g
-            v = b2 * v + (1 - b2) * (g * g)
-            m_hat = m / (1 - b1 ** t)
-            v_hat = v / (1 - b2 ** t)
-            updates[l] = net.layer_weights[l] - self.rate * m_hat / (np.sqrt(v_hat) + self.eps)
+            m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
+            v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * (g * g)
+            m_hat = m / (1 - ADAM_BETA1 ** t)
+            v_hat = v / (1 - ADAM_BETA2 ** t)
+            updates[l] = net.layer_weights[l] - self.rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
             ms.append(m)
             vs.append(v)
         self.m, self.v = tuple(ms), tuple(vs)
@@ -134,13 +135,12 @@ class HdEngine:
 
     g_prev: tuple[Matrix, ...]
     rate: float
-    hyper_rate: float = 1e-4
-    rate_floor: float = 1e-8
+    hyper_rate: float
 
     needs_meta_batch = False
 
     @staticmethod
-    def fresh(net, block, rate: float, hyper_rate: float = 1e-4) -> "HdEngine":
+    def fresh(net, block, rate: float, hyper_rate: float) -> "HdEngine":
         return HdEngine(
             tuple(np.zeros_like(net.layer_weights[l]) for l in block),
             rate=rate,
@@ -150,7 +150,7 @@ class HdEngine:
     def step(self, net, block, main_batch, meta_batch=None):
         loss, grads = block_loss_and_gradients(net, main_batch, block)
         inner = sum(float(np.vdot(grads[l], gp)) for l, gp in zip(block, self.g_prev))
-        self.rate = rate = max(self.rate_floor, self.rate + self.hyper_rate * inner)
+        self.rate = rate = max(HD_RATE_FLOOR, self.rate + self.hyper_rate * inner)
         updates = candidate_weights(net, block, grads, rate)
         self.g_prev = tuple(grads[l] for l in block)
         return net.with_layers(updates), StepEvent(loss, rate)

@@ -97,19 +97,17 @@ def squash(u: Matrix, style: str) -> Matrix:
         return np.tanh(u)
     if style == SIGMOID:
         # exp on the negative side only, so large |u| cannot overflow
-        return np.where(u >= 0, 1.0 / (1.0 + np.exp(-np.abs(u))),
-                        np.exp(-np.abs(u)) / (1.0 + np.exp(-np.abs(u))))
+        e = np.exp(-np.abs(u))
+        return np.where(u >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     raise ValueError(f"projection style must be one of {PROJECTION_STYLES}, got {style!r}")
 
 
-def project_unit(u: Matrix, style: str, core: Matrix | None = None) -> Matrix:
-    """Squash raw values into the open interval (0,1).
+def project_unit(core: Matrix, style: str) -> Matrix:
+    """Squash raw values u into the open interval (0,1), given `core = squash(u, style)`.
 
     tanh style: 0.5 * (tanh(u) + 1); sigmoid style: 1 / (1 + exp(-u)).
-    Outputs are clipped away from the endpoints by OPEN_EPS.  `core`, if
-    given, is `squash(u, style)`, which is then not recomputed.
+    Outputs are clipped away from the endpoints by OPEN_EPS.
     """
-    core = squash(u, style) if core is None else core
     out = 0.5 * (core + 1.0) if style == TANH else core
     return np.clip(out, OPEN_EPS, 1.0 - OPEN_EPS)
 

@@ -31,7 +31,7 @@ Two families of checks live here:
       A = (1 - 2*eta*xi + 2*eta*gamma*(L-1)) / (1 - eta*gamma*(L-1)),
   with xi = min_d 2*mu_d*lambda_d/(mu_d+lambda_d), gamma = max_d gamma_d,
   and sigma^2 an upper bound on the single-sample gradient second
-  moment over the constraint balls.
+  moment over the constraint balls, which share one radius.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ class QuadraticProblem:
     w_star: Matrix  # (m, 1), the stacked optimum
     slices: tuple[slice, ...]  # rows of block d
     noise_sd: float
-    radii: tuple[float, ...]  # r_d per block: iterates stay within r_d of the optimum
+    radius: float  # r: every block's iterates stay within r of its optimum
     lambdas: tuple[float, ...]
     mus: tuple[float, ...]
     gammas: tuple[float, ...]
@@ -87,7 +87,7 @@ def _slices(dims) -> tuple[slice, ...]:
     return tuple(slice(a, b) for a, b in zip(starts[:-1], starts[1:]))
 
 
-def make_problem(factor: Matrix, dims, w_star, noise_sd: float, radii) -> QuadraticProblem:
+def make_problem(factor: Matrix, dims, w_star, noise_sd: float, radius: float) -> QuadraticProblem:
     """Problem with covariance factor S, block sizes `dims` and the optimum
     given per block; the spectral constants are measured here, once."""
     slices = _slices(int(d) for d in dims)
@@ -106,15 +106,18 @@ def make_problem(factor: Matrix, dims, w_star, noise_sd: float, radii) -> Quadra
         w_star=np.vstack([np.asarray(w, dtype=np.float64).reshape(-1, 1) for w in w_star]),
         slices=slices,
         noise_sd=float(noise_sd),
-        radii=tuple(float(r) for r in radii),
+        radius=float(radius),
         lambdas=lambdas,
         mus=tuple(float(eigs[-1]) for eigs in spectra),
         gammas=gammas,
     )
 
 
-def random_problem(seed, dims, coupling: float = 0.1, noise_sd: float = 0.0, radius: float = 2.0):
-    """Random well-conditioned problem; coupling scales the cross blocks."""
+PROBLEM_RADIUS = 2.0  # the constraint radius of the problems generated below
+
+
+def random_problem(seed, dims, coupling: float = 0.1):
+    """Random well-conditioned, noise-free problem; coupling scales the cross blocks."""
     rng = np.random.default_rng(seed)
     m = sum(dims)
     w_star = [rng.standard_normal((n, 1)) for n in dims]
@@ -125,12 +128,12 @@ def random_problem(seed, dims, coupling: float = 0.1, noise_sd: float = 0.0, rad
             mask[sl] = False
             factor[sl, mask] *= coupling
         try:
-            return make_problem(factor, dims, w_star, noise_sd, [radius] * len(dims))
+            return make_problem(factor, dims, w_star, 0.0, PROBLEM_RADIUS)
         except ValueError:
             continue
 
 
-def isotropic_problem(seed, dims, coupling: float = 0.1, noise_sd: float = 0.05, radius: float = 2.0):
+def isotropic_problem(seed, dims, coupling: float = 0.1, noise_sd: float = 0.05):
     """Identity diagonal covariance blocks plus an exactly sized coupling.
 
     cov = [[I, B], [B^T, I], ...] with every cross block of operator norm
@@ -152,7 +155,7 @@ def isotropic_problem(seed, dims, coupling: float = 0.1, noise_sd: float = 0.05,
         raise ValueError(f"coupling {coupling} too large for PSD covariance")
     factor = vecs @ np.diag(np.sqrt(vals)) @ vecs.T
     w_star = [rng.standard_normal((n, 1)) for n in dims]
-    return make_problem(factor, dims, w_star, noise_sd, [radius] * len(dims))
+    return make_problem(factor, dims, w_star, noise_sd, PROBLEM_RADIUS)
 
 
 # ---------------------------------------------------------------------------
@@ -200,14 +203,14 @@ def ball_project(z: Matrix, center: Matrix, radius: float) -> Matrix:
 
 def default_balls(problem: QuadraticProblem, rngs) -> Matrix:
     """Centers (m, R), one column per generator, of constraint balls of
-    radius r_d/2 that lie r_d/2 away from the optimum in a random
-    direction, so iterates stay within r_d of it."""
+    radius r/2 that lie r/2 away from each block's optimum in a random
+    direction, so iterates stay within r of it."""
     centers = np.repeat(problem.w_star, len(rngs), axis=1)
     for j, rng in enumerate(rngs):
-        for sl, r in zip(problem.slices, problem.radii):
+        for sl in problem.slices:
             direction = rng.standard_normal(sl.stop - sl.start)
             direction /= np.linalg.norm(direction)
-            centers[sl, j] = problem.w_star[sl, 0] + 0.5 * r * direction
+            centers[sl, j] = problem.w_star[sl, 0] + 0.5 * problem.radius * direction
     return centers
 
 
@@ -215,7 +218,7 @@ def stochastic_am_run(problem: QuadraticProblem, centers: Matrix, eta: float, st
     """Gauss-Seidel sweeps of projected gradient steps, one replica per column.
 
     Each replica starts at its column of `centers` and is projected onto
-    the ball of radius r_d/2 around it.  With `rngs` (one generator per
+    the ball of radius r/2 around it.  With `rngs` (one generator per
     column) each block update takes one fresh data sample at the earlier
     blocks' already updated values; a replica's samples come from one
     (steps, L, m + 1) draw of its own generator, the same stream as one
@@ -232,19 +235,19 @@ def stochastic_am_run(problem: QuadraticProblem, centers: Matrix, eta: float, st
     errors = np.empty((steps + 1, x.shape[1]))
     errors[0] = np.sum((x - problem.w_star) ** 2, axis=0)
     for t in range(steps):
-        for d, (sl, r) in enumerate(zip(problem.slices, problem.radii)):
+        for d, sl in enumerate(problem.slices):
             if rngs is None:
                 g = full_gradient(problem, x, d)
             else:
                 g = sample_gradient(problem, x, d, normals[t, d])
-            x[sl] = ball_project(x[sl] - eta * g, centers[sl], 0.5 * r)
+            x[sl] = ball_project(x[sl] - eta * g, centers[sl], 0.5 * problem.radius)
         errors[t + 1] = np.sum((x - problem.w_star) ** 2, axis=0)
     return errors
 
 
-def plateau(errors: np.ndarray, fraction: float = 0.2) -> np.ndarray:
-    """Mean error over the last `fraction` of the sweeps, per replica."""
-    tail = max(1, int(len(errors) * fraction))
+def plateau(errors: np.ndarray) -> np.ndarray:
+    """Mean error over the last fifth of the sweeps, per replica."""
+    tail = max(1, int(len(errors) * 0.2))
     return np.mean(errors[-tail:], axis=0)
 
 
@@ -303,13 +306,13 @@ def contractivity_check(problem: QuadraticProblem, d: int, eta: float, trials: i
     unsq_factor = max(abs(1.0 - eta * lam), abs(1.0 - eta * mu))
     cross_factor = math.sqrt(max(0.0, 1.0 - eta * xi))
 
-    # trial points, one per column, each uniform in the radius-r_i balls
+    # trial points, one per column, each uniform in every block's radius-r ball
     w_star, sl = problem.w_star, problem.slices[d]
     points = np.repeat(w_star, trials, axis=1)
     for j in range(trials):
-        for si, r in zip(problem.slices, problem.radii):
+        for si in problem.slices:
             direction = rng.standard_normal(si.stop - si.start)
-            scale = r * rng.uniform(0.0, 1.0) ** (1.0 / direction.size)
+            scale = problem.radius * rng.uniform(0.0, 1.0) ** (1.0 / direction.size)
             points[si, j] += (scale / np.linalg.norm(direction)) * direction
     dists = np.stack([np.linalg.norm(points[si] - w_star[si], axis=0) for si in problem.slices])
     dist_d = dists[d]
@@ -346,7 +349,7 @@ def noise_second_moment_bound(problem: QuadraticProblem) -> float:
     """Upper bound on sum_d sup E ||single-sample gradient_d||^2 over the
     constraint balls (Gaussian fourth moments via Isserlis)."""
     cov = problem.cov
-    r_sq = sum(r * r for r in problem.radii)
+    r_sq = problem.num_blocks * problem.radius * problem.radius
     cov_norm = np.linalg.norm(cov, 2)
     total = 0.0
     for sl in problem.slices:

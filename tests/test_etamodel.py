@@ -133,7 +133,7 @@ class TestInitEtaModel:
         finally:
             tracemalloc.stop()
         assert psi.w3.shape == (156_800, 64)
-        assert peak <= psi.w3.nbytes + 2**20
+        assert peak <= psi.w3.nbytes + psi.pending.u.nbytes + psi.pending.v.nbytes + 2**20
 
 
 class TestMetaGradients:
@@ -292,21 +292,29 @@ class TestPsiStep:
         eta0 = StepSize.initial(StepSizeKind.ELEMENT, w.shape, 0.1).init_values
         feats = grad_features(grads[0])
         meta_batch = (rng.standard_normal((784, 8)), rng.integers(0, 10, 8))
+        peaks = []
         tracemalloc.start()
         try:
-            meta = meta_gradients(psi, feats, (0,), grads, eta0, meta_batch, net)
-            psi_step(psi, meta.psi_grads)
-            peak = tracemalloc.get_traced_memory()[1]
+            for _ in range(2):  # neither step folds
+                start = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                meta = meta_gradients(psi, feats, (0,), grads, eta0, meta_batch, net)
+                psi_step(psi, meta.psi_grads)
+                del meta
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
         finally:
             tracemalloc.stop()
         assert psi.w3.shape == (156_800, 24)
-        assert peak < psi.w3.nbytes / 2
+        assert peaks[0] < psi.w3.nbytes / 2
+        # psi owns its pending terms from birth, so its first step
+        # allocates no more than the next one
+        assert peaks[0] <= peaks[1] + 2**20
 
     def test_pending_steps_never_hold_a_dense_output_gradient(self):
-        # PSI_PENDING + 1 steps: the pending terms are allocated, fill, fold
-        # into w3 and refill; their 2k x PSI_PENDING factor and the fold's
-        # scratch column add to the dozen head-sized arrays, and the peak
-        # still stays below half of w3
+        # PSI_PENDING + 1 steps: the pending terms, allocated with psi,
+        # fill, fold into w3 and refill; the fold's scratch tile adds to
+        # the dozen head-sized arrays, and the peak still stays below half
+        # of w3
         rng = make_rng(41)
         net = init_network((784, 100, 10), rng)
         w = net.layer_weights[0]
@@ -390,15 +398,12 @@ class TestPendingUpdates:
             assert np.abs(got - want).max() <= 1e-15
         assert np.abs(cached - psi_forward(materialised, feats)[2].core).max() <= 1e-15
 
-    def test_replaced_copy_keeps_its_own_pending_terms(self):
-        psi, setup = self.stepped(StepSizeKind.ROW, 1)
+    def test_replaced_copy_shares_the_pending_terms(self):
+        psi, _ = self.stepped(StepSizeKind.ROW, 1)
         copy = replace(psi, meta_learning_rate=0.1)
-        before = effective_w3(psi)
         factors = tuple((np.ones((w.shape[0], 1)), np.ones((w.shape[1], 1))) for w in psi.weights)
         psi_step(copy, factors)
-        assert psi.pending.n == 1 and copy.pending.n == 2
-        assert effective_w3(psi).tobytes() == before.tobytes()
-        assert np.allclose(effective_w3(copy), before - 0.1 * (factors[2][0] @ factors[2][1].T), atol=1e-15)
+        assert copy.pending is psi.pending and psi.pending.n == 2
 
 
 def test_bypass_keeps_step_at_initial_forever():

@@ -85,7 +85,7 @@ class TestParseConfig:
         defaults = TrainConfig()
         pairs = {f.name: text(getattr(defaults, f.name)) for f in dataclasses.fields(TrainConfig)}
         assert len(pairs) == 36
-        assert parse_config(overrides=pairs) == defaults
+        assert parse_config(overrides=[f"{k}={v}" for k, v in pairs.items()]) == defaults
 
     @pytest.mark.parametrize(
         "key",
@@ -96,7 +96,7 @@ class TestParseConfig:
         ],
     )
     def test_optional_key_parses_none(self, key):
-        assert getattr(parse_config(overrides={key: "none"}), key) is None
+        assert getattr(parse_config(overrides=[f"{key}=none"]), key) is None
 
 
 def quick_config(**kw):
@@ -398,6 +398,7 @@ class TestCli:
             (["optimizer=sgd", "synth_d=0"], "synth_d"),
             (["optimizer=sgd", "dataset=synthetic_images", "widths=784,10", "img_side=0"], "img_side"),
             (["optimizer=sgd", "dataset=synthetic_images", "widths=784,10", "img_classes=0"], "img_classes"),
+            (["optimizer=sgd", "seed=-1"], "seed"),
         ],
     )
     def test_bad_rate_or_width_exits_one_naming_the_key(self, args, key, tmp_path, capsys):

@@ -59,7 +59,7 @@ class TestAdamStep:
         engine = AdamEngine.fresh(scalar_net([[0.0]]), (0,), rate)
         batch = (np.array([[1.0]]), np.array([[-0.5]]))
         net_new, _ = engine.step(scalar_net([[0.0]]), (0,), batch)
-        assert net_new.layer_weights[0][0, 0] == pytest.approx(-rate / (1 + engine.eps), rel=1e-12)
+        assert net_new.layer_weights[0][0, 0] == pytest.approx(-rate / (1 + optim.ADAM_EPS), rel=1e-12)
         assert engine.t == 1
 
     def test_zero_gradients_never_move(self):
@@ -112,7 +112,7 @@ class TestHdStep:
 
     def test_first_step_keeps_rate(self):
         net = scalar_net([[0.0]])
-        engine = HdEngine.fresh(net, (0,), rate=0.07)
+        engine = HdEngine.fresh(net, (0,), rate=0.07, hyper_rate=1e-4)
         engine.step(net, (0,), (np.array([[1.0]]), np.array([[-2.5]])))
         assert engine.rate == 0.07
 
@@ -120,7 +120,7 @@ class TestHdStep:
         # previous gradient 1e6, current gradient -1 (w=0, x=1, y=0.5)
         engine = HdEngine(g_prev=(np.array([[1e6]]),), rate=1e-8, hyper_rate=1.0)
         engine.step(scalar_net([[0.0]]), (0,), (np.array([[1.0]]), np.array([[0.5]])))
-        assert engine.rate == engine.rate_floor
+        assert engine.rate == optim.HD_RATE_FLOOR
 
 
 def make_oagd(kind, layer_shape, seed=0, eta0=0.1, **kwargs):
@@ -345,9 +345,9 @@ class TestEngineContracts:
             assert isinstance(event, StepEvent), name
             assert event.loss == pytest.approx(batch_loss(net, main), rel=1e-12), name
             if name == "adam":
-                m_hat = engine.m[0] / (1 - engine.beta1)
-                v_hat = engine.v[0] / (1 - engine.beta2)
-                direction = m_hat / (np.sqrt(v_hat) + engine.eps)
+                m_hat = engine.m[0] / (1 - optim.ADAM_BETA1)
+                v_hat = engine.v[0] / (1 - optim.ADAM_BETA2)
+                direction = m_hat / (np.sqrt(v_hat) + optim.ADAM_EPS)
                 assert np.array_equal(np.ravel(event.step), [0.01])
             else:
                 direction = g

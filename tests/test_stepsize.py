@@ -72,33 +72,35 @@ class TestGradFeatures:
 class TestProjectUnit:
     @pytest.mark.parametrize("style", ["tanh", "sigmoid"])
     def test_zero_maps_to_half(self, style):
-        assert project_unit(np.array([[0.0]]), style)[0, 0] == pytest.approx(0.5)
+        assert project_unit(squash(np.array([[0.0]]), style), style)[0, 0] == pytest.approx(0.5)
 
     def test_tanh_saturation_stays_below_one(self):
-        out = project_unit(np.array([[20.0]]), "tanh")[0, 0]
+        out = project_unit(squash(np.array([[20.0]]), "tanh"), "tanh")[0, 0]
         assert 1.0 - 1e-9 < out < 1.0
 
     @pytest.mark.parametrize("style", ["tanh", "sigmoid"])
     def test_extreme_inputs_stay_open(self, style):
-        out = project_unit(np.array([[-1e6, -5.0, 0.0, 5.0, 1e6]]), style)
+        u = np.array([[-1e6, -5.0, 0.0, 5.0, 1e6]])
+        out = project_unit(squash(u, style), style)
         assert (out > 0.0).all() and (out < 1.0).all()
 
     @pytest.mark.parametrize("style", ["tanh", "sigmoid"])
     def test_monotone(self, style):
         u = np.linspace(-8, 8, 101).reshape(1, -1)
-        out = project_unit(u, style)
+        out = project_unit(squash(u, style), style)
         assert (np.diff(out.ravel()) > 0).all()
 
     @pytest.mark.parametrize("style", ["tanh", "sigmoid"])
     def test_derivative_matches_finite_differences(self, style):
         u = np.linspace(-3, 3, 25).reshape(5, 5)
         h = 1e-6
-        numeric = (project_unit(u + h, style) - project_unit(u - h, style)) / (2 * h)
+        up, down = (project_unit(squash(u + s, style), style) for s in (h, -h))
+        numeric = (up - down) / (2 * h)
         assert np.allclose(project_unit_derivative(squash(u, style), style), numeric, atol=1e-9)
 
     def test_unknown_style(self):
         with pytest.raises(ValueError, match="tanh"):
-            project_unit(np.array([[0.0]]), "relu")
+            squash(np.array([[0.0]]), "relu")
 
 
 def full_step(beta, eta0, eta_hat):

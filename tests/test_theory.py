@@ -22,10 +22,10 @@ from samt.theory import (
 )
 
 
-def diag_quadratic(noise_sd=0.0, radius=2.0):
-    """Single block, covariance diag(1, 2): lambda=1, mu=2."""
+def diag_quadratic():
+    """Single noise-free block, covariance diag(1, 2): lambda=1, mu=2."""
     factor = np.diag([1.0, np.sqrt(2.0)])
-    return make_problem(factor, (2,), [np.zeros((2, 1))], noise_sd, [radius])
+    return make_problem(factor, (2,), [np.zeros((2, 1))], 0.0, 2.0)
 
 
 class TestSpectralConstants:
@@ -46,7 +46,7 @@ class TestSpectralConstants:
 
     def test_diagonal_block_gives_its_extremes(self):
         factor = np.diag(np.sqrt([0.5, 3.0, 1.0]))
-        problem = make_problem(factor, (3,), [np.zeros((3, 1))], 0.0, [1.0])
+        problem = make_problem(factor, (3,), [np.zeros((3, 1))], 0.0, 1.0)
         assert problem.lambdas[0] == pytest.approx(0.5, abs=1e-12)
         assert problem.mus[0] == pytest.approx(3.0, abs=1e-12)
 
@@ -98,7 +98,7 @@ class TestBallProject:
 
 class TestAmOperator:
     def test_exact_one_step_solve_isotropic(self):
-        problem = make_problem(np.eye(2) * 2.0, (2,), [np.ones((2, 1))], 0.0, [2.0])
+        problem = make_problem(np.eye(2) * 2.0, (2,), [np.ones((2, 1))], 0.0, 2.0)
         # covariance is 4*I: eta = 1/4 solves in one step
         w = np.array([[3.0], [-1.0]])
         out = am_operator(problem, w, 0, eta=0.25)
@@ -126,7 +126,7 @@ class TestStochasticRun:
         assert errors[-1] < 1e-12
 
     def test_start_at_optimum_zero_noise(self):
-        # balls of radius r_d/2 = 1 centered at the optimum
+        # balls of radius r/2 = 1 centered at the optimum
         problem = isotropic_problem(2, dims=(3, 3), coupling=0.1, noise_sd=0.0)
         errors = stochastic_am_run(problem, problem.w_star, 0.1, 50, [make_rng(3)])
         assert np.array_equal(errors, np.zeros((51, 1)))
@@ -171,11 +171,11 @@ class TestStochasticRun:
         x = default_balls(problem, [ref_rng])
         expected = [np.sum((x - problem.w_star) ** 2)]
         for _ in range(steps):
-            for d, (sl, r) in enumerate(zip(problem.slices, problem.radii)):
+            for d, sl in enumerate(problem.slices):
                 z = ref_rng.standard_normal((m, 1))
                 normals = np.vstack([z, [[ref_rng.standard_normal()]]])
                 g = sample_gradient(problem, x, d, normals)
-                x[sl] = ball_project(x[sl] - 0.2 * g, centers[sl], 0.5 * r)
+                x[sl] = ball_project(x[sl] - 0.2 * g, centers[sl], 0.5 * problem.radius)
             expected.append(np.sum((x - problem.w_star) ** 2))
         errors = stochastic_am_run(problem, centers, 0.2, steps, [run_rng])
         assert np.array_equal(errors[:, 0], expected)
@@ -189,7 +189,7 @@ class TestStochasticRun:
 
 class TestContractivity:
     def test_isotropic_at_exact_step_contracts_to_zero(self):
-        problem = make_problem(np.eye(3), (3,), [np.zeros((3, 1))], 0.0, [1.0])
+        problem = make_problem(np.eye(3), (3,), [np.zeros((3, 1))], 0.0, 1.0)
         report = contractivity_check(problem, 0, eta=1.0, trials=50, rng=make_rng(6))
         assert report.ok
         # left side collapses to roundoff, so slack is the right side minus dust
@@ -281,9 +281,9 @@ class TestNoiseBound:
         worst = 0.0
         for _ in range(20):
             point = problem.w_star.copy()
-            for sl, r in zip(problem.slices, problem.radii):
+            for sl in problem.slices:
                 v = rng.standard_normal((sl.stop - sl.start, 1))
-                point[sl] += r * v / np.linalg.norm(v)
+                point[sl] += problem.radius * v / np.linalg.norm(v)
             total = 0.0
             for d in range(problem.num_blocks):
                 # 400 samples as columns, each row of the draw one (z, eps)
