@@ -26,6 +26,7 @@ from .model import NetworkModel, block_loss_and_gradients, glorot_init, leaky_re
 from .numerics import Matrix
 from .stepsize import (
     ARM_FULL,
+    PROJECTION_STYLES,
     StepSizeKind,
     candidate_weights,
     compose_step,
@@ -81,6 +82,8 @@ class EtaModel:
     def __post_init__(self):
         if not 0.0 < self.activation_slope < 1.0:
             raise ValueError(f"activation_slope must be in (0,1), got {self.activation_slope}")
+        if (style := self.projection_style) not in PROJECTION_STYLES:
+            raise ValueError(f"projection_style must be one of {', '.join(PROJECTION_STYLES)}, got {style!r}")
         if (rows := self.w3.shape[0]) != 2 * self.entry_count:
             raise ShapeError(
                 f"output layer has {rows} rows, head shape {self.head_shape} needs {2 * self.entry_count}"
@@ -173,7 +176,7 @@ def meta_gradients(
     d_col: Matrix,
     block,
     grads: dict[int, Matrix],
-    eta0: Matrix,
+    eta0: Matrix | float,
     meta_batch,
     net: NetworkModel,
     arm: str = ARM_FULL,
@@ -189,7 +192,8 @@ def meta_gradients(
         d_col: the (5, 1) feature column of the block's gradient.
         block: layer indices the step size serves.
         grads: each block layer's main-batch gradient, keyed by layer.
-        eta0: initial step values, shaped like the step size.
+        eta0: the initial step, a float or any array that broadcasts
+            with the heads.
     """
     block = tuple(block)
     beta, eta_hat, cache = psi_forward(psi, d_col)

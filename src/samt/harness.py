@@ -2,8 +2,10 @@
 
 Config files are UTF-8 ``key = value`` lines with ``#`` comments and
 optional ``[section]`` headers (sections are cosmetic; keys are global).
-Command-line overrides take precedence over file values.  Every run
-writes one CSV row per epoch and split with the exact header
+Command-line overrides take precedence over file values.  Each value's
+text is converted by the type of its `TrainConfig` field alone;
+`validate_config` is the one statement of every key's legal values.
+Every run writes one CSV row per epoch and split with the exact header
 ``epoch,split,loss,metric,wall_ms,eta_mean,eta_min,eta_max``.
 """
 
@@ -27,7 +29,7 @@ from .data import (
     synth_classification,
     synth_regression,
 )
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, PlanError
 from .etamodel import DEFAULT_HIDDEN, init_eta_model, meta_gradients, psi_forward
 from .model import (
     MSE,
@@ -111,37 +113,8 @@ def _parse_bool(s: str) -> bool:
     raise ConfigError(f"expected a boolean, got {s!r}")
 
 
-def _parse_widths(s: str) -> tuple[int, ...]:
-    try:
-        widths = tuple(int(p) for p in s.split(",") if p.strip())
-    except ValueError:
-        raise ConfigError(f"widths must be comma-separated ints, got {s!r}") from None
-    if len(widths) < 2:
-        raise ConfigError(f"need at least two widths, got {s!r}")
-    if min(widths) < 1:
-        raise ConfigError(f"every width must be >= 1, got {s!r}")
-    return widths
-
-
-def _parse_grouping(s: str):
-    s = s.strip()
-    if not s or s.lower() == "none":
-        return None
-    try:
-        return tuple(
-            tuple(int(i) for i in part.split(",") if i.strip()) for part in s.split(";")
-        )
-    except ValueError:
-        raise ConfigError(f"grouping must look like '0,1;2', got {s!r}") from None
-
-
-def _enum(choices):
-    def convert(s: str) -> str:
-        if s not in choices:
-            raise ConfigError(f"invalid value {s!r}; choices are {', '.join(choices)}")
-        return s
-
-    return convert
+def _parse_ints(s: str) -> tuple[int, ...]:
+    return tuple(int(p) for p in s.split(",") if p.strip())
 
 
 def _optional(convert):
@@ -151,31 +124,22 @@ def _optional(convert):
     return inner
 
 
-# Keys whose values are not plain int, float, bool or str; every other key
-# is parsed by the type of its TrainConfig field.
-_SPECIAL_CONVERTERS = {
-    "dataset": _enum(DATASETS),
-    "widths": _parse_widths,
-    "optimizer": _enum(OPTIMIZERS),
-    "projection_style": _enum(PROJECTION_STYLES),
-    "ablation": _enum(ABLATION_ARMS),
-    "grouping": _parse_grouping,
+_TYPE_CONVERTERS = {
+    int: int, float: float, bool: _parse_bool, str: str,
+    tuple[int, ...]: _parse_ints,  # "10,32,1"
+    tuple[tuple[int, ...], ...]: lambda s: tuple(_parse_ints(g) for g in s.split(";")),  # "0,1;2"
 }
-_TYPE_CONVERTERS = {int: int, float: float, bool: _parse_bool, str: str}
 
 
 def _converter(hint):
     # `X | None` parses "none" (or an empty value) to None
-    args = [a for a in typing.get_args(hint) if a is not type(None)]
-    if args:
+    args = typing.get_args(hint)
+    if type(None) in args:
         return _optional(_TYPE_CONVERTERS[args[0]])
     return _TYPE_CONVERTERS[hint]
 
 
-_CONVERTERS = {
-    key: _SPECIAL_CONVERTERS.get(key) or _converter(hint)
-    for key, hint in typing.get_type_hints(TrainConfig).items()
-}
+_CONVERTERS = {key: _converter(hint) for key, hint in typing.get_type_hints(TrainConfig).items()}
 
 
 def _read_config_file(path) -> dict[str, str]:
@@ -198,8 +162,8 @@ def parse_config(path=None, overrides=()) -> TrainConfig:
     """Build a validated TrainConfig from a file and/or override pairs.
 
     `overrides` is an iterable of "key=value" strings; they win over
-    file values.  Unknown keys and invalid enum values
-    raise ConfigError.
+    file values.  Unknown keys, text that does not parse as its field's
+    type and values `validate_config` rejects raise ConfigError.
     """
     pairs: dict[str, str] = {}
     if path is not None:
@@ -225,17 +189,31 @@ def parse_config(path=None, overrides=()) -> TrainConfig:
     return config
 
 
+_CHOICES = {
+    "dataset": DATASETS,
+    "optimizer": OPTIMIZERS,
+    "projection_style": PROJECTION_STYLES,
+    "ablation": ABLATION_ARMS,
+}
+
+
 def validate_config(config: TrainConfig) -> None:
-    if not 0.0 < config.eta0 < 1.0:
-        raise ConfigError(f"eta0 must be in (0,1), got {config.eta0}")
-    if config.train_batch < 1 or config.eval_batch < 1:
-        raise ConfigError("batch sizes must be >= 1")
-    if config.inner_steps < 1:
-        raise ConfigError(f"inner_steps must be >= 1, got {config.inner_steps}")
+    """Raise ConfigError naming the first key whose value is not legal;
+    a TrainConfig built in code and one parsed from text get the same checks."""
+    for key, choices in _CHOICES.items():
+        if (value := getattr(config, key)) not in choices:
+            raise ConfigError(f"{key} must be one of {', '.join(choices)}, got {value!r}")
+    if len(config.widths) < 2 or min(config.widths) < 1:
+        raise ConfigError(f"widths needs at least two widths, each >= 1, got {config.widths}")
+    try:
+        block_partition(len(config.widths) - 1, config.grouping)
+    except PlanError as e:
+        raise ConfigError(f"grouping: {e}") from None
+    for key in ("eta0", "activation_slope", "csv_test_fraction"):  # NaN fails too
+        if not 0.0 < (value := getattr(config, key)) < 1.0:
+            raise ConfigError(f"{key} must be in (0,1), got {value}")
     if config.meta_lag not in (0, 1):
         raise ConfigError(f"meta_lag must be 0 or 1, got {config.meta_lag}")
-    if config.epochs < 1:
-        raise ConfigError(f"epochs must be >= 1, got {config.epochs}")
     if config.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {config.seed}")
     # written as `not lo <= x < inf` so that NaN fails too
@@ -245,11 +223,10 @@ def validate_config(config: TrainConfig) -> None:
     for key in ("adam_rate", "sgd_rate"):  # sgd_rate may be None: it defaults to eta0
         if (value := getattr(config, key)) is not None and not 0.0 < value < math.inf:
             raise ConfigError(f"{key} must be finite and > 0, got {value}")
-    for key in ("psi_hidden", "synth_d", "img_side", "img_classes", "n_train", "n_test"):
+    for key in ("train_batch", "eval_batch", "inner_steps", "epochs", "psi_hidden", "synth_d",
+                "img_side", "img_classes", "n_train", "n_test"):
         if (value := getattr(config, key)) is not None and value < 1:
             raise ConfigError(f"{key} must be >= 1, got {value}")
-    if not 0.0 < config.csv_test_fraction < 1.0:
-        raise ConfigError(f"csv_test_fraction must be in (0,1), got {config.csv_test_fraction}")
     if config.dataset == "idx":
         missing = [
             k
@@ -476,10 +453,13 @@ def run_theory_suite(suite: str = "all", out_dir=".", seed: int = 0, inject_bug:
     """Run the inequality suites; write reports; return a process exit code.
 
     Returns 0 when every asserted inequality holds, 2 otherwise.  An
-    unknown suite raises ValueError before anything is written.
+    unknown suite or a negative seed raises ValueError before anything
+    is written.
     """
     if suite not in THEORY_SUITES:
         raise ValueError(f"suite must be one of {', '.join(THEORY_SUITES)}, got {suite!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ok = True
@@ -590,6 +570,8 @@ def fd_meta_gradients(psi, feats, block, grads, eta0, meta_batch, net, arm="full
 
 def run_gradcheck(seed: int = 0) -> int:
     """Layer and meta gradient checks on small random nets; exit-code style."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = make_rng(seed)
     ok = True
     for loss_kind, trial in ((SOFTMAX_CE, 0), (MSE, 1)):
@@ -610,10 +592,9 @@ def run_gradcheck(seed: int = 0) -> int:
         grads = block_loss_and_gradients(net, (x, y), block)[1]
         feats = grad_features(grads[1])
         psi = init_eta_model(kind, shape, rng, hidden=6)
-        eta0 = StepSize.initial(kind, shape, 0.1).init_values
         mx = rng.standard_normal((4, 3))
         my = rng.integers(0, 3, 3)
-        worst = fd_meta_gradients(psi, feats, block, grads, eta0, (mx, my), net)
+        worst = fd_meta_gradients(psi, feats, block, grads, 0.1, (mx, my), net)
         status = "pass" if worst <= 1e-5 else "FAIL"
         ok &= worst <= 1e-5
         print(f"gradcheck meta {kind.value}: worst rel err {worst:.3e} [{status}]")

@@ -173,7 +173,7 @@ class OagdEngine:
         if len(block) > 1:  # psi reads the statistics of all the block's gradients at once
             g_all = np.concatenate([grads[l].ravel() for l in block])
         meta = meta_gradients(
-            state.psi, grad_features(g_all), block, grads, state.step.init_values, meta_batch, net,
+            state.psi, grad_features(g_all), block, grads, state.step.eta0, meta_batch, net,
             arm=state.arm,
         )
         if not math.isfinite(meta.meta_loss):

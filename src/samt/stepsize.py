@@ -55,25 +55,19 @@ def check_open_unit(name: str, v: Matrix) -> None:
 
 @dataclass(slots=True)
 class StepSize:
-    """Current and initial step values for one block, shaped per kind."""
+    """One block's current step values, shaped per kind, and the number
+    eta0, the initial step that `compose_step` mixes each new step from."""
 
     values: Matrix
-    init_values: Matrix
+    eta0: float
 
     def __post_init__(self):
-        if self.values.shape != self.init_values.shape:
-            raise ShapeError(
-                f"values {self.values.shape} and init_values {self.init_values.shape} differ"
-            )
-        for name, v in (("values", self.values), ("init_values", self.init_values)):
+        for name, v in (("eta0", np.asarray(self.eta0)), ("values", self.values)):
             check_open_unit(f"step {name}", v)
 
     @staticmethod
     def initial(kind: StepSizeKind, layer_shape: tuple[int, int], eta0: float) -> "StepSize":
-        if not 0.0 < eta0 < 1.0:
-            raise ValueError(f"initial step must be in (0,1), got {eta0}")
-        v = np.full(kind.shape_for(layer_shape), eta0)
-        return StepSize(values=v, init_values=v.copy())
+        return StepSize(values=np.full(kind.shape_for(layer_shape), eta0), eta0=eta0)
 
 
 def grad_features(g: Matrix) -> Matrix:
@@ -165,23 +159,24 @@ ARM_RIGHT = "right_only"
 ABLATION_ARMS = (ARM_FULL, ARM_BASELINE, ARM_LEFT, ARM_RIGHT)
 
 
-def compose_step(arm: str, beta: Matrix, eta0: Matrix, eta_hat: Matrix):
+def compose_step(arm: str, beta: Matrix, eta0: Matrix | float, eta_hat: Matrix):
     """Step composition for one ablation arm.
 
     The full arm is the convex combination beta * eta0 + (1 - beta) *
     eta_hat; with beta and eta_hat in [0,1] and eta0 in (0,1) it stays
-    inside the elementwise interval spanned by eta0 and eta_hat.  Every
+    inside the elementwise interval spanned by eta0 and eta_hat.  eta0
+    is a float or any array that broadcasts with the heads.  Every
     arm raises `ShapeError` unless the three shapes broadcast together,
     and `ValueError` unless beta and eta_hat lie in [0,1] (NaN fails).
     Returns (value, d_value/d_beta, d_value/d_eta_hat); the derivatives
     give the meta-gradient chain the same shape as `value`.
     """
     try:
-        shape = np.broadcast_shapes(beta.shape, eta0.shape, eta_hat.shape)
+        shape = np.broadcast_shapes(beta.shape, np.shape(eta0), eta_hat.shape)
     except ValueError:
         raise ShapeError(
             f"step shapes do not conform: beta {beta.shape}, "
-            f"eta0 {eta0.shape}, eta_hat {eta_hat.shape}"
+            f"eta0 {np.shape(eta0)}, eta_hat {eta_hat.shape}"
         ) from None
     for name, a in (("beta", beta), ("eta_hat", eta_hat)):
         if not ((a >= 0.0) & (a <= 1.0)).all():

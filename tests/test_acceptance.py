@@ -28,7 +28,7 @@ from samt.harness import (
 )
 from samt.model import MSE, SOFTMAX_CE, block_loss_and_gradients, init_network
 from samt.numerics import make_rng
-from samt.stepsize import StepSize, StepSizeKind, grad_features
+from samt.stepsize import StepSizeKind, grad_features
 from samt.theory import (
     contractivity_check,
     isotropic_problem,
@@ -184,7 +184,7 @@ def test_criterion_2_gradient_suite():
             shape = net.layer_weights[1].shape
             feats = grad_features(grads[1])
             psi = init_eta_model(kind, shape, rng, hidden=8)
-            eta0 = StepSize.initial(kind, shape, 0.1).init_values
+            eta0 = 0.1
             mx = rng.standard_normal((5, 3))
             my = rng.integers(0, 4, 3)
             worst_meta = max(

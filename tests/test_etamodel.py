@@ -17,7 +17,7 @@ from samt.etamodel import (
 from samt.harness import fd_meta_gradients
 from samt.model import batch_loss, block_loss_and_gradients, glorot_init, init_network
 from samt.numerics import make_rng
-from samt.stepsize import StepSize, StepSizeKind, grad_features, reduce_to_kind
+from samt.stepsize import StepSizeKind, grad_features, reduce_to_kind
 
 
 def effective_w3(psi):
@@ -36,7 +36,7 @@ def make_setup(kind, seed=0, widths=(4, 5, 3), block=(1,), hidden=6):
     feats = grad_features(grads[block[0]])
     layer_shape = net.layer_weights[block[0]].shape
     psi = init_eta_model(kind, layer_shape, rng, hidden=hidden)
-    eta0 = StepSize.initial(kind, layer_shape, 0.1).init_values
+    eta0 = 0.1
     mx = rng.standard_normal((widths[0], 3))
     my = rng.integers(0, widths[-1], 3)
     return net, psi, feats, block, grads, eta0, (mx, my)
@@ -94,11 +94,11 @@ class TestPsiForward:
         from samt.stepsize import ARM_BASELINE, ARM_FULL, ARM_LEFT, compose_step
 
         for kind in StepSizeKind:
-            eta0 = StepSize.initial(kind, (2, 3), 0.1).init_values
+            shape = kind.shape_for((2, 3))
             for arm in (ARM_FULL, ARM_BASELINE, ARM_LEFT):
-                beta, eta_hat = np.ones(eta0.shape), np.full(eta0.shape, 0.5)
-                value, _, _ = compose_step(arm, beta, eta0, eta_hat)
-                assert value.tobytes() == eta0.tobytes(), (kind, arm)
+                beta, eta_hat = np.ones(shape), np.full(shape, 0.5)
+                value, _, _ = compose_step(arm, beta, 0.1, eta_hat)
+                assert value.tobytes() == np.full(shape, 0.1).tobytes(), (kind, arm)
 
 
 class TestInitEtaModel:
@@ -123,6 +123,11 @@ class TestInitEtaModel:
         # leaky_relu's max(x, slope * x) form is the activation only inside (0,1)
         with pytest.raises(ValueError, match="activation_slope"):
             init_eta_model(StepSizeKind.SCALAR, (3, 4), make_rng(0), hidden=5, activation_slope=slope)
+
+    def test_unknown_projection_style_raises(self):
+        # else the model is built and fails only inside squash at its first forward pass
+        with pytest.raises(ValueError, match="projection_style"):
+            init_eta_model(StepSizeKind.SCALAR, (3, 4), make_rng(0), hidden=5, projection_style="relu")
 
     def test_desk_element_head_allocates_no_transient_copy(self):
         # w3 of an element head on a 100x784 layer is 156,800 x 64 (80 MB)
@@ -289,7 +294,7 @@ class TestPsiStep:
         y = rng.integers(0, 10, 8)
         _, grads = block_loss_and_gradients(net, (x, y), (0,))
         psi = init_eta_model(StepSizeKind.ELEMENT, w.shape, rng, hidden=24)
-        eta0 = StepSize.initial(StepSizeKind.ELEMENT, w.shape, 0.1).init_values
+        eta0 = 0.1
         feats = grad_features(grads[0])
         meta_batch = (rng.standard_normal((784, 8)), rng.integers(0, 10, 8))
         peaks = []
@@ -319,7 +324,7 @@ class TestPsiStep:
         net = init_network((784, 100, 10), rng)
         w = net.layer_weights[0]
         psi = init_eta_model(StepSizeKind.ELEMENT, w.shape, rng, hidden=24)
-        eta0 = StepSize.initial(StepSizeKind.ELEMENT, w.shape, 0.1).init_values
+        eta0 = 0.1
         batches = [
             ((rng.standard_normal((784, 8)), rng.integers(0, 10, 8)),) * 2
             for _ in range(PSI_PENDING + 1)
@@ -350,7 +355,7 @@ class TestPsiStep:
         rng = make_rng(6)
         net = init_network((3, 4, 2), rng)
         psi = init_eta_model(StepSizeKind.ELEMENT, net.layer_weights[1].shape, rng, hidden=5)
-        eta0 = StepSize.initial(StepSizeKind.ELEMENT, net.layer_weights[1].shape, 0.1).init_values
+        eta0 = 0.1
         for _ in range(10_000):
             x = rng.standard_normal((3, 2))
             y = rng.integers(0, 2, 2)
@@ -413,7 +418,7 @@ def test_bypass_keeps_step_at_initial_forever():
     from samt.stepsize import ARM_FULL, compose_step
 
     net = init_network((2, 2), make_rng(8))
-    eta0 = StepSize.initial(StepSizeKind.ELEMENT, (2, 2), 0.1).init_values
+    eta0 = np.full((2, 2), 0.1)
     config = TrainConfig(widths=(2, 2), optimizer="samt_e", eta0=0.1, psi_bypass=True, train_batch=2)
     ds = Dataset(np.zeros((2, 2)), np.zeros(2, dtype=np.int64), CLASSIFICATION)
     (engine,) = build_state(config, ds).engines
@@ -441,7 +446,7 @@ def test_meta_gradients_over_multi_layer_scalar_block():
     feats = grad_features(stacked)
     shape = net.layer_weights[0].shape
     psi = init_eta_model(StepSizeKind.SCALAR, shape, rng, hidden=6)
-    eta0 = StepSize.initial(StepSizeKind.SCALAR, shape, 0.1).init_values
+    eta0 = 0.1
     mx = rng.standard_normal((4, 3))
     my = rng.integers(0, 3, 3)
 

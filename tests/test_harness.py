@@ -88,6 +88,24 @@ class TestParseConfig:
         assert parse_config(overrides=[f"{k}={v}" for k, v in pairs.items()]) == defaults
 
     @pytest.mark.parametrize(
+        "bad",
+        [
+            {"optimizer": "bogus"},
+            {"projection_style": "relu"},
+            {"ablation": "nope"},
+            {"dataset": "x"},
+            {"widths": (10,)},
+            {"widths": (10, 0, 1)},
+            {"activation_slope": 1.5},
+        ],
+    )
+    def test_config_built_in_code_is_validated_like_text(self, bad):
+        # perfbench, the fingerprint and run_matrix build TrainConfigs without the parser
+        (key,) = bad
+        with pytest.raises(ConfigError, match=key):
+            harness.validate_config(dataclasses.replace(TrainConfig(), **bad))
+
+    @pytest.mark.parametrize(
         "key",
         [
             name
@@ -399,6 +417,10 @@ class TestCli:
             (["optimizer=sgd", "dataset=synthetic_images", "widths=784,10", "img_side=0"], "img_side"),
             (["optimizer=sgd", "dataset=synthetic_images", "widths=784,10", "img_classes=0"], "img_classes"),
             (["optimizer=sgd", "seed=-1"], "seed"),
+            (["optimizer=sgd", "train_batch=0"], "train_batch"),
+            (["optimizer=sgd", "eval_batch=0"], "eval_batch"),
+            (["optimizer=sgd", "widths=10,3,2,1", "grouping=0;0"], "grouping"),
+            (["optimizer=sgd", "widths=10,3,1", "grouping=0"], "grouping"),
         ],
     )
     def test_bad_rate_or_width_exits_one_naming_the_key(self, args, key, tmp_path, capsys):
@@ -425,6 +447,14 @@ class TestCli:
         assert cli_main(["gradcheck", "--seed=1"]) == 0
         out = capsys.readouterr().out
         assert "pass" in out and "FAIL" not in out
+
+    def test_negative_seed_exits_one_naming_the_flag(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        for argv in (["theory", "--seed", "-1", "--out-dir", str(out_dir)], ["gradcheck", "--seed", "-1"]):
+            assert cli_main(argv) == 1
+            captured = capsys.readouterr()
+            assert "seed" in captured.err and captured.out == ""
+        assert not out_dir.exists()
 
 
 class TestTheorySuite:

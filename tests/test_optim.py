@@ -263,7 +263,7 @@ class TestOagdNonScalar:
         widths = (5, 4, 3)
         net = init_network(widths, make_rng(13))
         shape = net.layer_weights[1].shape
-        eta0 = StepSize.initial(StepSizeKind.ELEMENT, shape, 0.1).init_values
+        eta0 = np.full(shape, 0.1)
         # the bypassed block is plain SGD at eta0: no psi to keep, no heads to report
         engine = bypassed_engines("samt_e", widths)[1]
         assert not hasattr(engine, "state")

@@ -193,19 +193,19 @@ class TestStepSizeType:
     def test_initial_values(self):
         s = StepSize.initial(StepSizeKind.ROW, (3, 4), 0.1)
         assert s.values.shape == (3, 1)
-        assert (s.values == 0.1).all() and (s.init_values == 0.1).all()
+        assert (s.values == 0.1).all() and s.eta0 == 0.1
 
     def test_open_interval_enforced(self):
         with pytest.raises(ValueError):
             StepSize.initial(StepSizeKind.SCALAR, (1, 1), 1.0)
         with pytest.raises(ValueError):
-            StepSize(np.array([[0.0]]), np.array([[0.1]]))
+            StepSize(np.array([[0.0]]), 0.1)
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
-            StepSize(np.array([[np.nan]]), np.array([[0.1]]))
+            StepSize(np.array([[np.nan]]), 0.1)
         with pytest.raises(ValueError):
-            StepSize(np.array([[0.1], [0.2]]), np.array([[0.1], [np.nan]]))
+            StepSize(np.array([[0.1], [0.2]]), np.nan)
 
 
 class TestComposeArms:
