@@ -15,7 +15,10 @@ and ``labels=``), so a change to the generator shows too.  The last line
 hashes a small theory run: the rows, ratio and noise term of a noisy
 and a noise-free recursion check with the plateau halving factor
 (``recursion=``), and one contractivity check's slacks and violations
-(``contractivity=``).
+(``contractivity=``).  A gradcheck line hashes the unrounded worst
+relative errors of ``samt gradcheck --seed 0``, which prints them to
+three digits only: the layer checks (``layers=``) and the meta checks
+(``meta=``), as ``repr`` floats.
 
 Diffing the output of two trees shows which runs' floats moved.  The
 hashes hold for one numpy/BLAS build and OpenBLAS thread count, so none
@@ -24,7 +27,9 @@ are kept; ``test_fingerprint.py`` checks that two processes agree.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import sys
 import tempfile
 from dataclasses import replace
@@ -34,7 +39,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from samt import theory  # noqa: E402
+from samt import harness, theory  # noqa: E402
 from samt.data import synth_classification  # noqa: E402
 from samt.harness import (  # noqa: E402
     OPTIMIZERS,
@@ -155,6 +160,28 @@ def theory_fingerprint() -> tuple[str, str]:
     return recursion.hex(), contractivity.hex()
 
 
+def gradcheck_fingerprint() -> tuple[str, str]:
+    """(layers hash, meta hash) of the worst errors `run_gradcheck(0)` finds."""
+    worst = {"fd_layer_gradients": [], "fd_meta_gradients": []}
+
+    def recording(name, check):
+        def wrapped(*args, **kwargs):
+            worst[name].append(check(*args, **kwargs))
+            return worst[name][-1]
+        return wrapped
+
+    originals = {name: getattr(harness, name) for name in worst}
+    try:
+        for name, check in originals.items():
+            setattr(harness, name, recording(name, check))
+        with contextlib.redirect_stdout(io.StringIO()):
+            harness.run_gradcheck(0)
+    finally:
+        for name, check in originals.items():
+            setattr(harness, name, check)
+    return tuple(hashlib.sha256(",".join(map(repr, v)).encode()).hexdigest()[:16] for v in worst.values())
+
+
 def runs(csv_path: Path):
     """(name, config) for every optimizer x projection x dataset, then the variants."""
     data = {k: replace(BASE, **v) for k, v in DATASETS.items()}
@@ -180,6 +207,8 @@ def main() -> None:
     print(f"{'data/synth_classification(0,1000)':<46} images={images} labels={labels} ok")
     recursion, contractivity = theory_fingerprint()
     print(f"{'theory/recursion,plateau,contractivity':<46} recursion={recursion} contractivity={contractivity} ok")
+    layers, meta = gradcheck_fingerprint()
+    print(f"{'gradcheck/worst_rel_err(seed=0)':<46} layers={layers} meta={meta} ok")
 
 
 if __name__ == "__main__":
