@@ -189,7 +189,6 @@ def synth_classification(
     n: int,
     side: int = 28,
     num_classes: int = 10,
-    separation: float = 1.0,
     noise_sd: float = 0.5,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Synthetic grayscale "glyph" images: sparse smooth class prototypes
@@ -198,8 +197,8 @@ def synth_classification(
     Images are mostly-black with bright low-frequency blobs, so pixel
     statistics resemble scanned handwriting (mean intensity ~0.15).
     Returns (images (n, side, side) uint8, labels (n,) uint8), suitable
-    for write_idx.  Difficulty is set by noise_sd relative to
-    separation; defaults are tuned so a small MLP lands in the mid-90s
+    for write_idx.  Each prototype peaks at 1, so difficulty is set by
+    noise_sd; defaults are tuned so a small MLP lands in the mid-90s
     test accuracy, not at a ceiling.
     """
     rng = np.random.default_rng(seed)
@@ -219,7 +218,7 @@ def synth_classification(
     # keep only the bright third of each prototype: sparse ink on black
     cut = np.quantile(base, 0.7, axis=1, keepdims=True)
     prototypes = np.maximum(base - cut, 0.0)
-    prototypes *= separation / prototypes.max(axis=1, keepdims=True)
+    prototypes *= 1.0 / prototypes.max(axis=1, keepdims=True)
     prototypes = prototypes.reshape(num_classes, side, side)
 
     labels = rng.integers(0, num_classes, size=n).astype(np.uint8)

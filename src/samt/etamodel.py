@@ -22,22 +22,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .model import NetworkModel, block_loss_and_gradients, glorot_init, leaky_relu, leaky_relu_backward
+from .model import (
+    DEFAULT_ACTIVATION_SLOPE, NetworkModel, block_loss_and_gradients, glorot_init, leaky_relu, leaky_relu_backward
+)
 from .numerics import Matrix
 from .stepsize import (
     ARM_FULL,
     PROJECTION_STYLES,
+    TANH,
     StepSizeKind,
     candidate_weights,
     compose_step,
     project_unit,
-    project_unit_derivative,
     reduce_to_kind,
-    squash,
 )
 
 NUM_FEATURES = 5
 DEFAULT_HIDDEN = 64
+DEFAULT_META_LEARNING_RATE = 1e-3
 # Rank-1 output-layer updates `psi_step` gathers before folding them in.
 PSI_PENDING = 4
 # Scratch entries of one tile of that fold (4,096 rows of a 64-wide
@@ -103,9 +105,9 @@ def init_eta_model(
     layer_shape: tuple[int, int],
     rng: np.random.Generator,
     hidden: int = DEFAULT_HIDDEN,
-    activation_slope: float = 0.01,
-    projection_style: str = "tanh",
-    meta_learning_rate: float = 1e-3,
+    activation_slope: float = DEFAULT_ACTIVATION_SLOPE,
+    projection_style: str = TANH,
+    meta_learning_rate: float = DEFAULT_META_LEARNING_RATE,
 ) -> EtaModel:
     head_shape = kind.shape_for(layer_shape)
     k = head_shape[0] * head_shape[1]
@@ -127,7 +129,7 @@ def init_eta_model(
 class _PsiCache:
     h1: Matrix  # hidden layer outputs; the backward pass masks on them
     h2: Matrix
-    core: Matrix  # squash(u3): the (2k, 1) raw heads through tanh or sigmoid
+    slope: Matrix  # the unit projection's (2k, 1) slope at the raw heads
 
 
 def psi_forward(psi: EtaModel, d_col: Matrix) -> tuple[Matrix, Matrix, _PsiCache]:
@@ -144,12 +146,10 @@ def psi_forward(psi: EtaModel, d_col: Matrix) -> tuple[Matrix, Matrix, _PsiCache
         u3 -= p.u[:, : p.n] @ (p.v[:, : p.n].T @ h2)
     if not np.isfinite(u3).all():
         raise FloatingPointError("psi raw heads are not finite")
-    k, style = psi.entry_count, psi.projection_style
-    core = squash(u3, style)
-    beta = project_unit(core[:k], style).reshape(psi.head_shape)
-    eta_hat = project_unit(core[k:], style).reshape(psi.head_shape)
-    cache = _PsiCache(h1, h2, core)
-    return beta, eta_hat, cache
+    k = psi.entry_count
+    heads, slope = project_unit(u3, psi.projection_style)
+    beta, eta_hat = (h.reshape(psi.head_shape) for h in (heads[:k], heads[k:]))
+    return beta, eta_hat, _PsiCache(h1, h2, slope)
 
 
 @dataclass
@@ -208,12 +208,9 @@ def meta_gradients(
 
     k = psi.entry_count
     du3 = psi.pending.column()
-    for head, dstep_dhead, core in (
-        (du3[:k], dstep_dbeta, cache.core[:k]),
-        (du3[k:], dstep_deta, cache.core[k:]),
-    ):
+    for head, dstep_dhead in ((du3[:k], dstep_dbeta), (du3[k:], dstep_deta)):
         np.multiply(dstep.reshape(k, 1), dstep_dhead.reshape(k, 1), out=head)
-        head *= project_unit_derivative(core, psi.projection_style)
+    du3 *= cache.slope
 
     dh2 = psi.w3.T @ du3
     if (p := psi.pending).n:

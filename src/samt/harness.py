@@ -30,8 +30,9 @@ from .data import (
     synth_regression,
 )
 from .errors import ConfigError, DivergenceError, PlanError
-from .etamodel import DEFAULT_HIDDEN, init_eta_model, meta_gradients, psi_forward
+from .etamodel import DEFAULT_HIDDEN, DEFAULT_META_LEARNING_RATE, init_eta_model, meta_gradients, psi_forward
 from .model import (
+    DEFAULT_ACTIVATION_SLOPE,
     MSE,
     SOFTMAX_CE,
     NetworkModel,
@@ -45,6 +46,7 @@ from .stepsize import (
     ABLATION_ARMS,
     ARM_RIGHT,
     PROJECTION_STYLES,
+    TANH,
     StepSize,
     StepSizeKind,
     candidate_weights,
@@ -70,14 +72,14 @@ class TrainConfig:
     widths: tuple[int, ...] = (10, 1)
     optimizer: str = "samt_s"
     eta0: float = 0.1
-    projection_style: str = "tanh"
+    projection_style: str = TANH
     ablation: str = "full"
     inner_steps: int = 1
     meta_lag: int = 0
-    meta_learning_rate: float = 1e-3
+    meta_learning_rate: float = DEFAULT_META_LEARNING_RATE
     psi_hidden: int = DEFAULT_HIDDEN
     psi_bypass: bool = False
-    activation_slope: float = 0.01
+    activation_slope: float = DEFAULT_ACTIVATION_SLOPE
     train_batch: int = 64
     eval_batch: int = 1000
     epochs: int = 5
@@ -276,6 +278,8 @@ def load_datasets(config: TrainConfig) -> tuple[Dataset, Dataset]:
     if config.dataset == "idx":
         train = load_idx(config.idx_train_images, config.idx_train_labels, limit=config.n_train)
         test = load_idx(config.idx_test_images, config.idx_test_labels, limit=config.n_test)
+        if test.num_samples == 0:
+            raise ConfigError(f"idx_test_images {config.idx_test_images} holds no images")
         return train, test
     # csv: split the tail off as the test set, standardize with train stats
     full = load_csv(config.csv_path, config.csv_target)
@@ -387,6 +391,7 @@ def run_experiment(config: TrainConfig):
     train_ds, test_ds = load_datasets(config)
     state = build_state(config, train_ds)
     rows: list[MetricsRow] = []
+    write_metrics_csv(config.out_csv, rows)  # an unwritable path fails before any epoch
     try:
         for _ in range(config.epochs):
             t0 = time.perf_counter()

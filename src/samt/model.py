@@ -21,6 +21,7 @@ from .numerics import Matrix
 MSE = "mse"
 SOFTMAX_CE = "softmax_ce"
 LOSS_KINDS = (MSE, SOFTMAX_CE)
+DEFAULT_ACTIVATION_SLOPE = 0.01
 
 
 @dataclass(frozen=True)
@@ -28,7 +29,7 @@ class NetworkModel:
     """Weights plus the two knobs that define the prediction function."""
 
     layer_weights: tuple[Matrix, ...]
-    activation_slope: float = 0.01
+    activation_slope: float = DEFAULT_ACTIVATION_SLOPE
     loss_kind: str = SOFTMAX_CE
 
     def __post_init__(self):
@@ -69,7 +70,7 @@ def glorot_init(shape: tuple[int, int], rng: np.random.Generator) -> Matrix:
     return rng.uniform(-limit, limit, size=shape)
 
 
-def init_network(widths, rng, activation_slope=0.01, loss_kind=SOFTMAX_CE) -> NetworkModel:
+def init_network(widths, rng, activation_slope=DEFAULT_ACTIVATION_SLOPE, loss_kind=SOFTMAX_CE) -> NetworkModel:
     """Build a network from a width chain like (784, 100, 10)."""
     if len(widths) < 2:
         raise ShapeError(f"need at least two widths, got {widths}")

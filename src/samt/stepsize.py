@@ -4,12 +4,13 @@ A step size is a small matrix of values in the open interval (0,1) that
 multiplies a layer gradient through broadcasting.  Four kinds are
 shipped: one value for the whole layer (scalar), one per entry
 (element), one per output row (row) and one per input column (column);
-`StepSizeKind.shape_for` is the one statement of their shapes.  The
-step-size model reads a gradient as a (5, 1) column of summary
-statistics, and `compose_step` turns its two heads into a step per
-ablation arm.  `candidate_weights` is every engine's w - step * g and
-the one check that a step conforms to a layer.  The adaptive engine
-rebinds `StepSize.values` to each step `check_open_unit` passes.
+`StepSizeKind.shape_for` is the one statement of their shapes;
+`reduce_to_kind` sums a gradient back to one.  The step-size model
+reads a gradient as a (5, 1) column of summary statistics, and
+`compose_step` turns its two heads into a step per ablation arm.
+`candidate_weights` is every engine's w - step * g and the one check
+that a step conforms to a layer.  The adaptive engine rebinds
+`StepSize.values` to each step `check_open_unit` passes.
 """
 
 from __future__ import annotations
@@ -85,34 +86,23 @@ def grad_features(g: Matrix) -> Matrix:
     return np.array([[mean], [var], [np.maximum.reduce(flat)], [np.minimum.reduce(flat)], [norm]])
 
 
-def squash(u: Matrix, style: str) -> Matrix:
-    """tanh(u) (tanh style) or 1 / (1 + exp(-u)) (sigmoid style): `project_unit`'s core."""
+def project_unit(u: Matrix, style: str) -> tuple[Matrix, Matrix]:
+    """Raw values u squashed into the open interval (0,1), and the slope there.
+
+    tanh style: 0.5 * (tanh(u) + 1), slope 0.5 * (1 - tanh(u)^2); sigmoid
+    style: p = 1 / (1 + exp(-u)), slope p * (1 - p).  Values are clipped
+    away from the endpoints by OPEN_EPS; the sigmoid slope reads the
+    clipped p, the tanh slope ignores the clip.
+    """
     if style == TANH:
-        return np.tanh(u)
+        t = np.tanh(u)
+        return np.clip(0.5 * (t + 1.0), OPEN_EPS, 1.0 - OPEN_EPS), 0.5 * (1.0 - t * t)
     if style == SIGMOID:
         # exp on the negative side only, so large |u| cannot overflow
         e = np.exp(-np.abs(u))
-        return np.where(u >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        p = np.clip(np.where(u >= 0, 1.0 / (1.0 + e), e / (1.0 + e)), OPEN_EPS, 1.0 - OPEN_EPS)
+        return p, p * (1.0 - p)
     raise ValueError(f"projection style must be one of {PROJECTION_STYLES}, got {style!r}")
-
-
-def project_unit(core: Matrix, style: str) -> Matrix:
-    """Squash raw values u into the open interval (0,1), given `core = squash(u, style)`.
-
-    tanh style: 0.5 * (tanh(u) + 1); sigmoid style: 1 / (1 + exp(-u)).
-    Outputs are clipped away from the endpoints by OPEN_EPS.
-    """
-    out = 0.5 * (core + 1.0) if style == TANH else core
-    return np.clip(out, OPEN_EPS, 1.0 - OPEN_EPS)
-
-
-def project_unit_derivative(core: Matrix, style: str) -> Matrix:
-    """Analytic derivative of project_unit (ignoring the endpoint clip) at
-    u, from `core = squash(u, style)`."""
-    if style == TANH:
-        return 0.5 * (1.0 - core * core)
-    p = np.clip(core, OPEN_EPS, 1.0 - OPEN_EPS)  # sigmoid style: project_unit(u)
-    return p * (1.0 - p)
 
 
 def candidate_weights(net, block, grads, step: Matrix | float) -> dict[int, Matrix]:
@@ -120,15 +110,17 @@ def candidate_weights(net, block, grads, step: Matrix | float) -> dict[int, Matr
 
     `grads` maps each layer of `block` to its gradient, as
     `model.block_loss_and_gradients` returns it.  The step multiplies
-    each gradient by broadcasting, so its shape must be the
-    `StepSizeKind.shape_for` of some kind and each layer; a 0-d float
-    counts as the scalar shape.
+    each gradient by broadcasting, so it must be 2-D with each dimension
+    1 or the layer's, the shapes `StepSizeKind.shape_for` gives; a 0-d
+    float counts as (1, 1).
     """
     step_shape = np.shape(step) or (1, 1)
     updates = {}
     for l in block:
         w, g = net.layer_weights[l], grads[l]
-        if w.shape != g.shape or all(k.shape_for(w.shape) != step_shape for k in StepSizeKind):
+        if w.shape != g.shape or len(step_shape) != 2 or not (
+            step_shape[0] in (1, w.shape[0]) and step_shape[1] in (1, w.shape[1])
+        ):
             raise ShapeError(
                 f"step {step_shape} does not conform to weight {w.shape} and gradient {g.shape}"
             )
@@ -142,13 +134,9 @@ def reduce_to_kind(full_grad: Matrix, kind: StepSizeKind) -> Matrix:
     Guarantees <broadcast_to(s, G.shape), G> == <s, reduce_to_kind(G, kind)>
     for any step s of the kind's shape.  The element kind returns G itself.
     """
-    if kind is StepSizeKind.SCALAR:
-        return np.array([[full_grad.sum()]])
-    if kind is StepSizeKind.ROW:
-        return full_grad.sum(axis=1, keepdims=True)
-    if kind is StepSizeKind.COLUMN:
-        return full_grad.sum(axis=0, keepdims=True)
-    return full_grad
+    shape = full_grad.shape
+    axes = tuple(a for a, d in enumerate(kind.shape_for(shape)) if d != shape[a])
+    return full_grad.sum(axis=axes, keepdims=True) if axes else full_grad
 
 
 # Ablation arms: which parts of the convex combination drive the step.

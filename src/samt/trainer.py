@@ -142,7 +142,7 @@ def train_epoch(state: TrainRunState, dataset: Dataset, batch_size: int, trace=N
     return state, stats
 
 
-def evaluate(net: NetworkModel, dataset: Dataset, batch_size: int = 1000):
+def evaluate(net: NetworkModel, dataset: Dataset, batch_size: int):
     """Full-pass (loss, accuracy-or-mse) over the set in eval batches."""
     n = dataset.num_samples
     total_loss = 0.0

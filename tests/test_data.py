@@ -235,7 +235,7 @@ def test_synth_classification_shapes_and_determinism():
     assert np.array_equal(imgs, imgs2) and np.array_equal(labels, labels2)
 
 
-def whole_corpus_glyphs(seed, n, side=28, num_classes=10, separation=1.0, noise_sd=0.5):
+def whole_corpus_glyphs(seed, n, side=28, num_classes=10, noise_sd=0.5):
     """The glyph generator as one whole-corpus pass: every per-sample
     array, the noise draw included, is (n, side * side) at once."""
     rng = np.random.default_rng(seed)
@@ -253,7 +253,7 @@ def whole_corpus_glyphs(seed, n, side=28, num_classes=10, separation=1.0, noise_
     base = smooth(rng.standard_normal((num_classes, d)))
     cut = np.quantile(base, 0.7, axis=1, keepdims=True)
     prototypes = np.maximum(base - cut, 0.0)
-    prototypes *= separation / prototypes.max(axis=1, keepdims=True)
+    prototypes *= 1.0 / prototypes.max(axis=1, keepdims=True)
     prototypes = prototypes.reshape(num_classes, side, side)
 
     labels = rng.integers(0, num_classes, size=n).astype(np.uint8)

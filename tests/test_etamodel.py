@@ -125,7 +125,7 @@ class TestInitEtaModel:
             init_eta_model(StepSizeKind.SCALAR, (3, 4), make_rng(0), hidden=5, activation_slope=slope)
 
     def test_unknown_projection_style_raises(self):
-        # else the model is built and fails only inside squash at its first forward pass
+        # else the model is built and fails only inside project_unit at its first forward pass
         with pytest.raises(ValueError, match="projection_style"):
             init_eta_model(StepSizeKind.SCALAR, (3, 4), make_rng(0), hidden=5, projection_style="relu")
 
@@ -398,10 +398,10 @@ class TestPendingUpdates:
         # the pending terms move the raw heads by far more than rounding
         assert np.abs(effective - psi.w3).max() > 1e-3
         materialised = replace(psi, w3=effective, pending=replace(psi.pending, n=0))
-        cached = psi_forward(psi, feats)[2].core
+        cached = psi_forward(psi, feats)[2].slope
         for got, want in zip(psi_forward(psi, feats)[:2], psi_forward(materialised, feats)[:2]):
             assert np.abs(got - want).max() <= 1e-15
-        assert np.abs(cached - psi_forward(materialised, feats)[2].core).max() <= 1e-15
+        assert np.abs(cached - psi_forward(materialised, feats)[2].slope).max() <= 1e-15
 
     def test_replaced_copy_shares_the_pending_terms(self):
         psi, _ = self.stepped(StepSizeKind.ROW, 1)

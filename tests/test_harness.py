@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from samt.cli import main as cli_main
-from samt.data import CLASSIFICATION, Dataset, load_csv, synth_classification, synth_regression
+from samt.data import CLASSIFICATION, Dataset, load_csv, synth_classification, synth_regression, write_idx
 from samt import harness
 from samt.errors import ConfigError, DivergenceError
 from samt.etamodel import EtaModel
@@ -455,6 +455,29 @@ class TestCli:
             captured = capsys.readouterr()
             assert "seed" in captured.err and captured.out == ""
         assert not out_dir.exists()
+
+    def test_unwritable_out_csv_exits_one_before_the_first_epoch(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(harness, "train_epoch", lambda *a, **k: pytest.fail("an epoch ran"))
+        path = tmp_path / "missing" / "m.csv"
+        code = cli_main(["train", "dataset=synthetic", "widths=10,1", "optimizer=sgd", f"out_csv={path}"])
+        assert code == 1
+        assert str(path) in capsys.readouterr().err
+
+    def test_empty_idx_test_split_exits_one_naming_the_key(self, tmp_path, monkeypatch, capsys):
+        images, labels = synth_classification(0, 200, side=8, num_classes=4)
+        paths = [str(tmp_path / name) for name in ("tr_img", "tr_lab", "te_img", "te_lab")]
+        write_idx(*paths[:2], images, labels)
+        write_idx(*paths[2:], images[:0], labels[:0])
+        monkeypatch.setattr(harness, "build_state", lambda *a, **k: pytest.fail("the run was built"))
+        keys = ("idx_train_images", "idx_train_labels", "idx_test_images", "idx_test_labels")
+        code = cli_main(
+            ["train", "dataset=idx", "widths=64,4", "optimizer=sgd", f"out_csv={tmp_path / 'm.csv'}"]
+            + [f"{k}={p}" for k, p in zip(keys, paths)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "idx_test_images" in err and "Traceback" not in err
+        assert not (tmp_path / "m.csv").exists()
 
 
 class TestTheorySuite:

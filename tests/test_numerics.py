@@ -34,6 +34,10 @@ class TestHadamardBroadcast:
             candidate(np.ones((3, 3)), np.ones((3, 3)), np.ones((2, 2)))
         with pytest.raises(ShapeError):
             candidate(np.ones((2, 2)), np.ones((2, 2)), np.ones((2, 3)))
+        with pytest.raises(ShapeError):  # 1-D, of the layer's width
+            candidate(np.ones((2, 3)), np.ones((2, 3)), np.ones(3))
+        with pytest.raises(ShapeError):
+            candidate(np.ones((2, 3)), np.ones((2, 3)), np.ones((1, 1, 1)))
 
     @settings(max_examples=60)
     @given(

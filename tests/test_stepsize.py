@@ -15,9 +15,7 @@ from samt.stepsize import (
     compose_step,
     grad_features,
     project_unit,
-    project_unit_derivative,
     reduce_to_kind,
-    squash,
 )
 
 
@@ -72,35 +70,35 @@ class TestGradFeatures:
 class TestProjectUnit:
     @pytest.mark.parametrize("style", ["tanh", "sigmoid"])
     def test_zero_maps_to_half(self, style):
-        assert project_unit(squash(np.array([[0.0]]), style), style)[0, 0] == pytest.approx(0.5)
+        assert project_unit(np.array([[0.0]]), style)[0][0, 0] == pytest.approx(0.5)
 
     def test_tanh_saturation_stays_below_one(self):
-        out = project_unit(squash(np.array([[20.0]]), "tanh"), "tanh")[0, 0]
+        out = project_unit(np.array([[20.0]]), "tanh")[0][0, 0]
         assert 1.0 - 1e-9 < out < 1.0
 
     @pytest.mark.parametrize("style", ["tanh", "sigmoid"])
     def test_extreme_inputs_stay_open(self, style):
         u = np.array([[-1e6, -5.0, 0.0, 5.0, 1e6]])
-        out = project_unit(squash(u, style), style)
+        out, _ = project_unit(u, style)
         assert (out > 0.0).all() and (out < 1.0).all()
 
     @pytest.mark.parametrize("style", ["tanh", "sigmoid"])
     def test_monotone(self, style):
         u = np.linspace(-8, 8, 101).reshape(1, -1)
-        out = project_unit(squash(u, style), style)
+        out, _ = project_unit(u, style)
         assert (np.diff(out.ravel()) > 0).all()
 
     @pytest.mark.parametrize("style", ["tanh", "sigmoid"])
     def test_derivative_matches_finite_differences(self, style):
         u = np.linspace(-3, 3, 25).reshape(5, 5)
         h = 1e-6
-        up, down = (project_unit(squash(u + s, style), style) for s in (h, -h))
+        (up, _), (down, _) = (project_unit(u + s, style) for s in (h, -h))
         numeric = (up - down) / (2 * h)
-        assert np.allclose(project_unit_derivative(squash(u, style), style), numeric, atol=1e-9)
+        assert np.allclose(project_unit(u, style)[1], numeric, atol=1e-9)
 
     def test_unknown_style(self):
         with pytest.raises(ValueError, match="tanh"):
-            squash(np.array([[0.0]]), "relu")
+            project_unit(np.array([[0.0]]), "relu")
 
 
 def full_step(beta, eta0, eta_hat):
@@ -181,6 +179,26 @@ class TestReduceToKind:
         lhs = float(np.vdot(np.broadcast_to(s, (m, n)), g))
         rhs = float(np.vdot(s, reduce_to_kind(g, kind)))
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+    @settings(max_examples=200)
+    @given(
+        st.sampled_from(list(StepSizeKind)),
+        st.one_of(st.just(1), st.integers(1, 300)),
+        st.one_of(st.just(1), st.integers(1, 300)),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_bitwise_the_per_kind_sums(self, kind, m, n, seed):
+        # 1-row and 1-column layers included: there some kinds coincide
+        g = make_rng(seed).standard_normal((m, n))
+        want = {
+            StepSizeKind.SCALAR: np.array([[g.sum()]]),
+            StepSizeKind.ROW: g.sum(axis=1, keepdims=True),
+            StepSizeKind.COLUMN: g.sum(axis=0, keepdims=True),
+            StepSizeKind.ELEMENT: g,
+        }[kind]
+        out = reduce_to_kind(g, kind)
+        assert out.shape == want.shape and out.tobytes() == want.tobytes()
+        assert (out is g) == (kind is StepSizeKind.ELEMENT or want.shape == g.shape)
 
 
 class TestStepSizeType:
