@@ -18,7 +18,10 @@ and a noise-free recursion check with the plateau halving factor
 (``contractivity=``).  A gradcheck line hashes the unrounded worst
 relative errors of ``samt gradcheck --seed 0``, which prints them to
 three digits only: the layer checks (``layers=``) and the meta checks
-(``meta=``), as ``repr`` floats.
+(``meta=``), as ``repr`` floats.  The data line hashes the dtype, shape
+and bytes of the features (``features=``) and targets (``targets=``) of
+both splits that ``load_datasets`` returns for the synthetic, glyph and
+CSV sources, and for an IDX pair written from the 1,000-glyph corpus.
 
 Diffing the output of two trees shows which runs' floats moved.  The
 hashes hold for one numpy/BLAS build and OpenBLAS thread count, so none
@@ -40,7 +43,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from samt import harness, theory  # noqa: E402
-from samt.data import synth_classification  # noqa: E402
+from samt.data import synth_classification, write_idx  # noqa: E402
 from samt.harness import (  # noqa: E402
     OPTIMIZERS,
     TrainConfig,
@@ -182,6 +185,25 @@ def gradcheck_fingerprint() -> tuple[str, str]:
     return tuple(hashlib.sha256(",".join(map(repr, v)).encode()).hexdigest()[:16] for v in worst.values())
 
 
+def data_fingerprint(csv_path: Path, images, labels) -> tuple[str, str]:
+    """(features hash, targets hash) of both splits of every source, the
+    IDX pair written beside `csv_path` from `images` and `labels`."""
+    features, targets = hashlib.sha256(), hashlib.sha256()
+    idx = [str(csv_path.with_name(f"{split}-{part}.idx"))
+           for split in ("train", "test") for part in ("images", "labels")]
+    write_idx(idx[0], idx[1], images[:800], labels[:800])
+    write_idx(idx[2], idx[3], images[800:], labels[800:])
+    configs = [replace(BASE, **v) for v in DATASETS.values()]
+    configs[-1] = replace(configs[-1], csv_path=str(csv_path))
+    configs.append(replace(BASE, dataset="idx", idx_train_images=idx[0], idx_train_labels=idx[1],
+                           idx_test_images=idx[2], idx_test_labels=idx[3]))
+    for config in configs:
+        for ds in load_datasets(config):
+            for sha, a in ((features, ds.features), (targets, ds.targets)):
+                sha.update(repr((a.dtype.str, a.shape)).encode() + np.ascontiguousarray(a).tobytes())
+    return features.hexdigest()[:16], targets.hexdigest()[:16]
+
+
 def runs(csv_path: Path):
     """(name, config) for every optimizer x projection x dataset, then the variants."""
     data = {k: replace(BASE, **v) for k, v in DATASETS.items()}
@@ -203,12 +225,15 @@ def main() -> None:
         for name, config in runs(csv_path):
             traj, events, status = fingerprint(config)
             print(f"{name:<46} trajectory={traj} events={events} {status}", flush=True)
-    images, labels = (hashlib.sha256(a.tobytes()).hexdigest()[:16] for a in synth_classification(0, 1000))
+        corpus = synth_classification(0, 1000)
+        features, targets = data_fingerprint(csv_path, *corpus)
+    images, labels = (hashlib.sha256(a.tobytes()).hexdigest()[:16] for a in corpus)
     print(f"{'data/synth_classification(0,1000)':<46} images={images} labels={labels} ok")
     recursion, contractivity = theory_fingerprint()
     print(f"{'theory/recursion,plateau,contractivity':<46} recursion={recursion} contractivity={contractivity} ok")
     layers, meta = gradcheck_fingerprint()
     print(f"{'gradcheck/worst_rel_err(seed=0)':<46} layers={layers} meta={meta} ok")
+    print(f"{'data/load_datasets(synthetic,images,csv,idx)':<46} features={features} targets={targets} ok")
 
 
 if __name__ == "__main__":

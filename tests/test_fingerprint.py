@@ -27,5 +27,5 @@ def test_two_processes_print_the_same_fingerprint():
     (first, err), (second, _) = (p.communicate(timeout=120) for p in procs)
     assert all(p.returncode == 0 for p in procs), err
     lines = first.splitlines()
-    assert len(lines) == 53 and all(len(line.split()) == 4 for line in lines)
+    assert len(lines) == 54 and all(len(line.split()) == 4 for line in lines)
     assert first == second
