@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from .errors import DivergenceError
-from .harness import THEORY_SUITES, parse_config, run_experiment, run_gradcheck, run_matrix, run_theory_suite
+from .harness import MATRIX_FAMILIES, THEORY_SUITES, parse_config, run_experiment, run_gradcheck, run_matrix, run_theory_suite
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -28,7 +28,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     matrix = sub.add_parser("matrix", help="run a whole experiment family in one invocation")
     matrix.add_argument("--config", default=None)
-    matrix.add_argument("--vary", choices=("ablation", "projection"), required=True)
+    matrix.add_argument("--vary", choices=MATRIX_FAMILIES, required=True)
     matrix.add_argument("--out-dir", default=".")
     matrix.add_argument("overrides", nargs="*")
 

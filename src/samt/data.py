@@ -2,9 +2,10 @@
 
 Datasets store features column-per-sample (d x N).  Classification
 targets are an int vector of class indices; regression targets are a
-(k x N) matrix.  Mini-batches are drawn uniformly with replacement from
-a seeded generator, and the step-size model trains on its own subset:
-every second sample of the parent ordering, a view that copies nothing.
+(k x N) matrix; either way the samples sit on the targets' last axis.
+Mini-batches are drawn uniformly with replacement from a seeded
+generator, and the step-size model trains on its own subset: every
+second sample of the parent ordering, a view that copies nothing.
 """
 
 from __future__ import annotations
@@ -35,11 +36,9 @@ class Dataset:
     features: Matrix  # d x N
     targets: np.ndarray  # (N,) int class indices, or (k, N) float matrix
     kind: str
-    normalization: tuple[np.ndarray, np.ndarray] | None = None  # (mean, scale)
 
     def __post_init__(self):
-        n = self.features.shape[1]
-        n_targets = self.targets.shape[0] if self.targets.ndim == 1 else self.targets.shape[1]
+        n, n_targets = self.features.shape[1], self.targets.shape[-1]
         if n != n_targets:
             raise DataFormatError(f"{n} feature columns but {n_targets} targets")
 
@@ -48,21 +47,21 @@ class Dataset:
         return self.features.shape[1]
 
     def take(self, indices) -> "Dataset":
-        targets = self.targets[indices] if self.targets.ndim == 1 else self.targets[:, indices]
-        return Dataset(self.features[:, indices], targets, self.kind, self.normalization)
+        return Dataset(self.features[:, indices], self.targets[..., indices], self.kind)
 
-    def standardized(self, stats=None) -> "Dataset":
-        """Features shifted and scaled per row to zero mean / unit variance.
 
-        `stats` is a (mean, scale) pair from another split to reuse; by
-        default both come from this dataset.
-        """
-        if stats is None:
-            mean = self.features.mean(axis=1)
-            stats = (mean, np.sqrt(np.maximum(self.features.var(axis=1), VARIANCE_FLOOR)))
-        mean, scale = stats
-        features = (self.features - mean[:, None]) / scale[:, None]
-        return Dataset(features, self.targets, self.kind, stats)
+def standardize(train: Dataset, test: Dataset) -> tuple[Dataset, Dataset]:
+    """Both splits with each feature row shifted by the training split's
+    mean and divided by its standard deviation, floored at VARIANCE_FLOOR."""
+    mean = train.features.mean(axis=1)[:, None]
+    scale = np.sqrt(np.maximum(train.features.var(axis=1), VARIANCE_FLOOR))[:, None]
+    return tuple(Dataset((ds.features - mean) / scale, ds.targets, ds.kind) for ds in (train, test))
+
+
+def pixel_dataset(pixels: np.ndarray, labels: np.ndarray) -> Dataset:
+    """Classification dataset of (n, d) uint8 pixels, scaled to [0,1] by
+    /255 into feature columns, and their n class labels."""
+    return Dataset(pixels.T / 255.0, labels.astype(np.int64), CLASSIFICATION)
 
 
 def meta_subset(dataset: Dataset) -> Dataset:
@@ -81,8 +80,8 @@ def _read_be_u32(buf: bytes, offset: int, path: str) -> int:
 def load_idx(images_path, labels_path, limit: int | None = None) -> Dataset:
     """Decode a big-endian IDX image/label file pair.
 
-    Pixels are scaled to [0,1] by /255 and flattened row-major into
-    feature columns; `limit` keeps only the first samples.  Bad magic
+    Images are flattened row-major into `pixel_dataset`'s feature
+    columns; `limit` keeps only the first samples.  Bad magic
     numbers, truncation, or an image/label count mismatch raise
     DataFormatError without producing a partial dataset.
     """
@@ -114,10 +113,8 @@ def load_idx(images_path, labels_path, limit: int | None = None) -> Dataset:
         raise DataFormatError(f"{n} images but {n_labels} labels")
 
     pixels = np.frombuffer(img_buf, dtype=np.uint8, count=n * rows * cols, offset=16)
-    features = pixels.reshape(n, rows * cols).T / 255.0
-    labels = np.frombuffer(lab_buf, dtype=np.uint8, count=n, offset=8).astype(np.int64)
-    ds = Dataset(features, labels, CLASSIFICATION)
-    return ds if limit is None else ds.take(slice(0, limit))
+    labels = np.frombuffer(lab_buf, dtype=np.uint8, count=n, offset=8)
+    return pixel_dataset(pixels.reshape(n, rows * cols), labels).take(slice(0, limit))
 
 
 def write_idx(images_path, labels_path, images: np.ndarray, labels: np.ndarray) -> None:
@@ -134,8 +131,8 @@ def write_idx(images_path, labels_path, images: np.ndarray, labels: np.ndarray) 
 def load_csv(path, target_column: str) -> Dataset:
     """Load a numeric CSV with a header row as a regression dataset.
 
-    Features and targets stay in their raw units; `Dataset.standardized`
-    scales the features.
+    Features and targets stay in their raw units; `standardize` scales
+    the features.
     """
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
@@ -201,6 +198,8 @@ def synth_classification(
     noise_sd; defaults are tuned so a small MLP lands in the mid-90s
     test accuracy, not at a ceiling.
     """
+    if side < 2:  # a 1-pixel prototype is all 0 after its bright-third cut
+        raise ValueError(f"need side >= 2, got side={side}")
     rng = np.random.default_rng(seed)
     d = side * side
 
@@ -247,6 +246,4 @@ def sample_minibatch(dataset: Dataset, b: int, rng: np.random.Generator):
     if dataset.num_samples == 0:
         raise ValueError("cannot sample from an empty dataset")
     idx = rng.integers(0, dataset.num_samples, size=b)
-    x = dataset.features[:, idx]
-    y = dataset.targets[idx] if dataset.targets.ndim == 1 else dataset.targets[:, idx]
-    return x, y
+    return dataset.features[:, idx], dataset.targets[..., idx]

@@ -17,8 +17,6 @@ import typing
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import theory
 from .data import (
     CLASSIFICATION,
@@ -26,6 +24,8 @@ from .data import (
     load_csv,
     load_idx,
     meta_subset,
+    pixel_dataset,
+    standardize,
     synth_classification,
     synth_regression,
 )
@@ -226,9 +226,11 @@ def validate_config(config: TrainConfig) -> None:
         if (value := getattr(config, key)) is not None and not 0.0 < value < math.inf:
             raise ConfigError(f"{key} must be finite and > 0, got {value}")
     for key in ("train_batch", "eval_batch", "inner_steps", "epochs", "psi_hidden", "synth_d",
-                "img_side", "img_classes", "n_train", "n_test"):
+                "img_classes", "n_train", "n_test"):
         if (value := getattr(config, key)) is not None and value < 1:
             raise ConfigError(f"{key} must be >= 1, got {value}")
+    if config.img_side < 2:  # a 1-pixel glyph has no ink to scale
+        raise ConfigError(f"img_side must be >= 2, got {config.img_side}")
     if config.dataset == "idx":
         missing = [
             k
@@ -271,24 +273,23 @@ def load_datasets(config: TrainConfig) -> tuple[Dataset, Dataset]:
             num_classes=config.img_classes,
             noise_sd=config.img_noise_sd,
         )
-        d = config.img_side**2
-        feats = images.reshape(-1, d).T / 255.0
-        full = Dataset(feats, labels.astype(np.int64), CLASSIFICATION)
+        full = pixel_dataset(images.reshape(-1, config.img_side**2), labels)
         return full.take(slice(0, n_train)), full.take(slice(n_train, None))
     if config.dataset == "idx":
         train = load_idx(config.idx_train_images, config.idx_train_labels, limit=config.n_train)
         test = load_idx(config.idx_test_images, config.idx_test_labels, limit=config.n_test)
-        if test.num_samples == 0:
-            raise ConfigError(f"idx_test_images {config.idx_test_images} holds no images")
-        return train, test
-    # csv: split the tail off as the test set, standardize with train stats
-    full = load_csv(config.csv_path, config.csv_target)
-    n = full.num_samples
-    n_test = max(1, int(n * config.csv_test_fraction))
-    train, test = full.take(slice(0, n - n_test)), full.take(slice(n - n_test, None))
-    if config.csv_standardize:
-        train = train.standardized()
-        test = test.standardized(train.normalization)
+        keys = ("idx_train_images", "idx_test_images")
+    else:  # csv: the tail is the test split
+        full = load_csv(config.csv_path, config.csv_target)
+        n = full.num_samples
+        n_test = max(1, int(n * config.csv_test_fraction))
+        train, test = full.take(slice(0, n - n_test)), full.take(slice(n - n_test, None))
+        keys = ("csv_path", "csv_path")
+    for key, split, ds in zip(keys, ("training", "test"), (train, test)):
+        if ds.num_samples == 0:
+            raise ConfigError(f"{key} {getattr(config, key)} leaves the {split} split empty")
+    if config.dataset == "csv" and config.csv_standardize:
+        train, test = standardize(train, test)
     return train, test
 
 
@@ -424,22 +425,20 @@ def run_experiment(config: TrainConfig):
     return rows, config.out_csv
 
 
-def run_matrix(config: TrainConfig, vary: str, out_dir="."):
-    """One invocation producing the full CSV matrix for an experiment family.
+# each `samt matrix --vary` family: the config key it varies and that key's values
+MATRIX_FAMILIES = {"ablation": ("ablation", ABLATION_ARMS), "projection": ("projection_style", PROJECTION_STYLES)}
 
-    vary="ablation" runs the four step-composition arms; vary="projection"
-    runs both unit-interval projections.  Returns {label: rows}.
-    """
+
+def run_matrix(config: TrainConfig, vary: str, out_dir="."):
+    """One invocation producing the full CSV matrix for the experiment
+    family `vary` names in MATRIX_FAMILIES.  Returns {label: rows}."""
     out_dir = Path(out_dir)
-    if vary == "ablation":
-        variants = [("ablation", arm) for arm in ABLATION_ARMS]
-    elif vary == "projection":
-        variants = [("projection_style", style) for style in PROJECTION_STYLES]
-    else:
-        raise ConfigError(f"vary must be 'ablation' or 'projection', got {vary!r}")
+    if vary not in MATRIX_FAMILIES:
+        raise ConfigError(f"vary must be one of {', '.join(MATRIX_FAMILIES)}, got {vary!r}")
+    key, values = MATRIX_FAMILIES[vary]
     configs = {
         value: replace(config, **{key: value, "out_csv": str(out_dir / f"metrics_{vary}_{value}.csv")})
-        for key, value in variants
+        for value in values
     }
     for cfg in configs.values():
         validate_config(cfg)

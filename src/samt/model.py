@@ -159,10 +159,15 @@ def softmax_ce_loss(logits: Matrix, labels) -> tuple[float, Matrix]:
     return loss, dlogits
 
 
+def output_loss(net: NetworkModel, out: Matrix, targets) -> tuple[float, Matrix]:
+    """(loss, d(loss)/d(out)) of the network's output `out` under its own loss kind."""
+    return (mse_loss if net.loss_kind == MSE else softmax_ce_loss)(out, targets)
+
+
 def batch_loss(net: NetworkModel, batch) -> float:
     """Loss of the network on (x, y) under its own loss kind."""
     x, y = batch
-    return (mse_loss if net.loss_kind == MSE else softmax_ce_loss)(forward(net, x), y)[0]
+    return output_loss(net, forward(net, x), y)[0]
 
 
 def block_loss_and_gradients(net: NetworkModel, batch, block) -> tuple[float, dict[int, Matrix]]:
@@ -180,7 +185,7 @@ def block_loss_and_gradients(net: NetworkModel, batch, block) -> tuple[float, di
             raise ValueError(f"layer index {l} outside [0, {net.num_layers})")
     x, y = batch
     outputs = list(layer_outputs(net, x))  # input first
-    loss, delta = (mse_loss if net.loss_kind == MSE else softmax_ce_loss)(outputs[-1], y)
+    loss, delta = output_loss(net, outputs[-1], y)
 
     wanted = set(block)
     lowest = min(wanted)

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CLASSIFICATION, Dataset, sample_minibatch
+from .data import Dataset, sample_minibatch
 from .errors import DivergenceError, PlanError
-from .model import NetworkModel, forward, mse_loss, softmax_ce_loss
+from .model import SOFTMAX_CE, NetworkModel, forward, output_loss
 
 
 @dataclass(frozen=True)
@@ -143,23 +143,17 @@ def train_epoch(state: TrainRunState, dataset: Dataset, batch_size: int, trace=N
 
 
 def evaluate(net: NetworkModel, dataset: Dataset, batch_size: int):
-    """Full-pass (loss, accuracy-or-mse) over the set in eval batches."""
+    """Full-pass (loss, metric) over the set in eval batches, under the
+    net's own loss; the metric is the accuracy for softmax-CE, else the loss."""
     n = dataset.num_samples
     total_loss = 0.0
     total_metric = 0.0
     for start in range(0, n, batch_size):
         stop = min(start + batch_size, n)
-        x = dataset.features[:, start:stop]
-        out = forward(net, x)
+        out = forward(net, dataset.features[:, start:stop])
+        y = dataset.targets[..., start:stop]
+        loss, _ = output_loss(net, out, y)
         b = stop - start
-        if dataset.kind == CLASSIFICATION:
-            y = dataset.targets[start:stop]
-            loss, _ = softmax_ce_loss(out, y)
-            total_loss += loss * b
-            total_metric += float((out.argmax(axis=0) == y).sum())
-        else:
-            y = dataset.targets[:, start:stop]
-            loss, _ = mse_loss(out, y)
-            total_loss += loss * b
-            total_metric += loss * b
+        total_loss += loss * b
+        total_metric += float((out.argmax(axis=0) == y).sum()) if net.loss_kind == SOFTMAX_CE else loss * b
     return total_loss / n, total_metric / n

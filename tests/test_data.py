@@ -3,17 +3,22 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from samt import data
 from samt.data import (
     CLASSIFICATION,
+    REGRESSION,
     SYNTH_BLOCK_PIXELS,
+    VARIANCE_FLOOR,
     Dataset,
     load_csv,
     load_idx,
     meta_subset,
     sample_minibatch,
+    standardize,
     synth_classification,
     synth_regression,
     write_idx,
@@ -109,9 +114,9 @@ class TestLoadCsv:
     def test_constant_column_standardizes_to_zero(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("a,b,y\n5,1,0\n5,2,1\n5,3,2\n", encoding="utf-8")
-        ds = load_csv(p, "y").standardized()
-        assert np.allclose(ds.features[0], 0.0)
-        assert ds.normalization is not None
+        ds = load_csv(p, "y")
+        train, _ = standardize(ds, ds)
+        assert np.allclose(train.features[0], 0.0)
 
     def test_missing_target_column(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -128,11 +133,28 @@ class TestLoadCsv:
     def test_reusing_train_stats(self, tmp_path):
         p = tmp_path / "train.csv"
         p.write_text("a,y\n0,0\n2,1\n4,2\n", encoding="utf-8")
-        train = load_csv(p, "y").standardized()
         q = tmp_path / "test.csv"
         q.write_text("a,y\n2,9\n", encoding="utf-8")
-        test = load_csv(q, "y").standardized(train.normalization)
+        _, test = standardize(load_csv(p, "y"), load_csv(q, "y"))
         assert test.features[0, 0] == pytest.approx(0.0)  # (2 - mean 2) / sd
+        assert test.targets.tolist() == [[9.0]]
+
+
+class TestStandardize:
+    def test_bitwise_the_hand_computed_train_statistics(self):
+        rng = make_rng(13)
+        x_train, x_test = rng.normal(3.0, 2.0, (4, 9)), rng.normal(3.0, 2.0, (4, 5))
+        x_train[2], x_test[2] = 7.0, -1.0  # a constant training row meets the variance floor
+        y_train, y_test = rng.standard_normal((1, 9)), rng.standard_normal((1, 5))
+        train, test = standardize(Dataset(x_train, y_train, REGRESSION), Dataset(x_test, y_test, REGRESSION))
+
+        mean = x_train.mean(axis=1)
+        scale = np.sqrt(np.maximum(x_train.var(axis=1), VARIANCE_FLOOR))
+        assert scale[2] == np.sqrt(VARIANCE_FLOOR)
+        for got, x, y in ((train, x_train, y_train), (test, x_test, y_test)):
+            assert got.features.tobytes() == ((x - mean[:, None]) / scale[:, None]).tobytes()
+            assert got.targets is y and got.kind == REGRESSION
+        assert np.all(train.features[2] == 0.0)
 
 
 class TestSynthRegression:
@@ -188,6 +210,47 @@ class TestSampleMinibatch:
             sample_minibatch(ds, 0, make_rng(0))
 
 
+# (features, targets) of n samples: 1-D int labels, or a (k, n) matrix with k >= 1
+@st.composite
+def datasets(draw):
+    n = draw(st.integers(1, 12))
+    k = draw(st.sampled_from([None, 1, 3]))
+    rng = make_rng(draw(st.integers(0, 2**16)))
+    targets = rng.integers(0, 5, n) if k is None else rng.standard_normal((k, n))
+    return Dataset(rng.standard_normal((draw(st.integers(1, 4)), n)), targets,
+                   CLASSIFICATION if k is None else REGRESSION)
+
+
+def per_layout(targets, idx):
+    return targets[idx] if targets.ndim == 1 else targets[:, idx]
+
+
+class TestLastAxisIndexing:
+    @settings(max_examples=60, deadline=None)
+    @given(ds=datasets(), start=st.integers(0, 12), stop=st.integers(0, 12), step=st.integers(1, 3))
+    def test_take_of_a_slice_is_a_view_equal_to_per_layout_indexing(self, ds, start, stop, step):
+        s = slice(start, stop, step)
+        got = ds.take(s)
+        for a, want in ((got.features, ds.features[:, s]), (got.targets, per_layout(ds.targets, s))):
+            assert a.dtype == want.dtype and a.shape == want.shape and a.tobytes() == want.tobytes()
+        assert got.features.base is not None and got.targets.base is not None
+
+    @settings(max_examples=60, deadline=None)
+    @given(ds=datasets(), seed=st.integers(0, 2**16), b=st.integers(1, 20))
+    def test_take_and_sample_minibatch_equal_per_layout_indexing(self, ds, seed, b):
+        idx = make_rng(seed).integers(0, ds.num_samples, size=b)
+        x, y = sample_minibatch(ds, b, make_rng(seed))
+        taken = ds.take(idx)
+        want_y = per_layout(ds.targets, idx)
+        for a, want in ((x, ds.features[:, idx]), (y, want_y), (taken.features, x), (taken.targets, want_y)):
+            assert a.dtype == want.dtype and a.shape == want.shape and a.tobytes() == want.tobytes()
+
+    def test_mismatched_sample_counts_rejected_for_both_layouts(self):
+        for targets in (np.zeros(4, dtype=np.int64), np.zeros((2, 4))):
+            with pytest.raises(DataFormatError, match="3 feature columns but 4 targets"):
+                Dataset(np.zeros((2, 3)), targets, CLASSIFICATION)
+
+
 class TestMetaSubset:
     def test_stride_two_indices(self):
         ds = Dataset(np.arange(10.0).reshape(2, 5), np.arange(5), CLASSIFICATION)
@@ -225,6 +288,11 @@ class TestMetaSubset:
         x, y = sample_minibatch(meta_subset(ds), 32, make_rng(12))
         i = 2 * make_rng(12).integers(0, 6, size=32)
         assert x.tobytes() == ds.features[:, i].tobytes() and y.tobytes() == ds.targets[:, i].tobytes()
+
+
+def test_synth_classification_rejects_a_side_below_two():
+    with pytest.raises(ValueError, match="side >= 2"):
+        synth_classification(0, 5, side=1)
 
 
 def test_synth_classification_shapes_and_determinism():

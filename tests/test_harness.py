@@ -1,6 +1,7 @@
 import dataclasses
 import types
 import typing
+import warnings
 
 import numpy as np
 import pytest
@@ -150,8 +151,6 @@ class TestLoadDatasets:
         scale = np.sqrt(np.maximum(x_train.var(axis=1), 1e-12))
         assert train.features.tobytes() == ((x_train - mean[:, None]) / scale[:, None]).tobytes()
         assert test.features.tobytes() == ((x_test - mean[:, None]) / scale[:, None]).tobytes()
-        for stats in (train.normalization, test.normalization):
-            assert stats[0].tobytes() == mean.tobytes() and stats[1].tobytes() == scale.tobytes()
 
 
     @pytest.mark.parametrize("dataset", ["synthetic", "synthetic_images", "csv"])
@@ -415,6 +414,7 @@ class TestCli:
             (["optimizer=sgd", "img_noise_sd=inf"], "img_noise_sd"),
             (["optimizer=sgd", "synth_d=0"], "synth_d"),
             (["optimizer=sgd", "dataset=synthetic_images", "widths=784,10", "img_side=0"], "img_side"),
+            (["optimizer=sgd", "dataset=synthetic_images", "widths=1,10", "img_side=1"], "img_side"),
             (["optimizer=sgd", "dataset=synthetic_images", "widths=784,10", "img_classes=0"], "img_classes"),
             (["optimizer=sgd", "seed=-1"], "seed"),
             (["optimizer=sgd", "train_batch=0"], "train_batch"),
@@ -463,21 +463,40 @@ class TestCli:
         assert code == 1
         assert str(path) in capsys.readouterr().err
 
-    def test_empty_idx_test_split_exits_one_naming_the_key(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("empty", ["idx_train_images", "idx_test_images"])
+    def test_empty_idx_split_exits_one_naming_the_key(self, empty, tmp_path, monkeypatch, capsys):
         images, labels = synth_classification(0, 200, side=8, num_classes=4)
-        paths = [str(tmp_path / name) for name in ("tr_img", "tr_lab", "te_img", "te_lab")]
-        write_idx(*paths[:2], images, labels)
-        write_idx(*paths[2:], images[:0], labels[:0])
-        monkeypatch.setattr(harness, "build_state", lambda *a, **k: pytest.fail("the run was built"))
         keys = ("idx_train_images", "idx_train_labels", "idx_test_images", "idx_test_labels")
-        code = cli_main(
-            ["train", "dataset=idx", "widths=64,4", "optimizer=sgd", f"out_csv={tmp_path / 'm.csv'}"]
-            + [f"{k}={p}" for k, p in zip(keys, paths)]
-        )
+        paths = [str(tmp_path / name) for name in ("tr_img", "tr_lab", "te_img", "te_lab")]
+        for i in (0, 2):
+            n = 0 if keys[i] == empty else len(images)
+            write_idx(*paths[i : i + 2], images[:n], labels[:n])
+        monkeypatch.setattr(harness, "build_state", lambda *a, **k: pytest.fail("the run was built"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli_main(
+                ["train", "dataset=idx", "widths=64,4", "optimizer=sgd", f"out_csv={tmp_path / 'm.csv'}"]
+                + [f"{k}={p}" for k, p in zip(keys, paths)]
+            )
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "idx_test_images" in err and "Traceback" not in err
-        assert not (tmp_path / "m.csv").exists()
+        assert err.startswith("error: ") and empty in err and "train_batch" not in err
+        assert "Traceback" not in err and not (tmp_path / "m.csv").exists()
+
+    def test_one_row_csv_exits_one_naming_csv_path(self, tmp_path, monkeypatch, capsys):
+        # the test split takes at least one row, so a one-row file leaves no training row
+        p = tmp_path / "d.csv"
+        p.write_text("a,b,y\n1,2,3\n", encoding="utf-8")
+        monkeypatch.setattr(harness, "standardize", lambda *a: pytest.fail("a split was standardised"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli_main(
+                ["train", "dataset=csv", f"csv_path={p}", "csv_target=y", "widths=2,1", "optimizer=sgd", "train_batch=1", f"out_csv={tmp_path / 'm.csv'}"]
+            )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "csv_path" in err and "train_batch" not in err
+        assert "Traceback" not in err and not (tmp_path / "m.csv").exists()
 
 
 class TestTheorySuite:
