@@ -414,13 +414,13 @@ class TestCli:
             (["optimizer=sgd", "img_noise_sd=inf"], "img_noise_sd"),
             (["optimizer=sgd", "synth_d=0"], "synth_d"),
             (["optimizer=sgd", "dataset=synthetic_images", "widths=784,10", "img_side=0"], "img_side"),
-            (["optimizer=sgd", "dataset=synthetic_images", "widths=1,10", "img_side=1"], "img_side"),
             (["optimizer=sgd", "dataset=synthetic_images", "widths=784,10", "img_classes=0"], "img_classes"),
             (["optimizer=sgd", "seed=-1"], "seed"),
             (["optimizer=sgd", "train_batch=0"], "train_batch"),
             (["optimizer=sgd", "eval_batch=0"], "eval_batch"),
             (["optimizer=sgd", "widths=10,3,2,1", "grouping=0;0"], "grouping"),
             (["optimizer=sgd", "widths=10,3,1", "grouping=0"], "grouping"),
+            (["optimizer=sgd", "dataset=synthetic_images", "widths=1,10", "img_side=1"], "img_side"),
         ],
     )
     def test_bad_rate_or_width_exits_one_naming_the_key(self, args, key, tmp_path, capsys):
