@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 configuration or data error, 2 a verification
 suite found a violated inequality (or a gradient check failed), 3 a
-training run diverged (a step's loss or meta loss was not finite; the
-metrics CSV keeps the epochs completed before it).
+training run diverged (a step's loss or meta loss was not finite).  A
+training run that stops for any reason keeps its completed epochs' rows.
 """
 
 from __future__ import annotations
@@ -58,15 +58,13 @@ def main(argv=None) -> int:
             return 0
         if args.command == "theory":
             return run_theory_suite(args.suite, args.out_dir, args.seed, args.inject_bug)
-        if args.command == "gradcheck":
-            return run_gradcheck(args.seed)
+        return run_gradcheck(args.seed)  # the parser admits no other command
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except DivergenceError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    return 0
 
 
 if __name__ == "__main__":

@@ -114,7 +114,7 @@ def load_idx(images_path, labels_path, limit: int | None = None) -> Dataset:
 
     pixels = np.frombuffer(img_buf, dtype=np.uint8, count=n * rows * cols, offset=16)
     labels = np.frombuffer(lab_buf, dtype=np.uint8, count=n, offset=8)
-    return pixel_dataset(pixels.reshape(n, rows * cols), labels).take(slice(0, limit))
+    return pixel_dataset(pixels.reshape(n, rows * cols)[:limit], labels[:limit])  # scale only the kept samples
 
 
 def write_idx(images_path, labels_path, images: np.ndarray, labels: np.ndarray) -> None:

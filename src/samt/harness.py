@@ -12,6 +12,7 @@ Every run writes one CSV row per epoch and split with the exact header
 from __future__ import annotations
 
 import math
+import sys
 import time
 import typing
 from dataclasses import dataclass, replace
@@ -29,7 +30,7 @@ from .data import (
     synth_classification,
     synth_regression,
 )
-from .errors import ConfigError, DivergenceError, PlanError
+from .errors import ConfigError, PlanError
 from .etamodel import DEFAULT_HIDDEN, DEFAULT_META_LEARNING_RATE, init_eta_model, meta_gradients, psi_forward
 from .model import (
     DEFAULT_ACTIVATION_SLOPE,
@@ -211,9 +212,10 @@ def validate_config(config: TrainConfig) -> None:
         block_partition(len(config.widths) - 1, config.grouping)
     except PlanError as e:
         raise ConfigError(f"grouping: {e}") from None
-    for key in ("eta0", "activation_slope", "csv_test_fraction"):  # NaN fails too
-        if not 0.0 < (value := getattr(config, key)) < 1.0:
-            raise ConfigError(f"{key} must be in (0,1), got {value}")
+    # NaN fails too; eta0 exceeds the smallest normal float, so that beta * eta0 cannot round to 0
+    for key, lo in (("eta0", sys.float_info.min), ("activation_slope", 0.0), ("csv_test_fraction", 0.0)):
+        if not lo < (value := getattr(config, key)) < 1.0:
+            raise ConfigError(f"{key} must be in ({lo:g},1), got {value}")
     if config.meta_lag not in (0, 1):
         raise ConfigError(f"meta_lag must be 0 or 1, got {config.meta_lag}")
     if config.seed < 0:
@@ -244,7 +246,7 @@ def validate_config(config: TrainConfig) -> None:
     kind = _SAMT_KINDS.get(config.optimizer)
     if kind is not None and kind is not StepSizeKind.SCALAR and config.grouping is not None:
         if any(len(g) > 1 for g in config.grouping):
-            raise ConfigError("non-scalar step sizes support single-layer blocks only")
+            raise ConfigError("grouping: non-scalar step sizes support single-layer blocks only")
     if kind is not None and config.psi_bypass and config.ablation == ARM_RIGHT:
         raise ConfigError("psi_bypass=true pins beta = 1, so ablation=right_only's step is 0")
 
@@ -304,7 +306,7 @@ def build_state(config: TrainConfig, train_ds: Dataset) -> TrainRunState:
     loss_kind = SOFTMAX_CE if train_ds.kind == CLASSIFICATION else MSE
     if config.widths[0] != train_ds.features.shape[0]:
         raise ConfigError(
-            f"first width {config.widths[0]} != feature dimension {train_ds.features.shape[0]}"
+            f"widths: first width {config.widths[0]} != feature dimension {train_ds.features.shape[0]}"
         )
     if config.train_batch > train_ds.num_samples:
         raise ConfigError(
@@ -372,52 +374,43 @@ class MetricsRow:
 CSV_HEADER = "epoch,split,loss,metric,wall_ms,eta_mean,eta_min,eta_max"
 
 
-def write_metrics_csv(path, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(CSV_HEADER + "\n")
-        for r in rows:
-            f.write(
-                f"{r.epoch},{r.split},{r.loss:.10g},{r.metric:.10g},"
-                f"{r.wall_ms:.3f},{r.eta_mean:.10g},{r.eta_min:.10g},{r.eta_max:.10g}\n"
-            )
-
-
 def run_experiment(config: TrainConfig):
-    """Train per the config, write the metrics CSV, print a summary line.
+    """Train per the config, stream the metrics CSV, print a summary line.
 
-    Returns (rows, csv_path).  When a step diverges, the CSV gets the
-    rows of the epochs completed before it and `DivergenceError` is
-    re-raised.
+    `out_csv` is opened before the first epoch, so an unwritable path fails
+    first; each epoch's rows are appended once both splits are evaluated, so
+    a run that stops for any reason keeps its completed epochs' rows.
+    Returns (rows, csv_path).
     """
     train_ds, test_ds = load_datasets(config)
     state = build_state(config, train_ds)
     rows: list[MetricsRow] = []
-    write_metrics_csv(config.out_csv, rows)  # an unwritable path fails before any epoch
-    try:
+    with open(config.out_csv, "w", encoding="utf-8", newline="\n") as f:
+        f.write(CSV_HEADER + "\n")
         for _ in range(config.epochs):
             t0 = time.perf_counter()
             state, stats = train_epoch(state, train_ds, config.train_batch)
             wall_ms = (time.perf_counter() - t0) * 1000.0
-            for split, ds in (("train", train_ds), ("test", test_ds)):
-                loss, metric = evaluate(state.net, ds, config.eval_batch)
-                rows.append(
-                    MetricsRow(
-                        epoch=state.epoch,
-                        split=split,
-                        loss=loss,
-                        metric=metric,
-                        wall_ms=wall_ms,
-                        eta_mean=stats["eta_mean"],
-                        eta_min=stats["eta_min"],
-                        eta_max=stats["eta_max"],
-                    )
+            scores = [evaluate(state.net, ds, config.eval_batch) for ds in (train_ds, test_ds)]
+            for split, (loss, metric) in zip(("train", "test"), scores):
+                r = MetricsRow(
+                    epoch=state.epoch,
+                    split=split,
+                    loss=loss,
+                    metric=metric,
+                    wall_ms=wall_ms,
+                    eta_mean=stats["eta_mean"],
+                    eta_min=stats["eta_min"],
+                    eta_max=stats["eta_max"],
                 )
-    except DivergenceError:
-        write_metrics_csv(config.out_csv, rows)
-        raise
-    write_metrics_csv(config.out_csv, rows)
+                rows.append(r)
+                f.write(
+                    f"{r.epoch},{r.split},{r.loss:.10g},{r.metric:.10g},"
+                    f"{r.wall_ms:.3f},{r.eta_mean:.10g},{r.eta_min:.10g},{r.eta_max:.10g}\n"
+                )
+            f.flush()  # a killed run keeps the epochs it completed
     final = rows[-1]
-    metric_name = "acc" if train_ds.kind == CLASSIFICATION else "mse"
+    metric_name = "acc" if state.net.loss_kind == SOFTMAX_CE else "mse"
     print(
         f"{config.optimizer} on {config.dataset}: epoch {final.epoch} "
         f"test loss {final.loss:.6g} {metric_name} {final.metric:.6g} -> {config.out_csv}"

@@ -90,16 +90,30 @@ class TestLoadIdx:
         ds = load_idx(ip, lp, limit=2)
         assert ds.num_samples == 2 and list(ds.targets) == [0, 1]
 
-    def test_limit_is_a_view_equal_to_the_index_copy(self, tmp_path):
+    def test_limit_equals_the_index_copy_and_holds_only_its_samples(self, tmp_path):
         rng = make_rng(4)
         images = rng.integers(0, 256, (6, 3, 3)).astype(np.uint8)
         ip, lp = write_fixture_pair(tmp_path, images, rng.integers(0, 10, 6).astype(np.uint8))
         full, head = load_idx(ip, lp), load_idx(ip, lp, limit=4)
         copy = full.take(np.arange(4))
         for got, want in ((head.features, copy.features), (head.targets, copy.targets)):
-            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.dtype == want.dtype and got.shape == want.shape and got.strides == want.strides
             assert got.tobytes() == want.tobytes()
-            assert got.base is not None and got.base.shape[-1] == 6  # a slice of all six samples
+            owner = got if got.base is None else got.base
+            assert owner.shape[-1] == 4  # not a slice of all six samples
+
+    def test_limit_keeps_no_scaled_copy_of_the_whole_file(self, tmp_path):
+        images, labels = synth_classification(0, 600, side=10)
+        ip, lp = write_fixture_pair(tmp_path, images, labels)
+        load_idx(ip, lp, limit=10)  # warm numpy's caches outside the trace
+        tracemalloc.start()
+        try:
+            head = load_idx(ip, lp, limit=100)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # the 100 kept samples' floats; scaling all 600 first would hold 6x that
+        assert held < 1.25 * (head.features.nbytes + head.targets.nbytes)
 
 
 class TestLoadCsv:

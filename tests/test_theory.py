@@ -247,6 +247,25 @@ class TestRecursion:
         report = recursion_check(problem, eta=0.1, mc_runs=20, steps=200, seed=17)
         assert report.ok, report.violations[:5]
 
+    def test_noise_free_ratio_approaches_the_exact_sweep_rate_below_the_bound(self):
+        # one noise-free Gauss-Seidel sweep maps the error e to prod_d (I - eta E_d C) e, with
+        # E_d block d's coordinate projector; its spectral radius rho sets the per-sweep rate
+        problem = isotropic_problem(0, dims=(6, 6), coupling=0.1, noise_sd=0.0)
+        eta, m = 0.1, problem.cov.shape[0]
+        sweep = np.eye(m)
+        for sl in problem.slices:
+            projector = np.zeros((m, m))
+            projector[sl, sl] = np.eye(sl.stop - sl.start)
+            sweep = (np.eye(m) - eta * projector @ problem.cov) @ sweep
+        rho_sq = float(np.max(np.abs(np.linalg.eigvals(sweep)))) ** 2
+        bound = recursion_ratio(problem, eta)
+        assert rho_sq <= bound < rho_sq * 1.002  # the bound is within 0.2% of the exact rate
+
+        errs = np.array([row[1] for row in recursion_check(problem, eta, steps=300, seed=0).rows])
+        gap = rho_sq - errs[1:] / errs[:-1]  # gap[t - 1]: report row t's error over row t - 1's
+        assert np.all(gap >= 0.0)  # from below
+        assert gap[0] > 5e-3 and gap[49] < 3e-3 and np.all(gap[199:] < 1e-3)
+
     def test_coupling_condition_enforced(self):
         problem = isotropic_problem(18, dims=(4, 4), coupling=0.8, noise_sd=0.05)
         with pytest.raises(ValueError, match="coupling"):
