@@ -59,12 +59,9 @@ def main(argv=None) -> int:
         if args.command == "theory":
             return run_theory_suite(args.suite, args.out_dir, args.seed, args.inject_bug)
         return run_gradcheck(args.seed)  # the parser admits no other command
-    except (OSError, ValueError) as e:
+    except (OSError, ValueError, DivergenceError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 1
-    except DivergenceError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
+        return 3 if isinstance(e, DivergenceError) else 1
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import Dataset, sample_minibatch
 from .errors import DivergenceError, PlanError
-from .model import SOFTMAX_CE, NetworkModel, forward, output_loss
+from .model import SOFTMAX_CE, NetworkModel, batch_loss, forward, output_loss
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,8 @@ def train_epoch(state: TrainRunState, dataset: Dataset, batch_size: int, trace=N
     stamped (1-based epoch and iteration, block, engine class name, both
     mini-batches) and passed to `trace` if given, else stripped of beta
     and eta_hat once its loss is checked.  A step whose loss is not
-    finite, or that raises `FloatingPointError`, raises `DivergenceError`.
+    finite, or that raises `FloatingPointError`, raises `DivergenceError`;
+    so does the epoch's last step when its batch's loss after the update is not.
     """
     if dataset.num_samples == 0:
         raise ValueError("dataset is empty")
@@ -130,6 +131,9 @@ def train_epoch(state: TrainRunState, dataset: Dataset, batch_size: int, trace=N
                 else:  # only `last` holds it: free the heads before the block's next step
                     event.beta = event.eta_hat = None
                 losses.append(event.loss)
+    if not math.isfinite(loss := batch_loss(state.net, main_batch)):  # no later step checks the last update
+        raise DivergenceError(state.epoch + 1, iterations, block, type(engine).__name__,
+                              f"the loss after the epoch's last update is {loss}", last[-1])
     state.epoch += 1
     eta = np.concatenate([np.ravel(e.step) for e in last])
     stats = {

@@ -43,8 +43,8 @@ def fingerprint(tree: Path) -> list[str]:
     ).stdout.splitlines()
 
 
-def main(argv=None) -> int:
-    args = sys.argv[1:] if argv is None else argv
+def main() -> int:
+    args = sys.argv[1:]
     if len(args) != 1:
         print("usage: python tests/fingerprint_diff.py REV", file=sys.stderr)
         return 2
@@ -57,7 +57,7 @@ def main(argv=None) -> int:
             old = fingerprint(Path(tmp))
         new = fingerprint(ROOT)
     except subprocess.CalledProcessError as e:
-        detail = e.stderr.decode() if isinstance(e.stderr, bytes) else e.stderr
+        detail = e.stderr.decode() if isinstance(e.stderr, bytes) else e.stderr or ""
         print(f"error: {' '.join(map(str, e.cmd))} exited {e.returncode}: {detail}", file=sys.stderr)
         return 2
     diffs = differing_lines(old, new)

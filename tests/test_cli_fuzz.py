@@ -165,10 +165,9 @@ def test_every_run_exits_0_1_or_3_and_names_its_cause(run):
         if code == 0:
             assert lines == []
             assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], argv
-            epochs = values.get("epochs", TrainConfig.epochs)
-            assert completed == epochs
-            body = Path(values["out_csv"]).read_text(encoding="utf-8").splitlines()[1:]
-            assert all(math.isfinite(float(cell)) for row in body for cell in row.split(",")[2:]), argv
+            assert completed == values["epochs"]
+            rows = Path(values["out_csv"]).read_text(encoding="utf-8").splitlines()[1:]
+            assert all(math.isfinite(float(cell)) for row in rows for cell in row.split(",")[2:]), argv
         elif code == 1:
             assert len(lines) == 1 and lines[0].startswith("error: "), lines
             paths = [values["out_csv"], values.get("csv_path")]

@@ -213,7 +213,6 @@ class TestBuildState:
             want = sgd[variant.get("grouping")].layer_weights
             assert [w.tobytes() for w in state.net.layer_weights] == [w.tobytes() for w in want], variant
 
-
     @pytest.mark.parametrize(
         "variant",
         [dict(optimizer=o) for o in ("samt_s", "samt_e", "samt_r", "samt_c")]
@@ -433,9 +432,8 @@ class TestCli:
         text = path.read_text()
         assert text.startswith(CSV_HEADER) and "nan" not in text.lower()
 
-    @pytest.mark.xfail(strict=True, reason="the trainer checks each step's loss before its update, so the "
-                       "epoch's last update is checked by no step and its overflow shows only in evaluation")
     def test_an_overflow_left_by_the_last_step_exits_three(self, tmp_path, capsys):
+        # each step's loss checks the updates before it, so only the epoch's last update needs its own check
         path = tmp_path / "m.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
@@ -444,8 +442,9 @@ class TestCli:
                  "hd_hyper_rate=0.1", "inner_steps=2", "epochs=1", "seed=6048", "n_train=19", "n_test=7",
                  "train_batch=11", "synth_d=4", "synth_noise_sd=0", "widths=4,6,4,1", f"out_csv={path}"]
             )
-        assert "inf" not in path.read_text()  # today: exit 0 with an inf loss in both rows
-        assert code == 3 and "diverged at epoch 1" in capsys.readouterr().err
+        assert path.read_text() == CSV_HEADER + "\n"  # no inf rows
+        err = capsys.readouterr().err
+        assert code == 3 and "diverged at epoch 1, iteration 2, block (2,), engine HdEngine" in err
 
     @pytest.mark.parametrize(
         "args,key",
