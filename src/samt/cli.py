@@ -1,9 +1,9 @@
 """Command-line entry points.
 
-Exit codes: 0 success, 1 configuration or data error, 2 a verification
-suite found a violated inequality (or a gradient check failed), 3 a
-training run diverged (a step's loss or meta loss was not finite).  A
-training run that stops for any reason keeps its completed epochs' rows.
+Exit codes: 0 success, 1 configuration, data or allocation error, 2 a
+verification suite found a violated inequality (or a gradient check
+failed), 3 a training run diverged (a step's loss or meta loss was not
+finite).  A run that stops for any reason keeps its completed epochs' rows.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ def main(argv=None) -> int:
         if args.command == "theory":
             return run_theory_suite(args.suite, args.out_dir, args.seed, args.inject_bug)
         return run_gradcheck(args.seed)  # the parser admits no other command
-    except (OSError, ValueError, DivergenceError) as e:
+    except (OSError, ValueError, DivergenceError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3 if isinstance(e, DivergenceError) else 1
 

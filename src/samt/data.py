@@ -11,6 +11,7 @@ second sample of the parent ordering, a view that copies nothing.
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from dataclasses import dataclass
 
@@ -151,9 +152,11 @@ def load_csv(path, target_column: str) -> Dataset:
                 try:
                     values.append(float(cell))
                 except ValueError:
+                    values.append(math.nan)
+                if not math.isfinite(values[-1]):  # float() parses nan and inf; no run trains on them
                     raise DataFormatError(
-                        f"{path}: non-numeric cell {cell!r} at row {r}, column {header[c] if c < len(header) else c}"
-                    ) from None
+                        f"{path}: cell {cell!r} at row {r}, column {header[c] if c < len(header) else c} is not a number"
+                    )
             if len(values) != len(header):
                 raise DataFormatError(f"{path}: row {r} has {len(values)} cells, expected {len(header)}")
             rows.append(values)

@@ -41,7 +41,7 @@ NUM_FEATURES = 5
 DEFAULT_HIDDEN = 64
 DEFAULT_META_LEARNING_RATE = 1e-3
 # Rank-1 output-layer updates `psi_step` gathers before folding them in.
-PSI_PENDING = 4
+PSI_PENDING = 8
 # Scratch entries of one tile of that fold (4,096 rows of a 64-wide
 # matrix, 2 MiB); a tile updates as many whole rows as fit, at least one.
 PSI_CHUNK_ENTRIES = 4096 * 64
@@ -49,15 +49,16 @@ PSI_CHUNK_ENTRIES = 4096 * 64
 
 @dataclass
 class _Pending:
-    """Updates not yet folded into w3: psi's output layer is w3 - u[:, :n] @ v[:, :n].T."""
+    """Updates not yet folded into w3: psi's output layer is w3 - u[:, :n] @ v[:, :n].T,
+    and [w3 | u[:, :n]] = joint[:, : hidden + n], so each psi matvec is one BLAS call."""
 
-    u: Matrix  # 2k x PSI_PENDING, column-major; allocated with psi, as is v
+    joint: Matrix  # 2k x (hidden + PSI_PENDING), column-major; allocated with psi, as is v
     v: Matrix  # hidden x PSI_PENDING, meta learning rate folded in
     n: int = 0
 
-    def column(self) -> Matrix:
-        """u's (2k, 1) column for the next update."""
-        return self.u[:, self.n : self.n + 1]
+    @property
+    def u(self) -> Matrix:
+        return self.joint[:, self.v.shape[0] :]
 
 
 @dataclass
@@ -73,7 +74,7 @@ class EtaModel:
 
     w1: Matrix  # hidden x 5
     w2: Matrix  # hidden x hidden
-    w3: Matrix  # 2k x hidden base B, column-major: each column is contiguous
+    w3: Matrix  # 2k x hidden base B: the leading columns of pending.joint
     kind: StepSizeKind
     head_shape: tuple[int, int]  # shape both heads are reshaped to
     activation_slope: float
@@ -90,6 +91,8 @@ class EtaModel:
             raise ShapeError(
                 f"output layer has {rows} rows, head shape {self.head_shape} needs {2 * self.entry_count}"
             )
+        if self.w3.__array_interface__ != self.pending.joint[:, : self.w3.shape[1]].__array_interface__:
+            raise ValueError("w3 must be the leading columns of pending.joint, not a separate array")
 
     @property
     def entry_count(self) -> int:
@@ -111,17 +114,15 @@ def init_eta_model(
 ) -> EtaModel:
     head_shape = kind.shape_for(layer_shape)
     k = head_shape[0] * head_shape[1]
+    w1, w2 = glorot_init((hidden, NUM_FEATURES), rng), glorot_init((hidden, hidden), rng)
+    joint = np.empty((2 * k, hidden + PSI_PENDING), order="F")
+    limit = np.sqrt(6.0 / (2 * k + hidden))  # glorot_init((hidden, 2k), rng).T's draws and bytes, in place
+    w3 = rng.random(out=joint[:, :hidden].T).T
+    w3 *= 2.0 * limit
+    w3 -= limit
     return EtaModel(
-        w1=glorot_init((hidden, NUM_FEATURES), rng),
-        w2=glorot_init((hidden, hidden), rng),
-        # drawn as its transpose: a column-major view, no copy
-        w3=glorot_init((hidden, 2 * k), rng).T,
-        kind=kind,
-        head_shape=head_shape,
-        activation_slope=activation_slope,
-        projection_style=projection_style,
-        meta_learning_rate=meta_learning_rate,
-        pending=_Pending(np.empty((2 * k, PSI_PENDING), order="F"), np.empty((hidden, PSI_PENDING))),
+        w1, w2, w3, kind, head_shape, activation_slope, projection_style, meta_learning_rate,
+        pending=_Pending(joint, np.empty((hidden, PSI_PENDING))),
     )
 
 
@@ -141,9 +142,8 @@ def psi_forward(psi: EtaModel, d_col: Matrix) -> tuple[Matrix, Matrix, _PsiCache
         raise FloatingPointError(f"psi input is not finite: [{values}]")
     h1 = leaky_relu(psi.w1 @ d_col, psi.activation_slope)
     h2 = leaky_relu(psi.w2 @ h1, psi.activation_slope)
-    u3 = psi.w3 @ h2
-    if (p := psi.pending).n:
-        u3 -= p.u[:, : p.n] @ (p.v[:, : p.n].T @ h2)
+    p = psi.pending
+    u3 = p.joint[:, : h2.shape[0] + p.n] @ np.concatenate((h2, -(p.v[:, : p.n].T @ h2)))
     if not np.isfinite(u3).all():
         raise FloatingPointError("psi raw heads are not finite")
     k = psi.entry_count
@@ -206,15 +206,15 @@ def meta_gradients(
     for l in block:
         dstep += reduce_to_kind(-dW.pop(l) * grads[l], psi.kind)  # frees dW before the head chain
 
-    k = psi.entry_count
-    du3 = psi.pending.column()
+    k, p = psi.entry_count, psi.pending
+    du3 = p.u[:, p.n : p.n + 1]  # the next pending column, where psi_step keeps it
     for head, dstep_dhead in ((du3[:k], dstep_dbeta), (du3[k:], dstep_deta)):
         np.multiply(dstep.reshape(k, 1), dstep_dhead.reshape(k, 1), out=head)
     du3 *= cache.slope
 
-    dh2 = psi.w3.T @ du3
-    if (p := psi.pending).n:
-        dh2 -= p.v[:, : p.n] @ (p.u[:, : p.n].T @ du3)
+    hidden = cache.h2.shape[0]
+    dh2 = p.joint[:, : hidden + p.n].T @ du3
+    dh2 = dh2[:hidden] - p.v[:, : p.n] @ dh2[hidden:]
     du2 = leaky_relu_backward(cache.h2, dh2, psi.activation_slope)
     du1 = leaky_relu_backward(cache.h1, psi.w2.T @ du2, psi.activation_slope)
 
@@ -242,7 +242,7 @@ def psi_step(psi: EtaModel, grads) -> None:
     for (u, v), w in zip(grads[:2], psi.weights):
         w -= lr * (u @ v.T)
     (u3, h2), w3, p = grads[2], psi.w3, psi.pending
-    p.column()[...] = u3  # numpy skips the copy when meta_gradients wrote u3 there
+    p.u[:, p.n : p.n + 1] = u3  # numpy skips the copy when meta_gradients wrote u3 there
     p.v[:, p.n] = lr * h2[:, 0]
     p.n += 1
     if p.n == PSI_PENDING:
@@ -250,8 +250,5 @@ def psi_step(psi: EtaModel, grads) -> None:
         height = max(1, min(rows, PSI_CHUNK_ENTRIES // cols))
         buf = np.empty((height, cols), order="F")
         for s in range(0, rows, height):
-            e = min(s + height, rows)
-            chunk = buf[: e - s]
-            np.matmul(p.u[s:e], p.v.T, out=chunk)
-            w3[s:e] -= chunk
+            w3[s : s + height] -= np.matmul(p.u[s : s + height], p.v.T, out=buf[: min(height, rows - s)])
         p.n = 0

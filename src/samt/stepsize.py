@@ -94,9 +94,12 @@ def project_unit(u: Matrix, style: str) -> tuple[Matrix, Matrix]:
     away from the endpoints by OPEN_EPS; the sigmoid slope reads the
     clipped p, the tanh slope ignores the clip.
     """
-    if style == TANH:
+    if style == TANH:  # in place: two head-sized arrays, the same bytes
         t = np.tanh(u)
-        return np.clip(0.5 * (t + 1.0), OPEN_EPS, 1.0 - OPEN_EPS), 0.5 * (1.0 - t * t)
+        v = t + 1.0
+        v *= 0.5
+        slope = np.multiply(np.subtract(1.0, np.square(t, out=t), out=t), 0.5, out=t)
+        return np.clip(v, OPEN_EPS, 1.0 - OPEN_EPS, out=v), slope
     if style == SIGMOID:
         # exp on the negative side only, so large |u| cannot overflow
         e = np.exp(-np.abs(u))

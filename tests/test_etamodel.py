@@ -26,6 +26,14 @@ def effective_w3(psi):
     return psi.w3 - p.u[:, : p.n] @ p.v[:, : p.n].T if p.n else psi.w3.copy()
 
 
+def with_output_layer(psi, w3, n):
+    """A copy of psi whose output-layer base is w3 and that keeps n pending
+    terms, in a copy of psi's joint array; psi itself is untouched."""
+    joint = psi.pending.joint.copy(order="F")
+    joint[:, : w3.shape[1]] = w3
+    return replace(psi, w3=joint[:, : w3.shape[1]], pending=replace(psi.pending, joint=joint, n=n))
+
+
 def make_setup(kind, seed=0, widths=(4, 5, 3), block=(1,), hidden=6):
     """Small net + model + one main-batch gradient for meta tests."""
     rng = make_rng(seed)
@@ -45,7 +53,8 @@ def make_setup(kind, seed=0, widths=(4, 5, 3), block=(1,), hidden=6):
 class TestPsiForward:
     def test_zero_weights_give_half(self):
         psi = init_eta_model(StepSizeKind.ELEMENT, (2, 3), make_rng(0), hidden=4)
-        psi = replace(psi, w1=np.zeros_like(psi.w1), w2=np.zeros_like(psi.w2), w3=np.zeros_like(psi.w3))
+        psi = replace(psi, w1=np.zeros_like(psi.w1), w2=np.zeros_like(psi.w2))
+        psi.w3[...] = 0.0
         beta, eta_hat, _ = psi_forward(psi, grad_features(np.ones((2, 3))))
         assert np.allclose(beta, 0.5) and np.allclose(eta_hat, 0.5)
 
@@ -68,6 +77,21 @@ class TestPsiForward:
         psi.w3[4, 2] = bad
         with pytest.raises(FloatingPointError, match="psi raw heads"):
             psi_forward(psi, grad_features(np.ones((2, 3))))
+
+    def test_desk_element_forward_holds_three_head_sized_arrays(self):
+        # the raw heads, and project_unit's values and slope, which the
+        # heads view: 3 x 1.20 MiB on a 100x784 element head (six
+        # temporaries in project_unit took it to 5.98 MiB)
+        psi = init_eta_model(StepSizeKind.ELEMENT, (100, 784), make_rng(4), hidden=8)
+        feats = grad_features(make_rng(5).standard_normal((100, 784)))
+        psi_forward(psi, feats)
+        tracemalloc.start()
+        try:
+            psi_forward(psi, feats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * psi.w3.shape[0] * 8 + 2**16
 
     def test_scalar_kind_shapes(self):
         psi = init_eta_model(StepSizeKind.SCALAR, (7, 9), make_rng(2))
@@ -117,6 +141,29 @@ class TestInitEtaModel:
         glorot_init((hidden, hidden), reference)
         glorot_init((2 * k, hidden), reference)
         assert rng.random() == reference.random()
+
+    @pytest.mark.parametrize("hidden", [1, 5, 64])
+    def test_output_layer_holds_the_bytes_of_a_row_major_init(self, hidden):
+        psi = init_eta_model(StepSizeKind.ROW, (30, 4), make_rng(hidden), hidden=hidden)
+        reference = make_rng(hidden)
+        glorot_init((hidden, NUM_FEATURES), reference)
+        glorot_init((hidden, hidden), reference)
+        assert psi.w3.tobytes(order="F") == glorot_init((hidden, 60), reference).tobytes()
+
+    @pytest.mark.parametrize(
+        "foreign",
+        [
+            lambda w3, joint: w3.copy(order="F"),  # the same values, another array
+            lambda w3, joint: np.ascontiguousarray(w3),  # row-major
+            lambda w3, joint: joint[:, 1 : w3.shape[1] + 1],  # the joint array's wrong columns
+            lambda w3, joint: w3[::-1],  # a reversed view
+        ],
+    )
+    def test_output_layer_outside_the_joint_array_raises(self, foreign):
+        # a separate w3 would be read with the pending columns of another array
+        psi = init_eta_model(StepSizeKind.ELEMENT, (3, 4), make_rng(0), hidden=5)
+        with pytest.raises(ValueError, match="joint"):
+            replace(psi, w3=foreign(psi.w3, psi.pending.joint))
 
     @pytest.mark.parametrize("slope", [0.0, 1.0, -0.01, 1.5, np.nan])
     def test_activation_slope_outside_open_unit_interval_raises(self, slope):
@@ -201,36 +248,30 @@ class TestPsiStep:
     def test_in_place_update_is_bitwise_the_dense_update(self, rows):
         # w1 and w2 update at once, bitwise as the dense expression; w3's
         # update is pending, so its effective matrix is checked instead:
-        # it rounds u * (lr * v), not lr * (u * v)
-
-        def fresh():
-            return init_eta_model(
-                StepSizeKind.ELEMENT, (rows // 2, 1), make_rng(rows), hidden=7, meta_learning_rate=0.37
-            )
-
-        column_major, psi = fresh(), fresh()
-        row_major = replace(psi, w3=np.ascontiguousarray(psi.w3))
-        assert column_major.w3.shape == (rows, 7)
+        # it rounds u * (lr * v), not lr * (u * v).  w3 is always the
+        # column-major head of psi's joint array, so that is the one layout
+        psi = init_eta_model(
+            StepSizeKind.ELEMENT, (rows // 2, 1), make_rng(rows), hidden=7, meta_learning_rate=0.37
+        )
+        assert psi.w3.shape == (rows, 7) and psi.w3.flags.f_contiguous
         rng = make_rng(rows + 1)
         grads = tuple(
             (
                 rng.standard_normal((w.shape[0], 1)) * 10.0 ** rng.uniform(-3, 3, (w.shape[0], 1)),
                 rng.standard_normal((w.shape[1], 1)) * 10.0 ** rng.uniform(-3, 3, (w.shape[1], 1)),
             )
-            for w in column_major.weights
+            for w in psi.weights
         )
-        for psi, layout in ((column_major, "F_CONTIGUOUS"), (row_major, "C_CONTIGUOUS")):
-            assert psi.w3.flags[layout]
-            expected = [w - 0.37 * (u @ v.T) for w, (u, v) in zip(psi.weights, grads)]
-            ids = [id(w) for w in psi.weights]
-            (u, v), w3 = grads[2], psi.w3.copy()
-            assert psi_step(psi, grads) is None
-            assert [id(w) for w in psi.weights] == ids
-            for got, want in zip(psi.weights[:2], expected[:2]):
-                assert got.tobytes() == want.tobytes()
-            # two roundings of the product and one of the difference apart
-            bound = 4 * np.finfo(float).eps * (np.abs(w3) + 0.37 * np.abs(u @ v.T))
-            assert (np.abs(effective_w3(psi) - expected[2]) <= bound).all()
+        expected = [w - 0.37 * (u @ v.T) for w, (u, v) in zip(psi.weights, grads)]
+        ids = [id(w) for w in psi.weights]
+        (u, v), w3 = grads[2], psi.w3.copy()
+        assert psi_step(psi, grads) is None
+        assert [id(w) for w in psi.weights] == ids
+        for got, want in zip(psi.weights[:2], expected[:2]):
+            assert got.tobytes() == want.tobytes()
+        # two roundings of the product and one of the difference apart
+        bound = 4 * np.finfo(float).eps * (np.abs(w3) + 0.37 * np.abs(u @ v.T))
+        assert (np.abs(effective_w3(psi) - expected[2]) <= bound).all()
 
     @pytest.mark.parametrize("rows", [510, 1030, 10_000, 40_000, 74_898])
     def test_fold_every_pending_steps_matches_the_dense_updates(self, rows):
@@ -381,7 +422,7 @@ class TestPendingUpdates:
             ))
         return psi, setup
 
-    @pytest.mark.parametrize("steps", [1, 2, 3])
+    @pytest.mark.parametrize("steps", [1, 2, 3, PSI_PENDING - 1])
     @pytest.mark.parametrize("kind", list(StepSizeKind))
     def test_pending_chain_matches_finite_differences(self, kind, steps):
         psi, (net, _, feats, block, grads, eta0, meta_batch) = self.stepped(kind, steps)
@@ -389,7 +430,7 @@ class TestPendingUpdates:
         worst = fd_meta_gradients(psi, feats, block, grads, eta0, meta_batch, net)
         assert worst <= 1e-5
 
-    @pytest.mark.parametrize("steps", [1, 2, 3])
+    @pytest.mark.parametrize("steps", [1, 2, 3, PSI_PENDING - 1])
     @pytest.mark.parametrize("kind", list(StepSizeKind))
     def test_heads_equal_those_of_the_materialised_output_layer(self, kind, steps):
         psi, setup = self.stepped(kind, steps)
@@ -397,7 +438,7 @@ class TestPendingUpdates:
         effective = effective_w3(psi)
         # the pending terms move the raw heads by far more than rounding
         assert np.abs(effective - psi.w3).max() > 1e-3
-        materialised = replace(psi, w3=effective, pending=replace(psi.pending, n=0))
+        materialised = with_output_layer(psi, effective, n=0)
         cached = psi_forward(psi, feats)[2].slope
         for got, want in zip(psi_forward(psi, feats)[:2], psi_forward(materialised, feats)[:2]):
             assert np.abs(got - want).max() <= 1e-15

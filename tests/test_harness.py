@@ -570,6 +570,33 @@ class TestCli:
         assert err.startswith("error: ") and "csv_path" in err and "train_batch" not in err
         assert "Traceback" not in err and not (tmp_path / "m.csv").exists()
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_csv_cell_exits_one_naming_row_and_column(self, cell, tmp_path, capsys):
+        # float() parses these; the run would train on them and write nan rows at exit 0
+        p = tmp_path / "d.csv"
+        p.write_text(f"a,b,y\n1,2,3\n4,{cell},6\n7,8,9\n1,1,1\n", encoding="utf-8")
+        path = tmp_path / "m.csv"
+        code = cli_main(
+            ["train", "dataset=csv", f"csv_path={p}", "csv_target=y", "widths=2,1", "optimizer=sgd",
+             "train_batch=1", "epochs=1", f"out_csv={path}"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"cell {cell!r} at row 3, column b" in err and not path.exists()
+
+    def test_allocation_that_cannot_succeed_exits_one_without_traceback(self, tmp_path, capsys):
+        # psi's first layer alone would take 10**13 x 5 x 8 bytes, past any
+        # 64-bit user address space, so the allocation fails at once under
+        # every overcommit policy
+        code = cli_main(
+            ["train", "dataset=synthetic", "widths=10,1", "optimizer=samt_s", "psi_hidden=10000000000000",
+             "n_train=16", "n_test=8", "train_batch=8", f"out_csv={tmp_path / 'm.csv'}"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
 
 class TestTheorySuite:
     def test_full_suite_exit_zero_and_reports(self, tmp_path, capsys):
