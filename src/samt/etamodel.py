@@ -230,8 +230,8 @@ def psi_step(psi: EtaModel, grads) -> None:
     The output layer's pair joins the pending updates as (u, lr * v);
     the PSI_PENDING-th folds them into w3, one matmul per tile of whole
     rows (at most PSI_CHUNK_ENTRIES entries, at least one row), so each
-    tile reads its rows of u once, in any layout.  The model's arrays
-    are mutated in place.
+    tile reads its rows of u once.  The model's arrays are mutated in
+    place.
     """
     for (u, v), w in zip(grads, psi.weights, strict=True):
         if u.shape != (w.shape[0], 1) or v.shape != (w.shape[1], 1):

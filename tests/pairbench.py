@@ -9,12 +9,15 @@ from this tree's.  Each copy builds its own run from the same config and
 seed, so the copies do the same work with their own code.
 
 Two comparisons are interleaved pair by pair: A/A (base against twin,
-the same code, whose ratios show the bias of timing one side after the
-other) and A/B (base against head).  A pair times one sample of each
-side back to back; even pairs (from 0) time the base first, odd pairs
-the other side, so each comparison runs in both orders.  The host's
-speed drifts in phases of seconds to minutes, so the two samples of a
-pair see the same phase.
+the same code, whose ratios show the bias of the measurement itself)
+and A/B (base against head).  A pair times one sample of each side back
+to back; even pairs (from 0) time the base first, odd pairs the other
+side.  The first half of the pairs uses runs built in the order base,
+twin, head and the second half runs built in the reverse order, since
+which run allocates first can bias a ratio by several percent.  So each
+comparison runs in both timing orders and both build orders.  The
+host's speed drifts in phases of seconds to minutes, so the two samples
+of a pair see the same phase.
 
 Workloads, each sample after two warm-up samples per side:
 
@@ -28,8 +31,8 @@ Workloads, each sample after two warm-up samples per side:
 The output (``BENCH_pairs.json`` unless ``--out`` names another file)
 holds, per workload and comparison, every pair's two times and its ratio
 (other / base: below 1 means the twin or the head was faster), the
-median ratio per order and over all pairs, and the share of pairs the
-other side won.  ``--tiny`` swaps the desk net for an 8x8-glyph
+median ratio per timing order, per build order and over all pairs, and
+the share of pairs the other side won.  ``--tiny`` swaps the desk net for an 8x8-glyph
 64-16-10 net, for a quick check of the format.  The exit code is 0, or
 2 when ``REV`` cannot be exported.
 """
@@ -105,37 +108,46 @@ WORKLOADS = {"epoch": (Run.epoch, "s"), "step": (Run.step, "ms per step")}
 
 
 def summary(pairs: list[dict]) -> dict:
-    """Median ratio per order and overall, and the share of pairs the other side won."""
-    by_order = {
-        order: statistics.median(p["ratio"] for p in pairs if p["first"] == order)
-        for order in ("base", "other")
-        if any(p["first"] == order for p in pairs)
+    """Median ratio per timing order, per build order and overall, and the share of pairs the other side won."""
+    groups = {
+        f"{side} {what} first": [p["ratio"] for p in pairs if p[key] == side]
+        for key, what in (("first", "timed"), ("built", "built"))
+        for side in ("base", "other")
     }
     return {
-        "median_ratio": {**{f"{order} first": r for order, r in by_order.items()},
-                         "all": statistics.median(p["ratio"] for p in pairs)},
+        "median_ratio": {
+            **{name: statistics.median(ratios) for name, ratios in groups.items() if ratios},
+            "all": statistics.median(p["ratio"] for p in pairs),
+        },
         "other_won": sum(p["other"] < p["base"] for p in pairs) / len(pairs),
     }
 
 
 def compare(sample, sizes: dict, seed: int, pairs: int) -> dict:
-    """One workload's A/A and A/B pairs, interleaved, with their summaries."""
-    runs = {name: Run(name, sizes, seed) for name in (BASE, TWIN, HEAD)}
-    for run in runs.values():
-        for _ in range(WARMUP):
-            sample(run)
+    """One workload's A/A and A/B pairs, interleaved, with their summaries.
+
+    The first half of the pairs times runs built in the order base, twin,
+    head, the second half runs built in the reverse order, so neither side
+    always holds the memory allocated first."""
     results = {comparison: [] for comparison in COMPARISONS}
-    for i in range(pairs):
-        for comparison, other in COMPARISONS.items():
-            first, second = (BASE, other) if i % 2 == 0 else (other, BASE)
-            times = {first: sample(runs[first])}
-            times[second] = sample(runs[second])
-            results[comparison].append({
-                "first": "base" if first == BASE else "other",
-                "base": times[BASE],
-                "other": times[other],
-                "ratio": times[other] / times[BASE],
-            })
+    for half, build_order in enumerate(((BASE, TWIN, HEAD), (HEAD, TWIN, BASE))):
+        runs = {name: Run(name, sizes, seed) for name in build_order}
+        for run in runs.values():
+            for _ in range(WARMUP):
+                sample(run)
+        for i in range(half * ((pairs + 1) // 2), (pairs + 1) // 2 if half == 0 else pairs):
+            for comparison, other in COMPARISONS.items():
+                first, second = (BASE, other) if i % 2 == 0 else (other, BASE)
+                times = {first: sample(runs[first])}
+                times[second] = sample(runs[second])
+                results[comparison].append({
+                    "first": "base" if first == BASE else "other",
+                    "built": "base" if build_order.index(BASE) < build_order.index(other) else "other",
+                    "base": times[BASE],
+                    "other": times[other],
+                    "ratio": times[other] / times[BASE],
+                })
+        del runs
     return {comparison: {"pairs": p, **summary(p)} for comparison, p in results.items()}
 
 

@@ -1,4 +1,4 @@
-"""`pairbench.py` reports every pair in both orders, on a tiny net.
+"""`pairbench.py` reports every pair in both timing and build orders, on a tiny net.
 
 Format only: the timings of so small a run say nothing about speed.
 """
@@ -20,7 +20,10 @@ def test_tiny_pairs_report_both_orders_and_their_summaries():
         for comparison in ("A/A", "A/B"):
             c = workload[comparison]
             assert [p["first"] for p in c["pairs"]] == ["base", "other"] * 2
+            assert [p["built"] for p in c["pairs"]] == ["base", "base", "other", "other"]
             for p in c["pairs"]:
                 assert p["base"] > 0 and p["other"] > 0 and p["ratio"] == p["other"] / p["base"]
-            assert set(c["median_ratio"]) == {"base first", "other first", "all"}
+            assert set(c["median_ratio"]) == {
+                "base timed first", "other timed first", "base built first", "other built first", "all"
+            }
             assert c["other_won"] in (0.0, 0.25, 0.5, 0.75, 1.0)
