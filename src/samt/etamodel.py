@@ -42,8 +42,8 @@ DEFAULT_HIDDEN = 64
 DEFAULT_META_LEARNING_RATE = 1e-3
 # Rank-1 output-layer updates `psi_step` gathers before folding them in.
 PSI_PENDING = 8
-# Scratch entries of one tile of that fold (4,096 rows of a 64-wide
-# matrix, 2 MiB); a tile updates as many whole rows as fit, at least one.
+# Entries of one tile of that fold, and of one block of w3's first draw
+# (2 MiB); a fold tile updates as many whole rows as fit, at least one.
 PSI_CHUNK_ENTRIES = 4096 * 64
 
 
@@ -116,12 +116,14 @@ def init_eta_model(
     k = head_shape[0] * head_shape[1]
     w1, w2 = glorot_init((hidden, NUM_FEATURES), rng), glorot_init((hidden, hidden), rng)
     joint = np.empty((2 * k, hidden + PSI_PENDING), order="F")
-    limit = np.sqrt(6.0 / (2 * k + hidden))  # glorot_init((hidden, 2k), rng).T's draws and bytes, in place
-    w3 = rng.random(out=joint[:, :hidden].T).T
-    w3 *= 2.0 * limit
-    w3 -= limit
+    limit = np.sqrt(6.0 / (2 * k + hidden))
+    # glorot_init((hidden, 2k), rng).T's draws and bytes, drawn and scaled in cache-sized blocks
+    for block in np.array_split(joint[:, :hidden].T, max(1, hidden * 2 * k // PSI_CHUNK_ENTRIES)):
+        rng.random(out=block)
+        block *= 2.0 * limit
+        block -= limit
     return EtaModel(
-        w1, w2, w3, kind, head_shape, activation_slope, projection_style, meta_learning_rate,
+        w1, w2, joint[:, :hidden], kind, head_shape, activation_slope, projection_style, meta_learning_rate,
         pending=_Pending(joint, np.empty((hidden, PSI_PENDING))),
     )
 
