@@ -155,7 +155,7 @@ def load_csv(path, target_column: str) -> Dataset:
                     values.append(math.nan)
                 if not math.isfinite(values[-1]):  # float() parses nan and inf; no run trains on them
                     raise DataFormatError(
-                        f"{path}: cell {cell!r} at row {r}, column {header[c] if c < len(header) else c} is not a number"
+                        f"{path}: cell {cell!r} at row {r}, column {header[c] if c < len(header) else c} is not a finite number"
                     )
             if len(values) != len(header):
                 raise DataFormatError(f"{path}: row {r} has {len(values)} cells, expected {len(header)}")

@@ -26,12 +26,12 @@ def effective_w3(psi):
     return psi.w3 - p.u[:, : p.n] @ p.v[:, : p.n].T if p.n else psi.w3.copy()
 
 
-def with_output_layer(psi, w3, n):
-    """A copy of psi whose output-layer base is w3 and that keeps n pending
-    terms, in a copy of psi's joint array; psi itself is untouched."""
-    joint = psi.pending.joint.copy(order="F")
-    joint[:, : w3.shape[1]] = w3
-    return replace(psi, w3=joint[:, : w3.shape[1]], pending=replace(psi.pending, joint=joint, n=n))
+def materialised(psi):
+    """A copy of psi whose output-layer base is psi's effective output layer
+    and that holds no pending terms, in a copy of psi's joint array."""
+    joint, hidden = psi.pending.joint.copy(order="F"), psi.w3.shape[1]
+    joint[:, :hidden] = effective_w3(psi)
+    return replace(psi, w3=joint[:, :hidden], pending=replace(psi.pending, joint=joint, n=0))
 
 
 def make_setup(kind, seed=0, widths=(4, 5, 3), block=(1,), hidden=6):
@@ -438,11 +438,11 @@ class TestPendingUpdates:
         effective = effective_w3(psi)
         # the pending terms move the raw heads by far more than rounding
         assert np.abs(effective - psi.w3).max() > 1e-3
-        materialised = with_output_layer(psi, effective, n=0)
+        dense = materialised(psi)
         cached = psi_forward(psi, feats)[2].slope
-        for got, want in zip(psi_forward(psi, feats)[:2], psi_forward(materialised, feats)[:2]):
+        for got, want in zip(psi_forward(psi, feats)[:2], psi_forward(dense, feats)[:2]):
             assert np.abs(got - want).max() <= 1e-15
-        assert np.abs(cached - psi_forward(materialised, feats)[2].slope).max() <= 1e-15
+        assert np.abs(cached - psi_forward(dense, feats)[2].slope).max() <= 1e-15
 
     def test_replaced_copy_shares_the_pending_terms(self):
         psi, _ = self.stepped(StepSizeKind.ROW, 1)
