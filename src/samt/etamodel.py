@@ -42,8 +42,8 @@ DEFAULT_HIDDEN = 64
 DEFAULT_META_LEARNING_RATE = 1e-3
 # Rank-1 output-layer updates `psi_step` gathers before folding them in.
 PSI_PENDING = 8
-# Entries of one tile of that fold, and of one block of w3's first draw
-# (2 MiB); a fold tile updates as many whole rows as fit, at least one.
+# Scratch entries of one tile of that fold (4,096 rows of a 64-wide
+# matrix, 2 MiB); a tile updates as many whole rows as fit, at least one.
 PSI_CHUNK_ENTRIES = 4096 * 64
 
 
@@ -74,7 +74,6 @@ class EtaModel:
 
     w1: Matrix  # hidden x 5
     w2: Matrix  # hidden x hidden
-    w3: Matrix  # 2k x hidden base B: the leading columns of pending.joint
     kind: StepSizeKind
     head_shape: tuple[int, int]  # shape both heads are reshaped to
     activation_slope: float
@@ -91,12 +90,15 @@ class EtaModel:
             raise ShapeError(
                 f"output layer has {rows} rows, head shape {self.head_shape} needs {2 * self.entry_count}"
             )
-        if self.w3.__array_interface__ != self.pending.joint[:, : self.w3.shape[1]].__array_interface__:
-            raise ValueError("w3 must be the leading columns of pending.joint, not a separate array")
 
     @property
     def entry_count(self) -> int:
         return self.head_shape[0] * self.head_shape[1]
+
+    @property
+    def w3(self) -> Matrix:
+        """The 2k x hidden base B of the output layer: the leading columns of pending.joint."""
+        return self.pending.joint[:, : self.pending.v.shape[0]]
 
     @property
     def weights(self) -> tuple[Matrix, Matrix, Matrix]:
@@ -116,14 +118,12 @@ def init_eta_model(
     k = head_shape[0] * head_shape[1]
     w1, w2 = glorot_init((hidden, NUM_FEATURES), rng), glorot_init((hidden, hidden), rng)
     joint = np.empty((2 * k, hidden + PSI_PENDING), order="F")
-    limit = np.sqrt(6.0 / (2 * k + hidden))
-    # glorot_init((hidden, 2k), rng).T's draws and bytes, drawn and scaled in cache-sized blocks
-    for block in np.array_split(joint[:, :hidden].T, max(1, hidden * 2 * k // PSI_CHUNK_ENTRIES)):
-        rng.random(out=block)
-        block *= 2.0 * limit
-        block -= limit
+    limit, w3_t = np.sqrt(6.0 / (2 * k + hidden)), joint[:, :hidden].T
+    rng.random(out=w3_t)  # glorot_init((hidden, 2k), rng).T's draws and bytes, in place
+    w3_t *= 2.0 * limit
+    w3_t -= limit
     return EtaModel(
-        w1, w2, joint[:, :hidden], kind, head_shape, activation_slope, projection_style, meta_learning_rate,
+        w1, w2, kind, head_shape, activation_slope, projection_style, meta_learning_rate,
         pending=_Pending(joint, np.empty((hidden, PSI_PENDING))),
     )
 

@@ -559,7 +559,7 @@ def fd_meta_gradients(psi, feats, block, grads, eta0, meta_batch, net, arm="full
         if name == "w3":  # w3 is a view of psi's joint array: perturb a copy of that
             joint = psi.pending.joint.copy(order="F")
             joint[:, : w.shape[1]] = w
-            changed = dict(w3=joint[:, : w.shape[1]], pending=replace(psi.pending, joint=joint))
+            changed = {"pending": replace(psi.pending, joint=joint)}
         beta, eta_hat, _ = psi_forward(replace(psi, **changed), feats)
         value, _, _ = compose_step(arm, beta, eta0, eta_hat)
         return batch_loss(net.with_layers(candidate_weights(net, block, grads, value)), meta_batch)

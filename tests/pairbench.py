@@ -32,9 +32,8 @@ The output (``BENCH_pairs.json`` unless ``--out`` names another file)
 holds, per workload and comparison, every pair's two times and its ratio
 (other / base: below 1 means the twin or the head was faster), the
 median ratio per timing order, per build order and over all pairs, and
-the share of pairs the other side won.  ``--tiny`` swaps the desk net for an 8x8-glyph
-64-16-10 net, for a quick check of the format.  The exit code is 0, or
-2 when ``REV`` cannot be exported.
+the share of pairs the other side won.  Every run uses seed 0.  The
+exit code is 0, or 2 when ``REV`` cannot be exported.
 """
 
 from __future__ import annotations
@@ -57,7 +56,9 @@ BASE, TWIN, HEAD = "samt_base", "samt_twin", "samt_head"
 COMPARISONS = {"A/A": TWIN, "A/B": HEAD}
 WARMUP = 2
 STEPS_PER_SAMPLE = 8
+SEED = 0
 DESK = dict(widths=(784, 100, 10), img_side=28, n_train=1024, train_batch=64)
+# an 8x8-glyph net for a quick check of the output's format (`measure(..., sizes=TINY)`)
 TINY = dict(widths=(64, 16, 10), img_side=8, n_train=128, train_batch=32)
 
 
@@ -77,16 +78,16 @@ def import_tree(src: Path, name: str):
 class Run:
     """One copy's samt_e run and its two timed samples."""
 
-    def __init__(self, package: str, sizes: dict, seed: int):
+    def __init__(self, package: str, sizes: dict):
         harness = importlib.import_module(f"{package}.harness")
         self.trainer = importlib.import_module(f"{package}.trainer")
         data = importlib.import_module(f"{package}.data")
         self.config = harness.TrainConfig(
-            dataset="synthetic_images", optimizer="samt_e", n_test=64, epochs=1, seed=seed, **sizes
+            dataset="synthetic_images", optimizer="samt_e", n_test=64, epochs=1, seed=SEED, **sizes
         )
         self.train, _ = harness.load_datasets(self.config)
         self.state = harness.build_state(self.config, self.train)
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(SEED)
         self.batches = [
             (data.sample_minibatch(self.train, sizes["train_batch"], rng),) * 2 for _ in range(STEPS_PER_SAMPLE)
         ]
@@ -123,7 +124,7 @@ def summary(pairs: list[dict]) -> dict:
     }
 
 
-def compare(sample, sizes: dict, seed: int, pairs: int) -> dict:
+def compare(sample, sizes: dict, pairs: int) -> dict:
     """One workload's A/A and A/B pairs, interleaved, with their summaries.
 
     The first half of the pairs times runs built in the order base, twin,
@@ -131,7 +132,7 @@ def compare(sample, sizes: dict, seed: int, pairs: int) -> dict:
     always holds the memory allocated first."""
     results = {comparison: [] for comparison in COMPARISONS}
     for half, build_order in enumerate(((BASE, TWIN, HEAD), (HEAD, TWIN, BASE))):
-        runs = {name: Run(name, sizes, seed) for name in build_order}
+        runs = {name: Run(name, sizes) for name in build_order}
         for run in runs.values():
             for _ in range(WARMUP):
                 sample(run)
@@ -151,12 +152,12 @@ def compare(sample, sizes: dict, seed: int, pairs: int) -> dict:
     return {comparison: {"pairs": p, **summary(p)} for comparison, p in results.items()}
 
 
-def measure(base_src: Path, head_src: Path, pairs: int, sizes: dict = DESK, seed: int = 0) -> dict:
+def measure(base_src: Path, head_src: Path, pairs: int, sizes: dict = DESK) -> dict:
     """Every workload's comparisons; one workload's runs are freed before the next is built."""
     for name, src in ((BASE, base_src), (TWIN, base_src), (HEAD, head_src)):
         import_tree(src, name)
     return {
-        workload: {"unit": unit, **compare(sample, sizes, seed, pairs)}
+        workload: {"unit": unit, **compare(sample, sizes, pairs)}
         for workload, (sample, unit) in WORKLOADS.items()
     }
 
@@ -165,8 +166,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="pairbench", description=__doc__.split("\n\n")[0])
     parser.add_argument("rev")
     parser.add_argument("--pairs", type=int, default=20)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--tiny", action="store_true")
     parser.add_argument("--out", default=str(ROOT / "BENCH_pairs.json"))
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
@@ -178,8 +177,8 @@ def main(argv=None) -> int:
         except subprocess.CalledProcessError as e:
             print(f"error: cannot export {args.rev}: {e.stderr.decode() if e.stderr else e}", file=sys.stderr)
             return 2
-        result = measure(Path(tmp) / "src", ROOT / "src", args.pairs, TINY if args.tiny else DESK, args.seed)
-    report = {"rev": args.rev, "pairs": args.pairs, "seed": args.seed, "workloads": result}
+        result = measure(Path(tmp) / "src", ROOT / "src", args.pairs)
+    report = {"rev": args.rev, "pairs": args.pairs, "seed": SEED, "workloads": result}
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     for workload, comparisons in result.items():
         for comparison in COMPARISONS:
