@@ -58,8 +58,6 @@ WARMUP = 2
 STEPS_PER_SAMPLE = 8
 SEED = 0
 DESK = dict(widths=(784, 100, 10), img_side=28, n_train=1024, train_batch=64)
-# an 8x8-glyph net for a quick check of the output's format (`measure(..., sizes=TINY)`)
-TINY = dict(widths=(64, 16, 10), img_side=8, n_train=128, train_batch=32)
 
 
 def import_tree(src: Path, name: str):

@@ -9,10 +9,12 @@ from pathlib import Path
 import pairbench
 
 SRC = Path(pairbench.__file__).resolve().parents[1] / "src"
+# an 8x8-glyph 64-16-10 net in place of the desk net
+TINY = dict(widths=(64, 16, 10), img_side=8, n_train=128, train_batch=32)
 
 
 def test_tiny_pairs_report_both_orders_and_their_summaries():
-    result = pairbench.measure(SRC, SRC, pairs=4, sizes=pairbench.TINY)
+    result = pairbench.measure(SRC, SRC, pairs=4, sizes=TINY)
     assert json.loads(json.dumps(result)) == result
     assert set(result) == {"epoch", "step"}
     for workload in result.values():
