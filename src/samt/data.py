@@ -27,6 +27,8 @@ IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 
 VARIANCE_FLOOR = 1e-12
+# Largest CSV cell magnitude: squares of differences of such values, and their sums, stay finite.
+CSV_MAX_ABS = 1e100
 # Pixels `synth_classification` noises, blurs and quantizes at a time (128
 # cache-sized images at side 28); the corpus bytes do not depend on it.
 SYNTH_BLOCK_PIXELS = 128 * 28 * 28
@@ -153,9 +155,10 @@ def load_csv(path, target_column: str) -> Dataset:
                     values.append(float(cell))
                 except ValueError:
                     values.append(math.nan)
-                if not math.isfinite(values[-1]):  # float() parses nan and inf; no run trains on them
+                if not abs(values[-1]) <= CSV_MAX_ABS:  # float() parses nan and inf; no run trains on them
                     raise DataFormatError(
-                        f"{path}: cell {cell!r} at row {r}, column {header[c] if c < len(header) else c} is not a finite number"
+                        f"{path}: cell {cell!r} at row {r}, column {header[c] if c < len(header) else c} "
+                        f"is not a finite number of magnitude at most {CSV_MAX_ABS:g}"
                     )
             if len(values) != len(header):
                 raise DataFormatError(f"{path}: row {r} has {len(values)} cells, expected {len(header)}")

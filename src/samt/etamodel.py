@@ -42,8 +42,9 @@ DEFAULT_HIDDEN = 64
 DEFAULT_META_LEARNING_RATE = 1e-3
 # Rank-1 output-layer updates `psi_step` gathers before folding them in.
 PSI_PENDING = 8
-# Scratch entries of one tile of that fold (4,096 rows of a 64-wide
-# matrix, 2 MiB); a tile updates as many whole rows as fit, at least one.
+# A tile of that fold is whole rows, an eighth of w3's but at least PSI_TILE_MIN_ROWS
+# and at most PSI_CHUNK_ENTRIES entries (4,096 rows of a 64-wide matrix, 2 MiB).
+PSI_TILE_MIN_ROWS = 512
 PSI_CHUNK_ENTRIES = 4096 * 64
 
 
@@ -135,9 +136,10 @@ class _PsiCache:
     slope: Matrix  # the unit projection's (2k, 1) slope at the raw heads
 
 
-def psi_forward(psi: EtaModel, d_col: Matrix) -> tuple[Matrix, Matrix, _PsiCache]:
+def psi_forward(psi: EtaModel, d_col: Matrix, slope_out: Matrix | None = None) -> tuple[Matrix, Matrix, _PsiCache]:
     """Scale factor beta, candidate step eta_hat and the backward cache
     for one (5, 1) feature column; both heads have the step's shape.
+    The raw heads and then their slope go to `slope_out` (2k, 1) if given.
     Non-finite features or raw heads raise `FloatingPointError`."""
     if not np.isfinite(d_col).all():
         values = ", ".join(f"{v:.3g}" for v in d_col.ravel())
@@ -145,11 +147,11 @@ def psi_forward(psi: EtaModel, d_col: Matrix) -> tuple[Matrix, Matrix, _PsiCache
     h1 = leaky_relu(psi.w1 @ d_col, psi.activation_slope)
     h2 = leaky_relu(psi.w2 @ h1, psi.activation_slope)
     p = psi.pending
-    u3 = p.joint[:, : h2.shape[0] + p.n] @ np.concatenate((h2, -(p.v[:, : p.n].T @ h2)))
+    u3 = np.matmul(p.joint[:, : h2.shape[0] + p.n], np.concatenate((h2, -(p.v[:, : p.n].T @ h2))), out=slope_out)
     if not np.isfinite(u3).all():
         raise FloatingPointError("psi raw heads are not finite")
     k = psi.entry_count
-    heads, slope = project_unit(u3, psi.projection_style)
+    heads, slope = project_unit(u3, psi.projection_style, out=u3)
     beta, eta_hat = (h.reshape(psi.head_shape) for h in (heads[:k], heads[k:]))
     return beta, eta_hat, _PsiCache(h1, h2, slope)
 
@@ -198,21 +200,22 @@ def meta_gradients(
             with the heads.
     """
     block = tuple(block)
-    beta, eta_hat, cache = psi_forward(psi, d_col)
+    k, p = psi.entry_count, psi.pending
+    du3 = p.u[:, p.n : p.n + 1]  # the next pending column: the slope, then du3, which psi_step keeps there
+    beta, eta_hat, cache = psi_forward(psi, d_col, slope_out=du3)
     step_cand, dstep_dbeta, dstep_deta = compose_step(arm, beta, eta0, eta_hat)
 
     w_prime = candidate_weights(net, block, grads, step_cand)
     meta_loss, dW = block_loss_and_gradients(net.with_layers(w_prime), meta_batch, block)
 
-    dstep = np.zeros(psi.head_shape)
-    for l in block:
-        dstep += reduce_to_kind(-dW.pop(l) * grads[l], psi.kind)  # frees dW before the head chain
+    dstep = 0.0  # x + 0.0 turns -0 into +0, as zeros + x did
+    for l in block:  # built in each popped dW: -(dW * g) is -dW * g exactly
+        d = dW.pop(l)
+        d = reduce_to_kind(np.negative(np.multiply(d, grads[l], out=d), out=d), psi.kind)
+        dstep = np.add(d, dstep, out=d)
 
-    k, p = psi.entry_count, psi.pending
-    du3 = p.u[:, p.n : p.n + 1]  # the next pending column, where psi_step keeps it
     for head, dstep_dhead in ((du3[:k], dstep_dbeta), (du3[k:], dstep_deta)):
-        np.multiply(dstep.reshape(k, 1), dstep_dhead.reshape(k, 1), out=head)
-    du3 *= cache.slope
+        head *= np.multiply(dstep_dhead, dstep, out=dstep_dhead).reshape(k, 1)
 
     hidden = cache.h2.shape[0]
     dh2 = p.joint[:, : hidden + p.n].T @ du3
@@ -231,9 +234,9 @@ def psi_step(psi: EtaModel, grads) -> None:
     `MetaStep.psi_grads`.  The hidden layers become w - lr * (u @ v.T).
     The output layer's pair joins the pending updates as (u, lr * v);
     the PSI_PENDING-th folds them into w3, one matmul per tile of whole
-    rows (at most PSI_CHUNK_ENTRIES entries, at least one row), so each
-    tile reads its rows of u once.  The model's arrays are mutated in
-    place.
+    rows (an eighth of them, at least PSI_TILE_MIN_ROWS, at most
+    PSI_CHUNK_ENTRIES entries and at least one row), so each tile reads
+    its rows of u once.  The model's arrays are mutated in place.
     """
     for (u, v), w in zip(grads, psi.weights, strict=True):
         if u.shape != (w.shape[0], 1) or v.shape != (w.shape[1], 1):
@@ -249,7 +252,7 @@ def psi_step(psi: EtaModel, grads) -> None:
     p.n += 1
     if p.n == PSI_PENDING:
         rows, cols = w3.shape
-        height = max(1, min(rows, PSI_CHUNK_ENTRIES // cols))
+        height = max(1, min(rows, max(PSI_TILE_MIN_ROWS, rows // 8), PSI_CHUNK_ENTRIES // cols))
         buf = np.empty((height, cols), order="F")
         for s in range(0, rows, height):
             w3[s : s + height] -= np.matmul(p.u[s : s + height], p.v.T, out=buf[: min(height, rows - s)])

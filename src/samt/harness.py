@@ -220,10 +220,12 @@ def validate_config(config: TrainConfig) -> None:
         raise ConfigError(f"meta_lag must be 0 or 1, got {config.meta_lag}")
     if config.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {config.seed}")
-    # written as `not lo <= x < inf` so that NaN fails too
-    for key in ("meta_learning_rate", "hd_hyper_rate", "synth_noise_sd", "img_noise_sd"):
-        if not 0.0 <= getattr(config, key) < math.inf:
-            raise ConfigError(f"{key} must be finite and >= 0, got {getattr(config, key)}")
+    # written as `not 0 <= x < hi` so that NaN fails too; a glyph noise sd of 1e6 saturates
+    # every pixel already, and near the float limit `noise_sd * noise` overflows
+    for key, hi in (("meta_learning_rate", math.inf), ("hd_hyper_rate", math.inf), ("synth_noise_sd", math.inf),
+                    ("img_noise_sd", 1e6)):
+        if not 0.0 <= (value := getattr(config, key)) < hi:
+            raise ConfigError(f"{key} must be >= 0 and < {hi:g}, got {value}")
     for key in ("adam_rate", "sgd_rate"):  # sgd_rate may be None: it defaults to eta0
         if (value := getattr(config, key)) is not None and not 0.0 < value < math.inf:
             raise ConfigError(f"{key} must be finite and > 0, got {value}")

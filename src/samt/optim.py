@@ -4,8 +4,9 @@
 block, main_batch, meta_batch)` returns the new network and the step's
 `StepEvent`; the trainer alone checks and traces events.  Engines keep
 their state by rebinding fields to each step's new arrays, never by
-writing into old ones, which events and `AdamEngine.fresh`'s shared
-zeros may hold.  SGD, HD and the adaptive engine form their weight
+writing into old ones, which events may hold; only Adam writes its
+moments, which no event holds and `AdamEngine.fresh` gives their own
+zeros, in place.  SGD, HD and the adaptive engine form their weight
 updates with `stepsize.candidate_weights`; only Adam's differs.  SGD has
 no state.  The adaptive engine rebinds its step size's values, and
 `psi_step` updates psi in place; it raises `FloatingPointError` when
@@ -109,23 +110,22 @@ class AdamEngine:
 
     @staticmethod
     def fresh(net, block, rate: float) -> "AdamEngine":
-        zeros = tuple(np.zeros_like(net.layer_weights[l]) for l in block)
-        return AdamEngine(zeros, zeros, rate)
+        m, v = (tuple(np.zeros_like(net.layer_weights[l]) for l in block) for _ in range(2))
+        return AdamEngine(m, v, rate)
 
     def step(self, net, block, main_batch, meta_batch=None):
         loss, grads = block_loss_and_gradients(net, main_batch, block)
         self.t = t = self.t + 1
-        updates, ms, vs = {}, [], []
-        for l, m, v in zip(block, self.m, self.v):
+        updates = {}
+        for l, m, v in zip(block, self.m, self.v):  # each moment in place: beta * m + (1 - beta) * g
             g = grads[l]
-            m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
-            v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * (g * g)
+            m *= ADAM_BETA1
+            m += (1 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1 - ADAM_BETA2) * (g * g)
             m_hat = m / (1 - ADAM_BETA1 ** t)
             v_hat = v / (1 - ADAM_BETA2 ** t)
             updates[l] = net.layer_weights[l] - self.rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-            ms.append(m)
-            vs.append(v)
-        self.m, self.v = tuple(ms), tuple(vs)
         return net.with_layers(updates), StepEvent(loss, self.rate)
 
 

@@ -50,7 +50,7 @@ class StepSizeKind(enum.Enum):
 
 def check_open_unit(name: str, v: Matrix) -> None:
     """Raise ValueError unless every entry of `v` lies strictly in (0,1); NaN fails."""
-    if not ((v > 0.0) & (v < 1.0)).all():
+    if not (0.0 < np.min(v) and np.max(v) < 1.0):  # min and max propagate NaN
         raise ValueError(f"{name} must lie strictly in (0,1)")
 
 
@@ -86,16 +86,17 @@ def grad_features(g: Matrix) -> Matrix:
     return np.array([[mean], [var], [np.maximum.reduce(flat)], [np.minimum.reduce(flat)], [norm]])
 
 
-def project_unit(u: Matrix, style: str) -> tuple[Matrix, Matrix]:
+def project_unit(u: Matrix, style: str, out: Matrix | None = None) -> tuple[Matrix, Matrix]:
     """Raw values u squashed into the open interval (0,1), and the slope there.
 
     tanh style: 0.5 * (tanh(u) + 1), slope 0.5 * (1 - tanh(u)^2); sigmoid
     style: p = 1 / (1 + exp(-u)), slope p * (1 - p).  Values are clipped
     away from the endpoints by OPEN_EPS; the sigmoid slope reads the
-    clipped p, the tanh slope ignores the clip.
+    clipped p, the tanh slope ignores the clip.  The slope is written to
+    `out` when it is given, which may be u itself.
     """
     if style == TANH:  # in place: two head-sized arrays, the same bytes
-        t = np.tanh(u)
+        t = np.tanh(u, out=out)
         v = t + 1.0
         v *= 0.5
         slope = np.multiply(np.subtract(1.0, np.square(t, out=t), out=t), 0.5, out=t)
@@ -104,7 +105,7 @@ def project_unit(u: Matrix, style: str) -> tuple[Matrix, Matrix]:
         # exp on the negative side only, so large |u| cannot overflow
         e = np.exp(-np.abs(u))
         p = np.clip(np.where(u >= 0, 1.0 / (1.0 + e), e / (1.0 + e)), OPEN_EPS, 1.0 - OPEN_EPS)
-        return p, p * (1.0 - p)
+        return p, np.multiply(p, 1.0 - p, out=out)
     raise ValueError(f"projection style must be one of {PROJECTION_STYLES}, got {style!r}")
 
 
@@ -127,7 +128,8 @@ def candidate_weights(net, block, grads, step: Matrix | float) -> dict[int, Matr
             raise ShapeError(
                 f"step {step_shape} does not conform to weight {w.shape} and gradient {g.shape}"
             )
-        updates[l] = w - step * g
+        d = step * g
+        updates[l] = np.subtract(w, d, out=d)
     return updates
 
 
@@ -160,7 +162,8 @@ def compose_step(arm: str, beta: Matrix, eta0: Matrix | float, eta_hat: Matrix):
     arm raises `ShapeError` unless the three shapes broadcast together,
     and `ValueError` unless beta and eta_hat lie in [0,1] (NaN fails).
     Returns (value, d_value/d_beta, d_value/d_eta_hat); the derivatives
-    give the meta-gradient chain the same shape as `value`.
+    give the meta-gradient chain the same shape as `value`.  All three
+    are new arrays, which the caller may write to.
     """
     try:
         shape = np.broadcast_shapes(beta.shape, np.shape(eta0), eta_hat.shape)
@@ -170,15 +173,17 @@ def compose_step(arm: str, beta: Matrix, eta0: Matrix | float, eta_hat: Matrix):
             f"eta0 {np.shape(eta0)}, eta_hat {eta_hat.shape}"
         ) from None
     for name, a in (("beta", beta), ("eta_hat", eta_hat)):
-        if not ((a >= 0.0) & (a <= 1.0)).all():
+        if not (0.0 <= a.min() and a.max() <= 1.0):  # min and max propagate NaN
             raise ValueError(f"{name} entries must lie in [0,1]")
     if arm == ARM_FULL:
-        return beta * eta0 + (1.0 - beta) * eta_hat, eta0 - eta_hat, 1.0 - beta
+        one_minus_beta = 1.0 - beta
+        return beta * eta0 + one_minus_beta * eta_hat, eta0 - eta_hat, one_minus_beta
     if arm == ARM_BASELINE:
         zeros = np.zeros(shape)
         return np.broadcast_to(eta0, shape).copy(), zeros, zeros.copy()
     if arm == ARM_LEFT:
         return beta * eta0, np.broadcast_to(eta0, shape).copy(), np.zeros(shape)
     if arm == ARM_RIGHT:
-        return (1.0 - beta) * eta_hat, -np.broadcast_to(eta_hat, shape).copy(), 1.0 - beta
+        one_minus_beta = 1.0 - beta
+        return one_minus_beta * eta_hat, -np.broadcast_to(eta_hat, shape).copy(), one_minus_beta
     raise ValueError(f"ablation arm must be one of {ABLATION_ARMS}, got {arm!r}")

@@ -8,29 +8,34 @@ process imports three copies of the package under distinct names:
 from this tree's.  Each copy builds its own run from the same config and
 seed, so the copies do the same work with their own code.
 
-Two comparisons are interleaved pair by pair: A/A (base against twin,
-the same code, whose ratios show the bias of the measurement itself)
-and A/B (base against head).  A pair times one sample of each side back
-to back; even pairs (from 0) time the base first, odd pairs the other
-side.  The first half of the pairs uses runs built in the order base,
-twin, head and the second half runs built in the reverse order, since
-which run allocates first can bias a ratio by several percent.  So each
-comparison runs in both timing orders and both build orders.  The
-host's speed drifts in phases of seconds to minutes, so the two samples
-of a pair see the same phase.
+Two comparisons are taken from each round: A/A (base against twin, the
+same code, whose ratios show the bias of the measurement itself) and A/B
+(base against head).  A round times one sample of each of the three runs
+back to back, so base, twin and head are sampled equally often, and the
+order rotates from round to round through all six orders of the three
+(the rotations of base, twin, head and then of base, head, twin).  Over
+six rounds each run takes each place twice and each comparison times
+its base first in three.  The first half of the rounds uses runs built in
+the order base, twin, head and the second half runs built in the reverse
+order, since which run allocates first can bias a ratio by several
+percent.  So each comparison runs in both timing orders and both build
+orders.  The host's speed drifts in phases of seconds to minutes, so the
+samples of a round see the same phase.
 
-Workloads, each sample after two warm-up samples per side:
+Workloads, each sample after two warm-up samples per run, all on the
+desk net (784-100-10, 1,024 synthetic 28x28 glyphs, batch 64):
 
-- ``epoch``: one samt_e ``train_epoch`` on the desk net (784-100-10,
-  1,024 synthetic 28x28 glyphs, batch 64: 16 outer iterations, the
-  round of perfbench's desk_element without its evaluation), in s;
-- ``step``: samt_e's layer-0 engine step on that net, in ms per step.
-  A sample is 8 consecutive steps, so every tree folds psi's pending
-  output-layer columns a whole number of times (every 4th or 8th step).
+- ``epoch``: one samt_e ``train_epoch`` (16 outer iterations, the round
+  of perfbench's desk_element without its evaluation), in s;
+- ``step``: samt_e's layer-0 engine step, in ms per step.  A sample is
+  8 consecutive steps, so every tree folds psi's pending output-layer
+  columns a whole number of times (every 4th or 8th step);
+- ``mix/<engine>``: one ``train_epoch`` of each engine of perfbench's
+  desk_mix (sgd, adam, hd, samt_s, samt_r and samt_c), in s.
 
 The output (``BENCH_pairs.json`` unless ``--out`` names another file)
-holds, per workload and comparison, every pair's two times and its ratio
-(other / base: below 1 means the twin or the head was faster), the
+holds, per workload and comparison, every round's pair of times and its
+ratio (other / base: below 1 means the twin or the head was faster), the
 median ratio per timing order, per build order and over all pairs, and
 the share of pairs the other side won.  Every run uses seed 0.  The
 exit code is 0, or 2 when ``REV`` cannot be exported.
@@ -54,6 +59,9 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 BASE, TWIN, HEAD = "samt_base", "samt_twin", "samt_head"
 COMPARISONS = {"A/A": TWIN, "A/B": HEAD}
+# the timing order of round i is ORDERS[i % 6]
+ORDERS = tuple(order[r:] + order[:r] for order in ((BASE, TWIN, HEAD), (BASE, HEAD, TWIN)) for r in range(3))
+MIX = ("sgd", "adam", "hd", "samt_s", "samt_r", "samt_c")
 WARMUP = 2
 STEPS_PER_SAMPLE = 8
 SEED = 0
@@ -74,14 +82,14 @@ def import_tree(src: Path, name: str):
 
 
 class Run:
-    """One copy's samt_e run and its two timed samples."""
+    """One copy's run of one optimizer and its two timed samples."""
 
-    def __init__(self, package: str, sizes: dict):
+    def __init__(self, package: str, optimizer: str, sizes: dict):
         harness = importlib.import_module(f"{package}.harness")
         self.trainer = importlib.import_module(f"{package}.trainer")
         data = importlib.import_module(f"{package}.data")
         self.config = harness.TrainConfig(
-            dataset="synthetic_images", optimizer="samt_e", n_test=64, epochs=1, seed=SEED, **sizes
+            dataset="synthetic_images", optimizer=optimizer, n_test=64, epochs=1, seed=SEED, **sizes
         )
         self.train, _ = harness.load_datasets(self.config)
         self.state = harness.build_state(self.config, self.train)
@@ -103,7 +111,12 @@ class Run:
         return (time.perf_counter() - start) / STEPS_PER_SAMPLE * 1e3
 
 
-WORKLOADS = {"epoch": (Run.epoch, "s"), "step": (Run.step, "ms per step")}
+# workload: (optimizer, sample, unit)
+WORKLOADS = {
+    "epoch": ("samt_e", Run.epoch, "s"),
+    "step": ("samt_e", Run.step, "ms per step"),
+    **{f"mix/{optimizer}": (optimizer, Run.epoch, "s") for optimizer in MIX},
+}
 
 
 def summary(pairs: list[dict]) -> dict:
@@ -122,25 +135,24 @@ def summary(pairs: list[dict]) -> dict:
     }
 
 
-def compare(sample, sizes: dict, pairs: int) -> dict:
-    """One workload's A/A and A/B pairs, interleaved, with their summaries.
+def compare(optimizer: str, sample, sizes: dict, pairs: int) -> dict:
+    """One workload's rounds, each giving an A/A and an A/B pair, with their summaries.
 
-    The first half of the pairs times runs built in the order base, twin,
+    The first half of the rounds times runs built in the order base, twin,
     head, the second half runs built in the reverse order, so neither side
     always holds the memory allocated first."""
     results = {comparison: [] for comparison in COMPARISONS}
     for half, build_order in enumerate(((BASE, TWIN, HEAD), (HEAD, TWIN, BASE))):
-        runs = {name: Run(name, sizes) for name in build_order}
+        runs = {name: Run(name, optimizer, sizes) for name in build_order}
         for run in runs.values():
             for _ in range(WARMUP):
                 sample(run)
         for i in range(half * ((pairs + 1) // 2), (pairs + 1) // 2 if half == 0 else pairs):
+            order = ORDERS[i % len(ORDERS)]
+            times = {name: sample(runs[name]) for name in order}
             for comparison, other in COMPARISONS.items():
-                first, second = (BASE, other) if i % 2 == 0 else (other, BASE)
-                times = {first: sample(runs[first])}
-                times[second] = sample(runs[second])
                 results[comparison].append({
-                    "first": "base" if first == BASE else "other",
+                    "first": "base" if order.index(BASE) < order.index(other) else "other",
                     "built": "base" if build_order.index(BASE) < build_order.index(other) else "other",
                     "base": times[BASE],
                     "other": times[other],
@@ -155,8 +167,8 @@ def measure(base_src: Path, head_src: Path, pairs: int, sizes: dict = DESK) -> d
     for name, src in ((BASE, base_src), (TWIN, base_src), (HEAD, head_src)):
         import_tree(src, name)
     return {
-        workload: {"unit": unit, **compare(sample, sizes, pairs)}
-        for workload, (sample, unit) in WORKLOADS.items()
+        workload: {"unit": unit, **compare(optimizer, sample, sizes, pairs)}
+        for workload, (optimizer, sample, unit) in WORKLOADS.items()
     }
 
 

@@ -267,13 +267,15 @@ class TestPsiStep:
         bound = 4 * np.finfo(float).eps * (np.abs(w3) + 0.37 * np.abs(u @ v.T))
         assert (np.abs(effective_w3(psi) - expected[2]) <= bound).all()
 
-    @pytest.mark.parametrize("rows", [510, 1030, 10_000, 40_000, 74_898])
+    @pytest.mark.parametrize("rows", [510, 1030, 10_000, 40_000, 74_898, 300_000])
     def test_fold_every_pending_steps_matches_the_dense_updates(self, rows):
-        # the fold takes PSI_CHUNK_ENTRIES // 7 whole rows a tile: up to
-        # 10,000 rows one tile, 40,000 rows a full tile and a tail tile,
-        # 74,898 rows exactly two full tiles
-        height = PSI_CHUNK_ENTRIES // 7
-        assert 10_000 <= height < 40_000 < 2 * height and 2 * height == 74_898
+        # a tile is an eighth of the rows, at least 512 and at most
+        # PSI_CHUNK_ENTRIES // 7 of them: 510 rows fold in one tile, 1,030
+        # in two 512-row tiles and a tail, 10,000 and 40,000 in eight
+        # eighths, 74,898 in eight eighths and a 2-row tail, and 300,000 in
+        # eight tiles at the ceiling and a tail
+        ceiling = PSI_CHUNK_ENTRIES // 7
+        assert 74_898 // 8 < ceiling < 300_000 // 8
         psi = init_eta_model(
             StepSizeKind.ELEMENT, (rows // 2, 1), make_rng(rows), hidden=7, meta_learning_rate=0.37
         )
@@ -319,9 +321,9 @@ class TestPsiStep:
         # w3 of an element head on a 100x784 layer is 156,800 x hidden;
         # a dense gradient or a full-size temporary would put the peak
         # above w3.nbytes.  The head's own arrays (beta, eta_hat, the
-        # step, w', du3 and their temporaries) are about a dozen
-        # 78,400-entry arrays whatever `hidden` is, so hidden=24 keeps
-        # them below half of w3.
+        # step, w', the meta pass's gradient and the temporaries) are at
+        # most about seven 78,400-entry arrays whatever `hidden` is, so
+        # hidden=24 keeps them below half of w3.
         rng = make_rng(40)
         net = init_network((784, 100, 10), rng)
         w = net.layer_weights[0]
@@ -353,8 +355,7 @@ class TestPsiStep:
     def test_pending_steps_never_hold_a_dense_output_gradient(self):
         # PSI_PENDING + 1 steps: the pending terms, allocated with psi,
         # fill, fold into w3 and refill; the fold's scratch tile adds to
-        # the dozen head-sized arrays, and the peak still stays below half
-        # of w3
+        # the head-sized arrays, and the peak still stays below half of w3
         rng = make_rng(41)
         net = init_network((784, 100, 10), rng)
         w = net.layer_weights[0]
@@ -377,6 +378,55 @@ class TestPsiStep:
             tracemalloc.stop()
         assert psi.pending.n == 1
         assert peak < psi.w3.nbytes / 2
+
+    def test_desk_element_head_peaks_at_most_5_mib_over_a_fold(self):
+        # the desk net's layer-0 element head at the default hidden 64: a
+        # step allocates the heads, the composed step, w' and the meta
+        # pass's gradient, and the fold adds its scratch tile
+        rng = make_rng(42)
+        net = init_network((784, 100, 10), rng)
+        psi = init_eta_model(StepSizeKind.ELEMENT, net.layer_weights[0].shape, rng)
+        batches = [
+            ((rng.standard_normal((784, 64)), rng.integers(0, 10, 64)),) * 2 for _ in range(PSI_PENDING + 1)
+        ]
+        peaks = []
+        for main_batch, meta_batch in batches:
+            _, grads = block_loss_and_gradients(net, main_batch, (0,))
+            feats = grad_features(grads[0])
+            tracemalloc.start()
+            try:
+                meta = meta_gradients(psi, feats, (0,), grads, 0.1, meta_batch, net)
+                psi_step(psi, meta.psi_grads)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            del meta, grads
+        assert psi.w3.shape == (156_800, 64) and psi.pending.n == 1
+        assert max(peaks) <= 5 * 2**20
+
+    @pytest.mark.parametrize("layer_shape,tile_rows", [((32, 64), 512), ((16, 32), 512), ((100, 784), 4096)])
+    def test_fold_scratch_is_one_tile_of_an_eighth_of_the_rows_within_bounds(self, layer_shape, tile_rows):
+        # 4,096 rows (tiny_mix's layer-0 head) fold in eighths, 1,024 rows
+        # at the 512-row floor and the desk head's 156,800 rows at the
+        # 4,096-row ceiling.  Besides the scratch tile, the fold's peak
+        # holds only the iteration buffers (about 129 KiB) numpy's in-place
+        # subtraction allocates for a strided tile of rows
+        psi = init_eta_model(StepSizeKind.ELEMENT, layer_shape, make_rng(3))
+        rows, cols = psi.w3.shape
+        grads = factors_like(psi, 1.0)
+        for _ in range(PSI_PENDING - 1):
+            psi_step(psi, grads)
+        tracemalloc.start()
+        try:
+            psi_step(psi, grads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert psi.pending.n == 0
+        scratch = tile_rows * cols * 8
+        assert scratch <= peak <= scratch + 2**18
+        if rows == 4096:
+            assert scratch == 2**18  # 256 KiB
 
     def test_one_step_reduces_meta_loss(self):
         net, psi, feats, block, grads, eta0, meta_batch = make_setup(StepSizeKind.SCALAR, seed=5)

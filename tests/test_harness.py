@@ -493,6 +493,10 @@ class TestCli:
             (["optimizer=samt_s", "ablation=left_only", "eta0=5e-324"], "eta0"),
             (["optimizer=samt_e", "widths=10,3,1", "grouping=0,1"], "grouping"),
             (["optimizer=sgd", "widths=5,1"], "widths"),
+            # a glyph noise sd near the float limit overflowed noise_sd * noise, at exit 0
+            (["optimizer=sgd", "dataset=synthetic_images", "img_side=4", "widths=16,10", "n_train=20",
+              "n_test=10", "train_batch=10", "img_noise_sd=1.7976931348623157e308"], "img_noise_sd"),
+            (["optimizer=sgd", "img_noise_sd=1e6"], "img_noise_sd"),
         ],
     )
     def test_bad_rate_or_width_exits_one_naming_the_key(self, args, key, tmp_path, capsys):
@@ -584,6 +588,27 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"cell {cell!r} at row 3, column b" in err and not path.exists()
+
+    @pytest.mark.parametrize("csv_standardize", ["true", "false"])
+    @pytest.mark.parametrize("row", [3, 9])  # in the training split, in the test split
+    def test_oversized_csv_cell_exits_one_naming_row_and_column(self, row, csv_standardize, tmp_path, capsys):
+        # a 1e300 cell overflowed the standardising variance, the training
+        # loss or the test rows, with RuntimeWarnings, mostly at exit 0
+        lines = ["a,b,y"] + [f"{i % 3},{(i * 7) % 5},{i % 4}" for i in range(8)]
+        lines[row - 1] = "1,1e300,2"
+        p = tmp_path / "d.csv"
+        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        path = tmp_path / "m.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli_main(
+                ["train", "dataset=csv", f"csv_path={p}", "csv_target=y", "widths=2,3,1", "optimizer=sgd",
+                 "train_batch=2", "epochs=2", f"csv_standardize={csv_standardize}", f"out_csv={path}"]
+            )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"cell '1e300' at row {row}, column b" in err and not path.exists()
 
     def test_allocation_that_cannot_succeed_exits_one_without_traceback(self, tmp_path, capsys):
         # psi's first layer alone would take 10**13 x 5 x 8 bytes, past any

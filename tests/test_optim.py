@@ -86,6 +86,36 @@ class TestAdamStep:
             net = net_new
 
 
+    def test_moments_are_distinct_and_updated_in_place_as_the_out_of_place_formula(self):
+        rng = make_rng(7)
+        net = init_network((4, 3, 2), rng)
+        block, rate = (0, 1), 1e-2
+        engine = AdamEngine.fresh(net, block, rate)
+        moments = [*engine.m, *engine.v]
+        assert len({id(a) for a in moments}) == 4 and not any(
+            np.shares_memory(a, b) for i, a in enumerate(moments) for b in moments[i + 1:]
+        )
+        m_ref = [np.zeros_like(w) for w in net.layer_weights]
+        v_ref = [np.zeros_like(w) for w in net.layer_weights]
+        for t in range(1, 6):
+            batch = (rng.standard_normal((4, 5)), rng.integers(0, 2, 5))
+            grads = block_loss_and_gradients(net, batch, block)[1]
+            want = []
+            for l in block:
+                g = grads[l]
+                m_ref[l] = optim.ADAM_BETA1 * m_ref[l] + (1 - optim.ADAM_BETA1) * g
+                v_ref[l] = optim.ADAM_BETA2 * v_ref[l] + (1 - optim.ADAM_BETA2) * (g * g)
+                m_hat = m_ref[l] / (1 - optim.ADAM_BETA1 ** t)
+                v_hat = v_ref[l] / (1 - optim.ADAM_BETA2 ** t)
+                want.append(net.layer_weights[l] - rate * m_hat / (np.sqrt(v_hat) + optim.ADAM_EPS))
+            net, _ = engine.step(net, block, batch)
+            assert all(a is b for a, b in zip([*engine.m, *engine.v], moments))
+            for l in block:
+                assert engine.m[l].tobytes() == m_ref[l].tobytes()
+                assert engine.v[l].tobytes() == v_ref[l].tobytes()
+                assert net.layer_weights[l].tobytes() == want[l].tobytes()
+
+
 class TestHdStep:
     def test_zero_hyper_rate_is_plain_sgd(self):
         rng = make_rng(1)

@@ -13,19 +13,26 @@ SRC = Path(pairbench.__file__).resolve().parents[1] / "src"
 TINY = dict(widths=(64, 16, 10), img_side=8, n_train=128, train_batch=32)
 
 
-def test_tiny_pairs_report_both_orders_and_their_summaries():
-    result = pairbench.measure(SRC, SRC, pairs=4, sizes=TINY)
+def test_tiny_rounds_report_both_orders_and_their_summaries():
+    # six rounds: three built base first, three head first, one in each timing order
+    result = pairbench.measure(SRC, SRC, pairs=6, sizes=TINY)
     assert json.loads(json.dumps(result)) == result
-    assert set(result) == {"epoch", "step"}
+    assert set(result) == {"epoch", "step", *(f"mix/{o}" for o in ("sgd", "adam", "hd", "samt_s", "samt_r", "samt_c"))}
+    firsts = {
+        "A/A": ["base", "other", "base", "base", "other", "other"],
+        "A/B": ["base", "other", "other", "base", "other", "base"],
+    }
     for workload in result.values():
         assert set(workload) == {"unit", "A/A", "A/B"}
         for comparison in ("A/A", "A/B"):
             c = workload[comparison]
-            assert [p["first"] for p in c["pairs"]] == ["base", "other"] * 2
-            assert [p["built"] for p in c["pairs"]] == ["base", "base", "other", "other"]
+            assert [p["first"] for p in c["pairs"]] == firsts[comparison]
+            assert [p["built"] for p in c["pairs"]] == ["base"] * 3 + ["other"] * 3
             for p in c["pairs"]:
                 assert p["base"] > 0 and p["other"] > 0 and p["ratio"] == p["other"] / p["base"]
             assert set(c["median_ratio"]) == {
                 "base timed first", "other timed first", "base built first", "other built first", "all"
             }
-            assert c["other_won"] in (0.0, 0.25, 0.5, 0.75, 1.0)
+            assert c["other_won"] in {i / 6 for i in range(7)}
+        # both comparisons of a round share the base's sample
+        assert [p["base"] for p in workload["A/A"]["pairs"]] == [p["base"] for p in workload["A/B"]["pairs"]]

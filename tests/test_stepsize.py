@@ -96,6 +96,15 @@ class TestProjectUnit:
         numeric = (up - down) / (2 * h)
         assert np.allclose(project_unit(u, style)[1], numeric, atol=1e-9)
 
+    @pytest.mark.parametrize("style", ["tanh", "sigmoid"])
+    def test_slope_written_over_the_input_has_the_bytes_of_a_new_one(self, style):
+        u = np.random.default_rng(3).standard_normal((50, 1)) * 10.0
+        values, slope = project_unit(u, style)
+        raw = u.copy()
+        got_values, got_slope = project_unit(raw, style, out=raw)
+        assert got_slope is raw
+        assert got_values.tobytes() == values.tobytes() and got_slope.tobytes() == slope.tobytes()
+
     def test_unknown_style(self):
         with pytest.raises(ValueError, match="tanh"):
             project_unit(np.array([[0.0]]), "relu")
