@@ -13,7 +13,7 @@ SRC = Path(pairbench.__file__).resolve().parents[1] / "src"
 TINY = dict(widths=(64, 16, 10), img_side=8, n_train=128, train_batch=32)
 
 
-def test_tiny_rounds_report_both_orders_and_their_summaries():
+def test_tiny_pairs_report_both_orders_and_their_summaries():
     # six rounds: three built base first, three head first, one in each timing order
     result = pairbench.measure(SRC, SRC, pairs=6, sizes=TINY)
     assert json.loads(json.dumps(result)) == result
