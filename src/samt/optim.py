@@ -4,9 +4,9 @@
 block, main_batch, meta_batch)` returns the new network and the step's
 `StepEvent`; the trainer alone checks and traces events.  Engines keep
 their state by rebinding fields to each step's new arrays, never by
-writing into old ones, which events may hold; only Adam writes its
-moments, which no event holds and `AdamEngine.fresh` gives their own
-zeros, in place.  SGD, HD and the adaptive engine form their weight
+writing into old ones, which events may hold; only Adam writes in
+place, into its own moments, which no event holds (`AdamEngine.fresh`
+gives m and v zeros of their own).  SGD, HD and the adaptive engine form their weight
 updates with `stepsize.candidate_weights`; only Adam's differs.  SGD has
 no state.  The adaptive engine rebinds its step size's values, and
 `psi_step` updates psi in place; it raises `FloatingPointError` when
