@@ -68,8 +68,9 @@ class EtaModel:
     `_Pending`) and the head bookkeeping for one block.
 
     The weight arrays and pending updates are owned by the one adaptive
-    engine that holds the model and are mutated in place by `psi_step`.
-    A `dataclasses.replace` copy shares every array it does not replace,
+    engine that holds the model and are mutated in place by `psi_step`,
+    and every `psi_forward` call writes the next pending column.  A
+    `dataclasses.replace` copy shares every array it does not replace,
     the pending updates included.
     """
 
@@ -119,27 +120,17 @@ def init_eta_model(
     k = head_shape[0] * head_shape[1]
     w1, w2 = glorot_init((hidden, NUM_FEATURES), rng), glorot_init((hidden, hidden), rng)
     joint = np.empty((2 * k, hidden + PSI_PENDING), order="F")
-    limit, w3_t = np.sqrt(6.0 / (2 * k + hidden)), joint[:, :hidden].T
-    rng.random(out=w3_t)  # glorot_init((hidden, 2k), rng).T's draws and bytes, in place
-    w3_t *= 2.0 * limit
-    w3_t -= limit
+    glorot_init((hidden, 2 * k), rng, out=joint[:, :hidden].T)  # the row-major draws of a (hidden, 2k) init
     return EtaModel(
         w1, w2, kind, head_shape, activation_slope, projection_style, meta_learning_rate,
         pending=_Pending(joint, np.empty((hidden, PSI_PENDING))),
     )
 
 
-@dataclass
-class _PsiCache:
-    h1: Matrix  # hidden layer outputs; the backward pass masks on them
-    h2: Matrix
-    slope: Matrix  # the unit projection's (2k, 1) slope at the raw heads
-
-
-def psi_forward(psi: EtaModel, d_col: Matrix, slope_out: Matrix | None = None) -> tuple[Matrix, Matrix, _PsiCache]:
-    """Scale factor beta, candidate step eta_hat and the backward cache
-    for one (5, 1) feature column; both heads have the step's shape.
-    The raw heads and then their slope go to `slope_out` (2k, 1) if given.
+def psi_forward(psi: EtaModel, d_col: Matrix) -> tuple[Matrix, Matrix, Matrix, Matrix]:
+    """Scale factor beta and candidate step eta_hat, in the step's shape, and the
+    hidden outputs h1, h2 for one (5, 1) feature column.  Every call writes the
+    raw heads, then their slope, into psi's next pending column, `pending.u[:, n]`.
     Non-finite features or raw heads raise `FloatingPointError`."""
     if not np.isfinite(d_col).all():
         values = ", ".join(f"{v:.3g}" for v in d_col.ravel())
@@ -147,13 +138,14 @@ def psi_forward(psi: EtaModel, d_col: Matrix, slope_out: Matrix | None = None) -
     h1 = leaky_relu(psi.w1 @ d_col, psi.activation_slope)
     h2 = leaky_relu(psi.w2 @ h1, psi.activation_slope)
     p = psi.pending
-    u3 = np.matmul(p.joint[:, : h2.shape[0] + p.n], np.concatenate((h2, -(p.v[:, : p.n].T @ h2))), out=slope_out)
+    u3 = p.u[:, p.n : p.n + 1]
+    np.matmul(p.joint[:, : h2.shape[0] + p.n], np.concatenate((h2, -(p.v[:, : p.n].T @ h2))), out=u3)
     if not np.isfinite(u3).all():
         raise FloatingPointError("psi raw heads are not finite")
     k = psi.entry_count
-    heads, slope = project_unit(u3, psi.projection_style, out=u3)
+    heads, _ = project_unit(u3, psi.projection_style, out=u3)
     beta, eta_hat = (h.reshape(psi.head_shape) for h in (heads[:k], heads[k:]))
-    return beta, eta_hat, _PsiCache(h1, h2, slope)
+    return beta, eta_hat, h1, h2
 
 
 @dataclass
@@ -164,7 +156,7 @@ class MetaStep:
     gradients is an outer product: `psi_grads` holds one factor pair
     (u, v) per layer, whose gradient is u @ v.T.  The (2k x hidden)
     output-layer gradient is never built; its u is psi's next pending
-    column, where `psi_step` keeps it and a later call may overwrite it.
+    column, where `psi_step` keeps it; any `psi_forward` call before that rewrites it.
     """
 
     psi_grads: tuple[tuple[Matrix, Matrix], ...]
@@ -191,6 +183,7 @@ def meta_gradients(
     step; the candidate weights w' = w - step (*) g are substituted into
     the network; the loss on `meta_batch` is differentiated back through
     the substitution, the composition, the unit projection and the MLP.
+    Its `psi_forward` call writes psi's next pending column; du3 is built there.
 
     Args:
         d_col: the (5, 1) feature column of the block's gradient.
@@ -201,8 +194,8 @@ def meta_gradients(
     """
     block = tuple(block)
     k, p = psi.entry_count, psi.pending
-    du3 = p.u[:, p.n : p.n + 1]  # the next pending column: the slope, then du3, which psi_step keeps there
-    beta, eta_hat, cache = psi_forward(psi, d_col, slope_out=du3)
+    beta, eta_hat, h1, h2 = psi_forward(psi, d_col)
+    du3 = p.u[:, p.n : p.n + 1]  # psi_step keeps it there
     step_cand, dstep_dbeta, dstep_deta = compose_step(arm, beta, eta0, eta_hat)
 
     w_prime = candidate_weights(net, block, grads, step_cand)
@@ -217,13 +210,13 @@ def meta_gradients(
     for head, dstep_dhead in ((du3[:k], dstep_dbeta), (du3[k:], dstep_deta)):
         head *= np.multiply(dstep_dhead, dstep, out=dstep_dhead).reshape(k, 1)
 
-    hidden = cache.h2.shape[0]
+    hidden = h2.shape[0]
     dh2 = p.joint[:, : hidden + p.n].T @ du3
     dh2 = dh2[:hidden] - p.v[:, : p.n] @ dh2[hidden:]
-    du2 = leaky_relu_backward(cache.h2, dh2, psi.activation_slope)
-    du1 = leaky_relu_backward(cache.h1, psi.w2.T @ du2, psi.activation_slope)
+    du2 = leaky_relu_backward(h2, dh2, psi.activation_slope)
+    du1 = leaky_relu_backward(h1, psi.w2.T @ du2, psi.activation_slope)
 
-    psi_grads = ((du1, d_col), (du2, cache.h1), (du3, cache.h2))
+    psi_grads = ((du1, d_col), (du2, h1), (du3, h2))
     return MetaStep(psi_grads, beta, eta_hat, step_cand, w_prime, meta_loss)
 
 

@@ -235,6 +235,8 @@ def validate_config(config: TrainConfig) -> None:
             raise ConfigError(f"{key} must be >= 1, got {value}")
     if config.img_side < 2:  # a 1-pixel glyph has no ink to scale
         raise ConfigError(f"img_side must be >= 2, got {config.img_side}")
+    if config.img_classes > 256:  # glyph labels are uint8, as in IDX files
+        raise ConfigError(f"img_classes must be <= 256, got {config.img_classes}")
     if config.dataset == "idx":
         missing = [
             k
@@ -555,6 +557,7 @@ def fd_layer_gradients(net: NetworkModel, batch) -> float:
 def fd_meta_gradients(psi, feats, block, grads, eta0, meta_batch, net, arm="full") -> float:
     """Worst relative error between the meta chain and central differences."""
     meta = meta_gradients(psi, feats, block, grads, eta0, meta_batch, net, arm=arm)
+    analytic = [u @ v.T for u, v in meta.psi_grads]  # before psi_forward below overwrites du3's column
 
     def meta_loss_with(name, w) -> float:
         changed = {name: w}
@@ -562,13 +565,13 @@ def fd_meta_gradients(psi, feats, block, grads, eta0, meta_batch, net, arm="full
             joint = psi.pending.joint.copy(order="F")
             joint[:, : w.shape[1]] = w
             changed = {"pending": replace(psi.pending, joint=joint)}
-        beta, eta_hat, _ = psi_forward(replace(psi, **changed), feats)
+        beta, eta_hat, _, _ = psi_forward(replace(psi, **changed), feats)
         value, _, _ = compose_step(arm, beta, eta0, eta_hat)
         return batch_loss(net.with_layers(candidate_weights(net, block, grads, value)), meta_batch)
 
     return max(
-        _fd_worst(u @ v.T, getattr(psi, name), lambda w: meta_loss_with(name, w))
-        for name, (u, v) in zip(("w1", "w2", "w3"), meta.psi_grads)
+        _fd_worst(g, getattr(psi, name), lambda w: meta_loss_with(name, w))
+        for name, g in zip(("w1", "w2", "w3"), analytic)
     )
 
 

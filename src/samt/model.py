@@ -63,11 +63,13 @@ class NetworkModel:
         return NetworkModel(tuple(new), self.activation_slope, self.loss_kind)
 
 
-def glorot_init(shape: tuple[int, int], rng: np.random.Generator) -> Matrix:
-    """Uniform init in +-sqrt(6 / (fan_in + fan_out))."""
-    out_f, in_f = shape
-    limit = np.sqrt(6.0 / (in_f + out_f))
-    return rng.uniform(-limit, limit, size=shape)
+def glorot_init(shape: tuple[int, int], rng: np.random.Generator, out: Matrix | None = None) -> Matrix:
+    """Uniform init in +-sqrt(6 / (fan_in + fan_out)), into `out` if given; rng.uniform's draws and bytes."""
+    limit = np.sqrt(6.0 / sum(shape))
+    w = rng.random(size=shape, out=out)
+    w *= 2.0 * limit
+    w -= limit
+    return w
 
 
 def init_network(widths, rng, activation_slope=DEFAULT_ACTIVATION_SLOPE, loss_kind=SOFTMAX_CE) -> NetworkModel:

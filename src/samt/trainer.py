@@ -136,9 +136,10 @@ def train_epoch(state: TrainRunState, dataset: Dataset, batch_size: int, trace=N
                               f"the loss after the epoch's last update is {loss}", last[-1])
     state.epoch += 1
     eta = np.concatenate([np.ravel(e.step) for e in last])
+    scale = 2.0 ** math.ceil(math.log2(eta.size))  # a power of two: eta / scale is exact, its sum cannot overflow
     stats = {
         "mean_step_loss": float(np.mean(losses)),
-        "eta_mean": float(eta.mean()),
+        "eta_mean": float(np.mean(eta / scale) * scale),
         "eta_min": float(eta.min()),
         "eta_max": float(eta.max()),
         "steps": len(losses),

@@ -1,6 +1,7 @@
 """Paired in-process timing of this tree against a git revision.
 
-Run as ``python tests/pairbench.py REV [--pairs N] [--out PATH]``.
+Run as ``python tests/pairbench.py REV [--pairs N] [--out PATH]``,
+where N is a positive multiple of 12 (24 by default).
 ``REV`` (a commit, tag or branch of this repository) is exported with
 ``git archive`` into a temporary directory; nothing is fetched.  One
 process imports three copies of the package under distinct names:
@@ -19,11 +20,13 @@ its base first in three.  The first half of the rounds uses runs built in
 the order base, twin, head and the second half runs built in the reverse
 order, since which run allocates first can bias a ratio by several
 percent.  So each comparison runs in both timing orders and both build
-orders.  The host's speed drifts in phases of seconds to minutes, so the
-samples of a round see the same phase.
+orders.  With N a multiple of 12, each half runs each of the six timing
+orders equally often.  The host's speed drifts in phases of seconds to
+minutes, so the samples of a round see the same phase.
 
-Workloads, each sample after two warm-up samples per run, all on the
-desk net (784-100-10, 1,024 synthetic 28x28 glyphs, batch 64):
+Workloads, each sample after two warm-up samples per run, on the desk
+net (784-100-10, 1,024 synthetic 28x28 glyphs, batch 64) unless named
+``tiny/``:
 
 - ``epoch``: one samt_e ``train_epoch`` (16 outer iterations, the round
   of perfbench's desk_element without its evaluation), in s;
@@ -31,14 +34,20 @@ desk net (784-100-10, 1,024 synthetic 28x28 glyphs, batch 64):
   8 consecutive steps, so every tree folds psi's pending output-layer
   columns a whole number of times (every 4th or 8th step);
 - ``mix/<engine>``: one ``train_epoch`` of each engine of perfbench's
-  desk_mix (sgd, adam, hd, samt_s, samt_r and samt_c), in s.
+  desk_mix (sgd, adam, hd, samt_s, samt_r and samt_c), in s;
+- ``desk/samt_s/block0`` and ``desk/samt_s/block1``: samt_s's engine
+  step on each desk layer, in ms per step, 8 steps a sample;
+- ``tiny/<engine>``: 8 layer-0 engine steps of each of the seven engines
+  on tiny_mix's 64-32-32-10 net (512 synthetic 8x8 glyphs, batch 32,
+  eta0 0.5, adam rate 0.01), in ms per step.
 
 The output (``BENCH_pairs.json`` unless ``--out`` names another file)
 holds, per workload and comparison, every round's pair of times and its
 ratio (other / base: below 1 means the twin or the head was faster), the
 median ratio per timing order, per build order and over all pairs, and
 the share of pairs the other side won.  Every run uses seed 0.  The
-exit code is 0, or 2 when ``REV`` cannot be exported.
+exit code is 0, or 2 when N is not a positive multiple of 12 or ``REV``
+cannot be exported.
 """
 
 from __future__ import annotations
@@ -52,6 +61,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -62,10 +72,15 @@ COMPARISONS = {"A/A": TWIN, "A/B": HEAD}
 # the timing order of round i is ORDERS[i % 6]
 ORDERS = tuple(order[r:] + order[:r] for order in ((BASE, TWIN, HEAD), (BASE, HEAD, TWIN)) for r in range(3))
 MIX = ("sgd", "adam", "hd", "samt_s", "samt_r", "samt_c")
+ENGINES = ("sgd", "adam", "hd", "samt_s", "samt_e", "samt_r", "samt_c")
 WARMUP = 2
 STEPS_PER_SAMPLE = 8
 SEED = 0
-DESK = dict(widths=(784, 100, 10), img_side=28, n_train=1024, train_batch=64)
+# the runs' sizes by net; tiny is perfbench's tiny_mix glyph net with its rates
+NETS = {
+    "desk": dict(widths=(784, 100, 10), img_side=28, n_train=1024, train_batch=64),
+    "tiny": dict(widths=(64, 32, 32, 10), img_side=8, n_train=512, train_batch=32, eta0=0.5, adam_rate=0.01),
+}
 
 
 def import_tree(src: Path, name: str):
@@ -103,19 +118,21 @@ class Run:
         self.state, _ = self.trainer.train_epoch(self.state, self.train, self.config.train_batch)
         return time.perf_counter() - start
 
-    def step(self) -> float:
-        engine, block = self.state.engines[0], self.state.plan.blocks[0]
+    def step(self, block_index: int = 0) -> float:
+        engine, block = self.state.engines[block_index], self.state.plan.blocks[block_index]
         start = time.perf_counter()
         for main_batch, meta_batch in self.batches:
             self.state.net, _ = engine.step(self.state.net, block, main_batch, meta_batch)
         return (time.perf_counter() - start) / STEPS_PER_SAMPLE * 1e3
 
 
-# workload: (optimizer, sample, unit)
+# workload: (optimizer, sample, unit, net)
 WORKLOADS = {
-    "epoch": ("samt_e", Run.epoch, "s"),
-    "step": ("samt_e", Run.step, "ms per step"),
-    **{f"mix/{optimizer}": (optimizer, Run.epoch, "s") for optimizer in MIX},
+    "epoch": ("samt_e", Run.epoch, "s", "desk"),
+    "step": ("samt_e", Run.step, "ms per step", "desk"),
+    **{f"mix/{optimizer}": (optimizer, Run.epoch, "s", "desk") for optimizer in MIX},
+    **{f"desk/samt_s/block{b}": ("samt_s", partial(Run.step, block_index=b), "ms per step", "desk") for b in (0, 1)},
+    **{f"tiny/{optimizer}": (optimizer, Run.step, "ms per step", "tiny") for optimizer in ENGINES},
 }
 
 
@@ -162,22 +179,25 @@ def compare(optimizer: str, sample, sizes: dict, pairs: int) -> dict:
     return {comparison: {"pairs": p, **summary(p)} for comparison, p in results.items()}
 
 
-def measure(base_src: Path, head_src: Path, pairs: int, sizes: dict = DESK) -> dict:
-    """Every workload's comparisons; one workload's runs are freed before the next is built."""
+def measure(base_src: Path, head_src: Path, pairs: int, nets: dict = NETS) -> dict:
+    """Every workload's comparisons, each on the sizes `nets` gives its net; one
+    workload's runs are freed before the next is built."""
     for name, src in ((BASE, base_src), (TWIN, base_src), (HEAD, head_src)):
         import_tree(src, name)
     return {
-        workload: {"unit": unit, **compare(optimizer, sample, sizes, pairs)}
-        for workload, (optimizer, sample, unit) in WORKLOADS.items()
+        workload: {"unit": unit, **compare(optimizer, sample, nets[net], pairs)}
+        for workload, (optimizer, sample, unit, net) in WORKLOADS.items()
     }
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="pairbench", description=__doc__.split("\n\n")[0])
     parser.add_argument("rev")
-    parser.add_argument("--pairs", type=int, default=20)
+    parser.add_argument("--pairs", type=int, default=24)
     parser.add_argument("--out", default=str(ROOT / "BENCH_pairs.json"))
     args = parser.parse_args(argv)
+    if args.pairs < 12 or args.pairs % 12:  # each build half runs all six timing orders equally often
+        parser.error(f"--pairs must be a positive multiple of 12, got {args.pairs}")
     with tempfile.TemporaryDirectory() as tmp:
         try:
             archive = subprocess.run(

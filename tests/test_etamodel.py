@@ -17,7 +17,7 @@ from samt.etamodel import (
 from samt.harness import fd_meta_gradients
 from samt.model import batch_loss, block_loss_and_gradients, glorot_init, init_network
 from samt.numerics import make_rng
-from samt.stepsize import StepSizeKind, grad_features, reduce_to_kind
+from samt.stepsize import PROJECTION_STYLES, StepSizeKind, grad_features, project_unit, reduce_to_kind
 
 
 def effective_w3(psi):
@@ -55,7 +55,7 @@ class TestPsiForward:
         psi = init_eta_model(StepSizeKind.ELEMENT, (2, 3), make_rng(0), hidden=4)
         psi = replace(psi, w1=np.zeros_like(psi.w1), w2=np.zeros_like(psi.w2))
         psi.w3[...] = 0.0
-        beta, eta_hat, _ = psi_forward(psi, grad_features(np.ones((2, 3))))
+        beta, eta_hat, *_ = psi_forward(psi, grad_features(np.ones((2, 3))))
         assert np.allclose(beta, 0.5) and np.allclose(eta_hat, 0.5)
 
     def test_outputs_always_in_open_interval(self):
@@ -78,10 +78,24 @@ class TestPsiForward:
         with pytest.raises(FloatingPointError, match="psi raw heads"):
             psi_forward(psi, grad_features(np.ones((2, 3))))
 
+    @pytest.mark.parametrize("style", PROJECTION_STYLES)
+    def test_leaves_the_slope_at_the_raw_heads_in_the_next_pending_column(self, style):
+        hidden = 5
+        psi = replace(init_eta_model(StepSizeKind.ROW, (3, 4), make_rng(6), hidden=hidden), projection_style=style)
+        psi_step(psi, factors_like(psi, 0.1))  # one pending term, so the next column is u[:, 1]
+        p, before = psi.pending, psi.pending.joint.copy(order="F")
+        beta, eta_hat, _, h2 = psi_forward(psi, grad_features(make_rng(7).standard_normal((3, 4))))
+        raw = p.joint[:, : hidden + 1] @ np.concatenate((h2, -(p.v[:, :1].T @ h2)))
+        heads, slope = project_unit(raw, style)
+        assert p.n == 1 and p.u[:, 1:2].tobytes() == slope.tobytes()
+        assert np.concatenate((beta, eta_hat)).tobytes() == heads.tobytes()
+        p.u[:, 1] = before[:, hidden + 1]  # no other entry of the joint array changed
+        assert p.joint.tobytes() == before.tobytes()
+
     def test_desk_element_forward_holds_three_head_sized_arrays(self):
-        # the raw heads, and project_unit's values and slope, which the
-        # heads view: 3 x 1.20 MiB on a 100x784 element head (six
-        # temporaries in project_unit took it to 5.98 MiB)
+        # at most 3 x 1.20 MiB on a 100x784 element head; the tanh heads
+        # hold 1, as the raw heads and their slope go to psi's next
+        # pending column (six temporaries in project_unit took it to 5.98 MiB)
         psi = init_eta_model(StepSizeKind.ELEMENT, (100, 784), make_rng(4), hidden=8)
         feats = grad_features(make_rng(5).standard_normal((100, 784)))
         psi_forward(psi, feats)
@@ -95,7 +109,7 @@ class TestPsiForward:
 
     def test_scalar_kind_shapes(self):
         psi = init_eta_model(StepSizeKind.SCALAR, (7, 9), make_rng(2))
-        beta, eta_hat, _ = psi_forward(psi, grad_features(np.ones((7, 9))))
+        beta, eta_hat, *_ = psi_forward(psi, grad_features(np.ones((7, 9))))
         assert beta.shape == (1, 1) and eta_hat.shape == (1, 1)
 
     @pytest.mark.parametrize(
@@ -108,7 +122,7 @@ class TestPsiForward:
     )
     def test_head_shapes_per_kind(self, kind, shape):
         psi = init_eta_model(kind, (3, 4), make_rng(3), hidden=4)
-        beta, eta_hat, _ = psi_forward(psi, grad_features(np.ones((3, 4))))
+        beta, eta_hat, *_ = psi_forward(psi, grad_features(np.ones((3, 4))))
         assert beta.shape == shape and eta_hat.shape == shape
 
     def test_bypass_pins_beta_to_one(self):
@@ -483,10 +497,11 @@ class TestPendingUpdates:
         # the pending terms move the raw heads by far more than rounding
         assert np.abs(effective - psi.w3).max() > 1e-3
         dense = materialised(psi)
-        cached = psi_forward(psi, feats)[2].slope
         for got, want in zip(psi_forward(psi, feats)[:2], psi_forward(dense, feats)[:2]):
             assert np.abs(got - want).max() <= 1e-15
-        assert np.abs(cached - psi_forward(dense, feats)[2].slope).max() <= 1e-15
+        # each call left its slope in its own psi's next pending column
+        slope, want = (q.pending.u[:, q.pending.n] for q in (psi, dense))
+        assert np.abs(slope - want).max() <= 1e-15
 
     def test_replaced_copy_shares_the_pending_terms(self):
         psi, _ = self.stepped(StepSizeKind.ROW, 1)

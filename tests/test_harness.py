@@ -497,6 +497,9 @@ class TestCli:
             (["optimizer=sgd", "dataset=synthetic_images", "img_side=4", "widths=16,10", "n_train=20",
               "n_test=10", "train_batch=10", "img_noise_sd=1.7976931348623157e308"], "img_noise_sd"),
             (["optimizer=sgd", "img_noise_sd=1e6"], "img_noise_sd"),
+            # uint8 glyph labels wrapped above 255, at exit 0
+            (["optimizer=sgd", "dataset=synthetic_images", "img_side=4", "img_classes=300", "widths=16,8,300",
+              "n_train=256", "n_test=64", "epochs=1"], "img_classes"),
         ],
     )
     def test_bad_rate_or_width_exits_one_naming_the_key(self, args, key, tmp_path, capsys):

@@ -12,6 +12,7 @@ from samt.model import (
     batch_loss,
     block_loss_and_gradients,
     forward,
+    glorot_init,
     init_network,
     layer_outputs,
     leaky_relu,
@@ -285,3 +286,15 @@ def test_forward_is_pure():
     forward(net, x)
     for w0, w1 in zip(before, net.layer_weights):
         assert np.array_equal(w0, w1)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (4, 7), (100, 784)])
+def test_glorot_init_fills_and_returns_out_with_the_draws_of_rng_uniform(shape):
+    limit = np.sqrt(6.0 / (shape[0] + shape[1]))
+    want = make_rng(3).uniform(-limit, limit, size=shape)
+    assert glorot_init(shape, make_rng(3)).tobytes() == want.tobytes()
+    out = np.empty(shape)
+    rng = make_rng(3)
+    assert glorot_init(shape, rng, out=out) is out
+    assert out.tobytes() == want.tobytes()
+    assert rng.random() == make_rng(3).uniform(size=shape[0] * shape[1] + 1)[-1]

@@ -3,15 +3,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from samt.data import CLASSIFICATION, Dataset, meta_subset, sample_minibatch
+from samt.data import CLASSIFICATION, REGRESSION, Dataset, meta_subset, sample_minibatch
 from samt.errors import DivergenceError, PlanError
 from samt.etamodel import init_eta_model
-from samt.harness import TrainConfig, build_state
+from samt.harness import OPTIMIZERS, TrainConfig, build_state
 from samt.model import MSE, NetworkModel, block_loss_and_gradients, init_network
 from samt.numerics import make_rng
 from samt.optim import OagdEngine, OagdState, SgdEngine
-from samt.stepsize import StepSize, StepSizeKind
+from samt.stepsize import PROJECTION_STYLES, StepSize, StepSizeKind
 from samt.trainer import TrainRunState, block_partition, evaluate, train_epoch
 
 
@@ -306,6 +308,14 @@ class TestTrainEpoch:
         with pytest.raises(ValueError):
             train_epoch(state, ds, batch_size=6)
 
+    def test_mean_of_steps_near_the_float_limit_is_finite(self):
+        # a one-class net's gradients are 0, so adam's rate in each of its three
+        # blocks leaves the weights as they are; the sum of those rates overflowed
+        ds = class_dataset(0, n=8, d=3, classes=1)
+        config = TrainConfig(widths=(3, 2, 2, 1), optimizer="adam", adam_rate=1.7e308, train_batch=4)
+        _, stats = train_epoch(build_state(config, ds), ds, config.train_batch)
+        assert stats["eta_max"] == 1.7e308 and stats["eta_mean"] == pytest.approx(1.7e308, rel=1e-15)
+
 
 class TestEvaluate:
     def test_perfect_predictor(self):
@@ -355,3 +365,52 @@ class TestEvaluate:
         loss, metric = evaluate(net, ds, batch_size=10)
         assert loss == pytest.approx(0.5)
         assert metric == pytest.approx(0.5)
+
+
+@st.composite
+def one_epoch_runs(draw):
+    """(config, training set) of a 2-3-layer net with widths <= 8, on
+    classification or regression data, with rates drawn up to where runs
+    diverge; the engine is one of the seven optimizers' or bypassed samt_s's."""
+    optimizer = draw(st.sampled_from(OPTIMIZERS))
+    rate = st.one_of(st.floats(-3.0, 1.0), st.floats(1.0, 308.0)).map(lambda e: 10.0**e)
+    widths = tuple(draw(st.lists(st.integers(1, 8), min_size=3, max_size=4)))
+    whole = optimizer in ("sgd", "adam", "hd", "samt_s") and draw(st.booleans())  # one block of every layer
+    config = TrainConfig(
+        widths=widths, optimizer=optimizer, psi_bypass=optimizer == "samt_s" and draw(st.booleans()),
+        grouping=(tuple(range(len(widths) - 1)),) if whole else None, inner_steps=draw(st.integers(1, 2)),
+        meta_lag=draw(st.integers(0, 1)),
+        eta0=draw(st.floats(1e-3, 0.99)), sgd_rate=draw(rate), adam_rate=draw(rate),
+        hd_hyper_rate=draw(rate), meta_learning_rate=draw(rate), psi_hidden=draw(st.integers(1, 6)),
+        projection_style=draw(st.sampled_from(PROJECTION_STYLES)), train_batch=draw(st.integers(1, 8)),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    rng, n = make_rng(config.seed), draw(st.integers(8, 24))
+    x = 10.0 ** draw(st.floats(-3.0, 3.0)) * rng.standard_normal((widths[0], n))
+    if draw(st.booleans()):
+        return config, Dataset(x, rng.integers(0, widths[-1], n), CLASSIFICATION)
+    return config, Dataset(x, rng.standard_normal((widths[-1], n)), REGRESSION)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(run=one_epoch_runs())
+def test_an_epoch_stays_finite_or_raises_divergence_naming_where(run):
+    """Every engine, on any shape and rate: one `train_epoch` leaves the
+    weights, the stats and every samt step finite, the steps inside (0,1),
+    or raises `DivergenceError` naming the epoch, iteration and block."""
+    config, train = run
+    state = build_state(config, train)
+    iterations = math.ceil(train.num_samples / config.train_batch)
+    with np.errstate(all="ignore"):
+        try:
+            state, stats = train_epoch(state, train, config.train_batch)
+        except DivergenceError as e:
+            assert e.epoch == 1 and 1 <= e.iteration <= iterations and e.block in state.plan.blocks
+            assert f"epoch 1, iteration {e.iteration}, block {e.block}" in str(e)
+            return
+    assert all(np.isfinite(w).all() for w in state.net.layer_weights)
+    assert all(math.isfinite(v) for v in stats.values())
+    for engine in state.engines:
+        if isinstance(engine, OagdEngine):
+            step = engine.state.step.values
+            assert np.isfinite(step).all() and (step > 0).all() and (step < 1).all()
