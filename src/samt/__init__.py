@@ -1,26 +1,3 @@
 """Alternating-minimization neural network training with trainable step
 sizes, classic baselines, and an empirical convergence verification
 harness."""
-
-__version__ = "0.1.0"
-
-from .model import NetworkModel, forward, init_network
-from .stepsize import StepSize, StepSizeKind
-from .trainer import BlockPlan, block_partition, evaluate, train_epoch
-from .harness import TrainConfig, parse_config, run_experiment
-
-__all__ = [
-    "__version__",
-    "NetworkModel",
-    "forward",
-    "init_network",
-    "StepSize",
-    "StepSizeKind",
-    "BlockPlan",
-    "block_partition",
-    "evaluate",
-    "train_epoch",
-    "TrainConfig",
-    "parse_config",
-    "run_experiment",
-]

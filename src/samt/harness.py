@@ -18,6 +18,8 @@ import typing
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import theory
 from .data import (
     CLASSIFICATION,
@@ -527,52 +529,44 @@ def run_theory_suite(suite: str = "all", out_dir=".", seed: int = 0, inject_bug:
 FD_STEP = 1e-5  # central-difference step
 
 
-def _fd_worst(analytic: Matrix, w: Matrix, loss_with) -> float:
+def _fd_worst(analytic: Matrix, w: Matrix, loss) -> float:
     """Worst relative error between `analytic` and central differences of
-    `loss_with` over every entry of `w`."""
+    `loss()`, which reads `w`, over every entry of `w`.  Each entry is bumped
+    in place and restored bitwise, also when `loss` raises, so `w` must be writable."""
     worst = 0.0
-    for i in range(w.shape[0]):
-        for j in range(w.shape[1]):
-            bumped = w.copy()
-            bumped[i, j] = w[i, j] + FD_STEP
-            up = loss_with(bumped)
-            bumped[i, j] = w[i, j] - FD_STEP
-            down = loss_with(bumped)
-            numeric = (up - down) / (2 * FD_STEP)
-            exact = float(analytic[i, j])
-            worst = max(worst, abs(exact - numeric) / (1.0 + abs(exact)))
+    for ij in np.ndindex(w.shape):
+        entry = w[ij]
+        try:
+            w[ij] = entry + FD_STEP
+            up = loss()
+            w[ij] = entry - FD_STEP
+            down = loss()
+        finally:
+            w[ij] = entry
+        numeric = (up - down) / (2 * FD_STEP)
+        exact = float(analytic[ij])
+        worst = max(worst, abs(exact - numeric) / (1.0 + abs(exact)))
     return worst
 
 
 def fd_layer_gradients(net: NetworkModel, batch) -> float:
-    """Worst relative error between backprop and central differences."""
+    """Worst relative error between backprop and central differences, bumping each layer weight."""
     block = tuple(range(net.num_layers))
     _, grads = block_loss_and_gradients(net, batch, block)
-    return max(
-        _fd_worst(grads[l], net.layer_weights[l], lambda w: batch_loss(net.with_layers({l: w}), batch))
-        for l in block
-    )
+    return max(_fd_worst(grads[l], net.layer_weights[l], lambda: batch_loss(net, batch)) for l in block)
 
 
 def fd_meta_gradients(psi, feats, block, grads, eta0, meta_batch, net, arm="full") -> float:
-    """Worst relative error between the meta chain and central differences."""
+    """Worst relative error between the meta chain and central differences, bumping psi's weights."""
     meta = meta_gradients(psi, feats, block, grads, eta0, meta_batch, net, arm=arm)
     analytic = [u @ v.T for u, v in meta.psi_grads]  # before psi_forward below overwrites du3's column
 
-    def meta_loss_with(name, w) -> float:
-        changed = {name: w}
-        if name == "w3":  # w3 is a view of psi's joint array: perturb a copy of that
-            joint = psi.pending.joint.copy(order="F")
-            joint[:, : w.shape[1]] = w
-            changed = {"pending": replace(psi.pending, joint=joint)}
-        beta, eta_hat, _, _ = psi_forward(replace(psi, **changed), feats)
+    def meta_loss() -> float:
+        beta, eta_hat, _, _ = psi_forward(psi, feats)
         value, _, _ = compose_step(arm, beta, eta0, eta_hat)
         return batch_loss(net.with_layers(candidate_weights(net, block, grads, value)), meta_batch)
 
-    return max(
-        _fd_worst(g, getattr(psi, name), lambda w: meta_loss_with(name, w))
-        for name, g in zip(("w1", "w2", "w3"), analytic)
-    )
+    return max(_fd_worst(g, w, meta_loss) for g, w in zip(analytic, psi.weights))
 
 
 def run_gradcheck(seed: int = 0) -> int:

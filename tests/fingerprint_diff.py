@@ -8,7 +8,8 @@ first field.  Each run whose line differs prints as ``- <REV's line>``
 and ``+ <this tree's line>`` (a run missing from one side prints only
 the other), and a last line counts them.  The exit code is 0 when every
 line is identical, 1 when any differs and 2 when ``REV`` cannot be
-exported or a fingerprint fails to run.
+exported or a fingerprint fails to run.  ``export`` is the one exporter
+of a revision for the scripts under ``tests/``.
 """
 
 from __future__ import annotations
@@ -35,6 +36,21 @@ def differing_lines(old: list[str], new: list[str]) -> list[tuple[str | None, st
     ]
 
 
+class ExportError(Exception):
+    """A revision that `git archive` cannot export; the message is one line."""
+
+
+def export(rev: str, dest: Path) -> None:
+    """Extract revision `rev` of this repository into the directory `dest`."""
+    try:
+        archive = subprocess.run(
+            ["git", "-C", str(ROOT), "archive", "--format=tar", rev], capture_output=True, check=True
+        ).stdout
+        subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, capture_output=True, check=True)
+    except subprocess.CalledProcessError as e:
+        raise ExportError(f"cannot export {rev}: {' '.join(e.stderr.decode().split())}") from None
+
+
 def fingerprint(tree: Path) -> list[str]:
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
     script = tree / "tests" / "fingerprint.py"
@@ -43,19 +59,19 @@ def fingerprint(tree: Path) -> list[str]:
     ).stdout.splitlines()
 
 
-def main() -> int:
-    args = sys.argv[1:]
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
     if len(args) != 1:
         print("usage: python tests/fingerprint_diff.py REV", file=sys.stderr)
         return 2
     try:
         with tempfile.TemporaryDirectory() as tmp:
-            archive = subprocess.run(
-                ["git", "-C", str(ROOT), "archive", "--format=tar", args[0]], capture_output=True, check=True
-            ).stdout
-            subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+            export(args[0], Path(tmp))
             old = fingerprint(Path(tmp))
         new = fingerprint(ROOT)
+    except ExportError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     except subprocess.CalledProcessError as e:
         detail = e.stderr.decode() if isinstance(e.stderr, bytes) else e.stderr or ""
         print(f"error: {' '.join(map(str, e.cmd))} exited {e.returncode}: {detail}", file=sys.stderr)

@@ -2,11 +2,11 @@
 
 Run as ``python tests/pairbench.py REV [--pairs N] [--out PATH]``,
 where N is a positive multiple of 12 (24 by default).
-``REV`` (a commit, tag or branch of this repository) is exported with
-``git archive`` into a temporary directory; nothing is fetched.  One
-process imports three copies of the package under distinct names:
-``samt_base`` and ``samt_twin`` from REV's ``src/samt``, ``samt_head``
-from this tree's.  Each copy builds its own run from the same config and
+``REV`` (a commit, tag or branch of this repository) is exported by
+``fingerprint_diff.export`` into a temporary directory; nothing is
+fetched.  One process imports three copies of the package under distinct
+names: ``samt_base`` and ``samt_twin`` from REV's ``src/samt``,
+``samt_head`` from this tree's.  Each copy builds its own run from the same config and
 seed, so the copies do the same work with their own code.
 
 Two comparisons are taken from each round: A/A (base against twin, the
@@ -57,7 +57,6 @@ import importlib
 import importlib.util
 import json
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
@@ -65,6 +64,8 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
+
+from fingerprint_diff import ExportError, export
 
 ROOT = Path(__file__).resolve().parents[1]
 BASE, TWIN, HEAD = "samt_base", "samt_twin", "samt_head"
@@ -200,12 +201,9 @@ def main(argv=None) -> int:
         parser.error(f"--pairs must be a positive multiple of 12, got {args.pairs}")
     with tempfile.TemporaryDirectory() as tmp:
         try:
-            archive = subprocess.run(
-                ["git", "-C", str(ROOT), "archive", "--format=tar", args.rev], capture_output=True, check=True
-            ).stdout
-            subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
-        except subprocess.CalledProcessError as e:
-            print(f"error: cannot export {args.rev}: {e.stderr.decode() if e.stderr else e}", file=sys.stderr)
+            export(args.rev, Path(tmp))
+        except ExportError as e:
+            print(f"error: {e}", file=sys.stderr)
             return 2
         result = measure(Path(tmp) / "src", ROOT / "src", args.pairs)
     report = {"rev": args.rev, "pairs": args.pairs, "seed": SEED, "workloads": result}

@@ -3,13 +3,17 @@
 `fingerprint.py` hashes every step and evaluation of a set of small runs;
 two processes with different hash seeds and the same OpenBLAS thread
 count must print the same lines.  `fingerprint_diff.py` pairs two trees'
-lines by run name.
+lines by run name, and it and `pairbench.py` reject a revision that
+cannot be exported.
 """
 
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SCRIPT = Path(__file__).resolve().with_name("fingerprint.py")
 
@@ -43,3 +47,13 @@ def test_diff_pairs_lines_by_run_name():
         ("b h=2 e=2 ok", "b h=5 e=2 DivergenceError"),
         ("gone h=3 e=3 ok", None),
     ]
+
+
+@pytest.mark.parametrize("script", ["fingerprint_diff", "pairbench"])
+def test_a_rev_that_does_not_exist_exits_2_with_one_error_line(script, tmp_path, capsys):
+    main = importlib.import_module(script).main
+    out = tmp_path / "pairs.json"
+    assert main(["no-such-rev"] + (["--out", str(out)] if script == "pairbench" else [])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot export no-such-rev: ") and err.count("\n") == 1
+    assert not out.exists()

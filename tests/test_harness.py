@@ -1,7 +1,11 @@
 import dataclasses
+import os
+import subprocess
+import sys
 import types
 import typing
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,10 +14,12 @@ from samt.cli import main as cli_main
 from samt.data import CLASSIFICATION, Dataset, load_csv, synth_classification, synth_regression, write_idx
 from samt import harness
 from samt.errors import ConfigError, DivergenceError
-from samt.etamodel import EtaModel
+from samt.etamodel import PSI_PENDING, EtaModel, init_eta_model, meta_gradients, psi_step
 from samt.optim import OagdEngine, SgdEngine
 from samt.trainer import train_epoch
+from samt.model import block_loss_and_gradients, init_network
 from samt.numerics import make_rng
+from samt.stepsize import StepSizeKind, grad_features
 from samt.harness import (
     CSV_HEADER,
     TrainConfig,
@@ -24,6 +30,8 @@ from samt.harness import (
     run_matrix,
     run_theory_suite,
 )
+
+SRC = Path(harness.__file__).resolve().parents[1]
 
 
 class TestParseConfig:
@@ -449,6 +457,8 @@ class TestCli:
     @pytest.mark.parametrize(
         "args,key",
         [
+            (["optimizer=samt_e", "eta0=nan"], "eta0"),
+            (["optimizer=samt_e", "activation_slope=nan"], "activation_slope"),
             (["optimizer=samt_e", "meta_learning_rate=nan"], "meta_learning_rate"),
             (["optimizer=samt_e", "meta_learning_rate=-1"], "meta_learning_rate"),
             (["optimizer=adam", "adam_rate=nan"], "adam_rate"),
@@ -674,3 +684,68 @@ def test_grouped_scalar_blocks_train(tmp_path):
     assert losses[-1] < losses[0]
     for r in rows:
         assert 0.0 < r.eta_min <= r.eta_max < 1.0
+
+
+class TestFiniteDifferenceChecks:
+    """The gradient checks bump each weight entry in place and restore it."""
+
+    @staticmethod
+    def build(kind, pending):
+        """A 4-5-3 net, its block-(1,) gradients and a psi holding `pending` output-layer terms."""
+        rng = make_rng(41)
+        net = init_network((4, 5, 3), rng)
+        batch, meta_batch = ((rng.standard_normal((4, 3)), rng.integers(0, 3, 3)) for _ in range(2))
+        grads = block_loss_and_gradients(net, batch, (1,))[1]
+        feats = grad_features(grads[1])
+        psi = dataclasses.replace(init_eta_model(kind, (3, 5), rng, hidden=6), meta_learning_rate=0.5)
+        for _ in range(pending):
+            psi_step(psi, meta_gradients(psi, feats, (1,), grads, 0.1, meta_batch, net).psi_grads)
+        assert psi.pending.n == pending
+        return net, batch, psi, (psi, feats, (1,), grads, 0.1, meta_batch, net)
+
+    @staticmethod
+    def weight_bytes(net, psi):
+        return [w.tobytes() for w in (*net.layer_weights, *psi.weights)]
+
+    def test_layer_check_restores_every_layer_weight(self):
+        net, batch, psi, _ = self.build(StepSizeKind.SCALAR, 0)
+        before = self.weight_bytes(net, psi)
+        assert harness.fd_layer_gradients(net, batch) <= 1e-6
+        assert self.weight_bytes(net, psi) == before
+
+    @pytest.mark.parametrize("pending", [0, PSI_PENDING - 1])
+    @pytest.mark.parametrize("kind", list(StepSizeKind))
+    def test_meta_check_restores_psi_and_the_net(self, kind, pending):
+        net, _, psi, args = self.build(kind, pending)
+        before = self.weight_bytes(net, psi)
+        assert harness.fd_meta_gradients(*args) <= 1e-5
+        assert self.weight_bytes(net, psi) == before
+
+    @pytest.mark.parametrize("calls", [1, 2, 7])
+    @pytest.mark.parametrize("check", ["layers", "meta"])
+    def test_a_loss_that_raises_leaves_the_bumped_entry_restored(self, monkeypatch, check, calls):
+        # the calls-th loss evaluation raises: up, down, or the up of a later entry
+        net, batch, psi, args = self.build(StepSizeKind.ELEMENT, PSI_PENDING - 1)
+        before = self.weight_bytes(net, psi)
+        count, batch_loss = [0], harness.batch_loss
+
+        def failing(*a):
+            count[0] += 1
+            if count[0] == calls:
+                raise RuntimeError("loss failed")
+            return batch_loss(*a)
+
+        monkeypatch.setattr(harness, "batch_loss", failing)
+        with pytest.raises(RuntimeError, match="loss failed"):
+            harness.fd_layer_gradients(net, batch) if check == "layers" else harness.fd_meta_gradients(*args)
+        assert count[0] == calls
+        assert self.weight_bytes(net, psi) == before
+
+
+def test_importing_a_submodule_loads_no_harness():
+    # the package's __init__ imports nothing, so a submodule brings only its own imports
+    code = "import sys, samt.data; print(*sorted(m for m in sys.modules if m.startswith('samt')))"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert not {"samt.harness", "samt.theory", "samt.optim"} & set(loaded.stdout.split())
+    assert "samt.data" in loaded.stdout.split()
