@@ -1,6 +1,7 @@
 """Command-line entry points.
 
-Exit codes: 0 success, 1 configuration, data or allocation error, 2 a
+Exit codes: 0 success, 1 configuration, data or allocation error, or a
+usage error, such as an unknown flag or a missing `--vary`, 2 a
 verification suite found a violated inequality (or a gradient check
 failed), 3 a training run diverged (a step's loss or meta loss was not
 finite).  A run that stops for any reason keeps its completed epochs' rows.
@@ -46,7 +47,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args, extra = parser.parse_known_args(argv)
+    try:
+        args, extra = parser.parse_known_args(argv)
+        if extra and args.command in ("theory", "gradcheck"):  # train and matrix read them as overrides
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    except SystemExit as e:  # argparse exits 0 after --help and 2 on a usage error
+        return 1 if e.code else 0
     try:
         if args.command == "train":
             config = parse_config(args.config, list(args.overrides) + extra)

@@ -137,7 +137,7 @@ def load_csv(path, target_column: str) -> Dataset:
     Features and targets stay in their raw units; `standardize` scales
     the features.
     """
-    with open(path, newline="", encoding="utf-8") as f:
+    with open(path, newline="", encoding="utf-8-sig") as f:
         reader = csv.reader(f)
         try:
             header = next(reader)

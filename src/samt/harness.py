@@ -26,7 +26,6 @@ from .data import (
     Dataset,
     load_csv,
     load_idx,
-    meta_subset,
     pixel_dataset,
     standardize,
     synth_classification,
@@ -149,7 +148,7 @@ _CONVERTERS = {key: _converter(hint) for key, hint in typing.get_type_hints(Trai
 
 def _read_config_file(path) -> dict[str, str]:
     pairs: dict[str, str] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -354,14 +353,12 @@ def build_state(config: TrainConfig, train_ds: Dataset) -> TrainRunState:
             step = StepSize.initial(kind, layer_shape, config.eta0)
             state = OagdState(step, psi, meta_lag=config.meta_lag, arm=config.ablation)
             engines.append(OagdEngine(state))
-    meta_source = meta_subset(train_ds) if any(e.needs_meta_batch for e in engines) else None
     return TrainRunState(
         net=net,
         plan=plan,
         engines=engines,
         rng_main=main_rng,
         rng_meta=meta_rng,
-        meta_source=meta_source,
     )
 
 

@@ -1,16 +1,16 @@
 """The matrix type and seeded randomness.
 
-Every numeric value in the package is a 2-D float64 array (vectors are
-n x 1), row-major except the step-size model's output layer, which is
-column-major (see `etamodel`).  The step-size broadcast rule lives in
-`stepsize`.
+A `Matrix` is a 2-D float64 array (vectors are n x 1), row-major except
+the step-size model's output layer, which is column-major (see
+`etamodel`).  Not every array is one: class labels are (N,) int64 and
+glyph corpora (n, side, side) uint8.  The step-size broadcast rule lives
+in `stepsize`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# A "matrix" everywhere in this package is a 2-D float64 ndarray.
 Matrix = np.ndarray
 
 

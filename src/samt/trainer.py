@@ -2,7 +2,8 @@
 
 Each outer iteration sweeps the blocks in ascending order and runs K
 inner engine steps per block, drawing a fresh main mini-batch (and, for
-adaptive engines, a fresh held-aside mini-batch) for every inner step.
+adaptive engines, a fresh held-aside mini-batch from the dataset's
+`data.meta_subset`) for every inner step.
 Later blocks see earlier blocks' already-updated weights within the
 same sweep.  The run's engines are built once and update their own
 state in place; each step rebinds the run's network.  `train_epoch`
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, sample_minibatch
+from .data import Dataset, meta_subset, sample_minibatch
 from .errors import DivergenceError, PlanError
 from .model import SOFTMAX_CE, NetworkModel, batch_loss, forward, output_loss
 
@@ -74,7 +75,6 @@ class TrainRunState:
     engines: list  # one per block, aligned with plan.blocks
     rng_main: np.random.Generator
     rng_meta: np.random.Generator
-    meta_source: Dataset | None = None  # the `data.meta_subset` view
     epoch: int = 0
 
     def __post_init__(self):
@@ -95,12 +95,9 @@ def train_epoch(state: TrainRunState, dataset: Dataset, batch_size: int, trace=N
     finite, or that raises `FloatingPointError`, raises `DivergenceError`;
     so does the epoch's last step when its batch's loss after the update is not.
     """
-    if dataset.num_samples == 0:
-        raise ValueError("dataset is empty")
-    if batch_size > dataset.num_samples:
-        raise ValueError(
-            f"batch size {batch_size} exceeds dataset size {dataset.num_samples}"
-        )
+    if not 1 <= batch_size <= dataset.num_samples:
+        raise ValueError(f"batch size must be >= 1 and <= the {dataset.num_samples} samples, got {batch_size}")
+    meta_source = meta_subset(dataset)
     iterations = math.ceil(dataset.num_samples / batch_size)
     losses = []
     last = [None] * len(state.plan.blocks)  # each block's last event this epoch
@@ -111,9 +108,7 @@ def train_epoch(state: TrainRunState, dataset: Dataset, batch_size: int, trace=N
                 main_batch = sample_minibatch(dataset, batch_size, state.rng_main)
                 meta_batch = None
                 if engine.needs_meta_batch:
-                    if state.meta_source is None:
-                        raise ValueError("adaptive engine needs a meta_source subset")
-                    meta_batch = sample_minibatch(state.meta_source, batch_size, state.rng_meta)
+                    meta_batch = sample_minibatch(meta_source, batch_size, state.rng_meta)
                 try:
                     state.net, event = engine.step(state.net, block, main_batch, meta_batch)
                     last[bi] = event
@@ -150,15 +145,16 @@ def train_epoch(state: TrainRunState, dataset: Dataset, batch_size: int, trace=N
 def evaluate(net: NetworkModel, dataset: Dataset, batch_size: int):
     """Full-pass (loss, metric) over the set in eval batches, under the
     net's own loss; the metric is the accuracy for softmax-CE, else the loss."""
+    if batch_size < 1:
+        raise ValueError(f"batch size must be >= 1, got {batch_size}")
     n = dataset.num_samples
     total_loss = 0.0
     total_metric = 0.0
     for start in range(0, n, batch_size):
-        stop = min(start + batch_size, n)
-        out = forward(net, dataset.features[:, start:stop])
-        y = dataset.targets[..., start:stop]
-        loss, _ = output_loss(net, out, y)
-        b = stop - start
+        batch = dataset.take(slice(start, start + batch_size))
+        out = forward(net, batch.features)
+        loss, _ = output_loss(net, out, batch.targets)
+        b = batch.num_samples
         total_loss += loss * b
-        total_metric += float((out.argmax(axis=0) == y).sum()) if net.loss_kind == SOFTMAX_CE else loss * b
+        total_metric += float((out.argmax(axis=0) == batch.targets).sum()) if net.loss_kind == SOFTMAX_CE else loss * b
     return total_loss / n, total_metric / n

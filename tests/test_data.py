@@ -75,6 +75,28 @@ class TestLoadIdx:
         with pytest.raises(DataFormatError, match="truncated"):
             load_idx(ip, lp)
 
+    @pytest.mark.parametrize(
+        "damage,match",
+        [
+            ("image_header", "truncated header"),
+            ("label_magic", "bad label magic 0xdeadbeef"),
+            ("label_data", "truncated label data"),
+        ],
+    )
+    def test_malformed_file_raises_naming_it(self, tmp_path, damage, match):
+        ip, lp = write_fixture_pair(
+            tmp_path, np.zeros((2, 2, 2), dtype=np.uint8), np.zeros(2, dtype=np.uint8)
+        )
+        if damage == "image_header":
+            ip.write_bytes(ip.read_bytes()[:10])
+        elif damage == "label_magic":
+            lp.write_bytes(struct.pack(">I", 0xDEADBEEF) + lp.read_bytes()[4:])
+        else:
+            lp.write_bytes(lp.read_bytes()[:-1])
+        with pytest.raises(DataFormatError, match=match) as info:
+            load_idx(ip, lp)
+        assert str(info.value).startswith(f"{ip if damage == 'image_header' else lp}: ")
+
     def test_count_mismatch(self, tmp_path):
         ip, _ = write_fixture_pair(
             tmp_path, np.zeros((2, 2, 2), dtype=np.uint8), np.zeros(2, dtype=np.uint8)
@@ -143,6 +165,30 @@ class TestLoadCsv:
         p.write_text("a,b,y\n1,2,3\n1,oops,3\n", encoding="utf-8")
         with pytest.raises(DataFormatError, match="row 3.*column b"):
             load_csv(p, "y")
+
+    @pytest.mark.parametrize(
+        "text,match",
+        [
+            ("", "empty file"),
+            ("a,b,y\n1,2,3\n1,2\n", "row 3 has 2 cells, expected 3"),
+            ("a,b,y\n", "no data rows"),
+        ],
+    )
+    def test_malformed_file_raises_naming_it(self, tmp_path, text, match):
+        p = tmp_path / "d.csv"
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(DataFormatError, match=match) as info:
+            load_csv(p, "y")
+        assert str(info.value).startswith(f"{p}: ")
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # a BOM is legal UTF-8; it read as part of the first column's name
+        p, q = tmp_path / "bom.csv", tmp_path / "plain.csv"
+        p.write_bytes(b"\xef\xbb\xbfy,x1\n1,2\n3,4\n")
+        q.write_bytes(b"y,x1\n1,2\n3,4\n")
+        with_bom, plain = load_csv(p, "y"), load_csv(q, "y")
+        assert with_bom.targets.tolist() == [[1.0, 3.0]] and with_bom.features.tolist() == [[2.0, 4.0]]
+        assert with_bom.features.tobytes() == plain.features.tobytes()
 
     def test_reusing_train_stats(self, tmp_path):
         p = tmp_path / "train.csv"

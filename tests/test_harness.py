@@ -73,6 +73,20 @@ class TestParseConfig:
         cfg = parse_config(p)
         assert cfg.dataset == "synthetic" and cfg.epochs == 2
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # a BOM is legal UTF-8; it read as part of the first key
+        p = tmp_path / "run.cfg"
+        p.write_bytes(b"\xef\xbb\xbfdataset = synthetic\nseed = 3\n")
+        cfg = parse_config(p)
+        assert cfg.dataset == "synthetic" and cfg.seed == 3
+
+    def test_file_line_without_equals_names_file_and_line(self, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_text("seed = 3\noptimizer sgd\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="expected 'key = value'") as info:
+            parse_config(p)
+        assert str(info.value).startswith(f"{p}:2: ")
+
     def test_grouping_syntax(self):
         cfg = parse_config(overrides=["grouping=0,1;2", "widths=4,3,3,2"])
         assert cfg.grouping == ((0, 1), (2,))
@@ -345,6 +359,11 @@ class TestRunMatrix:
         results = run_matrix(cfg, "projection", out_dir=tmp_path)
         assert set(results) == {"tanh", "sigmoid"}
 
+    def test_unknown_family_raises_before_writing(self, tmp_path):
+        with pytest.raises(ConfigError, match="vary must be one of ablation, projection, got 'bogus'"):
+            run_matrix(quick_config(), "bogus", out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_arms_share_everything_but_composition(self, tmp_path):
         # instrumented smoke run: identical batch streams and identical
         # step-model outputs at the first step; only the composed step differs
@@ -494,6 +513,10 @@ class TestCli:
             (["optimizer=sgd", "dataset=synthetic_images", "widths=784,10", "img_side=0"], "img_side"),
             (["optimizer=sgd", "dataset=synthetic_images", "widths=784,10", "img_classes=0"], "img_classes"),
             (["optimizer=sgd", "seed=-1"], "seed"),
+            (["optimizer=sgd", "seed=abc"], "seed"),
+            (["optimizer=sgd", "seed"], "seed"),  # an override without '='
+            (["optimizer=samt_s", "psi_bypass=maybe"], "psi_bypass"),
+            (["optimizer=sgd", "dataset=csv"], "csv_path"),
             (["optimizer=sgd", "train_batch=0"], "train_batch"),
             (["optimizer=sgd", "eval_batch=0"], "eval_batch"),
             (["optimizer=sgd", "widths=10,3,2,1", "grouping=0;0"], "grouping"),
@@ -531,6 +554,42 @@ class TestCli:
         err = capsys.readouterr().err
         assert "psi_bypass" in err and "ablation" in err
         assert not (tmp_path / "out").exists()
+
+    def test_matrix_exit_zero_writes_a_csv_per_family_member(self, tmp_path, capsys):
+        code = cli_main(
+            ["matrix", "--vary", "projection", "--out-dir", str(tmp_path), "dataset=synthetic", "widths=6,1",
+             "synth_d=6", "n_train=32", "n_test=16", "epochs=1", "train_batch=8", "optimizer=samt_s"]
+        )
+        assert code == 0
+        assert capsys.readouterr().out.count("samt_s on synthetic") == 2
+        for style in ("tanh", "sigmoid"):
+            assert (tmp_path / f"metrics_projection_{style}.csv").read_text().startswith(CSV_HEADER)
+
+    @pytest.mark.parametrize(
+        "argv,named",
+        [
+            (["theory", "--suite", "bogus"], "bogus"),
+            (["matrix"], "--vary"),
+            ([], "command"),
+            (["theory", "--seed", "x"], "'x'"),
+            (["train", "--config"], "--config"),
+            # theory and gradcheck take no overrides: a leftover is a misspelt flag
+            (["gradcheck", "--sed", "1"], "--sed 1"),
+            (["theory", "--suite", "contractivity", "--inject-bgu"], "--inject-bgu"),
+        ],
+    )
+    def test_usage_error_exits_one_naming_the_argument(self, argv, named, tmp_path, monkeypatch, capsys):
+        # exit 2 is the verification suites' "a violated inequality"
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "usage: samt" in captured.err and named in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [["--help"], ["theory", "--help"]])
+    def test_help_exits_zero(self, argv, capsys):
+        assert cli_main(argv) == 0
+        assert capsys.readouterr().out.startswith("usage: samt")
 
     def test_gradcheck_passes(self, capsys):
         assert cli_main(["gradcheck", "--seed=1"]) == 0

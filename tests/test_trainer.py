@@ -10,7 +10,7 @@ from samt.data import CLASSIFICATION, REGRESSION, Dataset, meta_subset, sample_m
 from samt.errors import DivergenceError, PlanError
 from samt.etamodel import init_eta_model
 from samt.harness import OPTIMIZERS, TrainConfig, build_state
-from samt.model import MSE, NetworkModel, block_loss_and_gradients, init_network
+from samt.model import MSE, NetworkModel, block_loss_and_gradients, forward, init_network, output_loss
 from samt.numerics import make_rng
 from samt.optim import OagdEngine, OagdState, SgdEngine
 from samt.stepsize import PROJECTION_STYLES, StepSize, StepSizeKind
@@ -76,7 +76,6 @@ class TestTrainEpoch:
             engines=bypassed_samt_engines((5, 4, 3), grouping=((0, 1),)),
             rng_main=make_rng(77),
             rng_meta=make_rng(78),
-            meta_source=meta_subset(ds),
         )
         state, _ = train_epoch(state, ds, batch_size=8)
 
@@ -105,7 +104,6 @@ class TestTrainEpoch:
                 engines=bypassed_samt_engines((4, 3, 2)),
                 rng_main=make_rng(6),
                 rng_meta=make_rng(7),
-                meta_source=meta_subset(ds),
             )
             state, stats = train_epoch(state, ds, batch_size=10)
             return state, stats
@@ -249,7 +247,6 @@ class TestTrainEpoch:
             engines=[OagdEngine(OagdState(StepSize.initial(StepSizeKind.ELEMENT, shape, 0.1), psi))],
             rng_main=make_rng(43),
             rng_meta=make_rng(44),
-            meta_source=meta_subset(ds),
         )
         seen = []
 
@@ -287,7 +284,6 @@ class TestTrainEpoch:
             engines=[Recording(OagdState(step, psi))],
             rng_main=make_rng(43),
             rng_meta=make_rng(44),
-            meta_source=meta_subset(ds),
         )
         _, stats = train_epoch(state, ds, batch_size=10)
         assert len(returned) == 20
@@ -307,6 +303,20 @@ class TestTrainEpoch:
         )
         with pytest.raises(ValueError):
             train_epoch(state, ds, batch_size=6)
+
+    def test_meta_batches_are_draws_from_the_datasets_meta_subset(self):
+        # the trainer derives the held-aside set from the dataset it is handed
+        ds = class_dataset(50, n=30, d=4, classes=3)
+        config = TrainConfig(widths=(4, 3, 3), optimizer="samt_s", train_batch=4, inner_steps=2, seed=5)
+        state = build_state(config, ds)
+        state.rng_meta = make_rng(51)
+        events = []
+        train_epoch(state, ds, config.train_batch, trace=events.append)
+        assert len(events) == math.ceil(30 / 4) * 2 * 2
+        replay = make_rng(51)
+        for event in events:
+            x, y = sample_minibatch(meta_subset(ds), config.train_batch, replay)
+            assert event.meta_batch[0].tobytes() == x.tobytes() and event.meta_batch[1].tobytes() == y.tobytes()
 
     def test_mean_of_steps_near_the_float_limit_is_finite(self):
         # a one-class net's gradients are 0, so adam's rate in each of its three
@@ -357,6 +367,24 @@ class TestEvaluate:
             tracemalloc.stop()
         assert peak < 2.5 * (100 * 1000 * 8)
 
+    @pytest.mark.parametrize("kind", [CLASSIFICATION, REGRESSION])
+    def test_equals_a_hand_loop_over_the_slices_bitwise(self, kind):
+        # 10 samples in batches of 3: the last batch holds one
+        rng = make_rng(34)
+        x = rng.standard_normal((4, 10))
+        if kind == CLASSIFICATION:
+            net, y = init_network((4, 5, 3), rng), rng.integers(0, 3, 10)
+        else:
+            net, y = init_network((4, 5, 2), rng, loss_kind=MSE), rng.standard_normal((2, 10))
+        total_loss = total_metric = 0.0
+        for start in range(0, 10, 3):
+            xb, yb = x[:, start : start + 3], y[..., start : start + 3]
+            out = forward(net, xb)
+            loss, _ = output_loss(net, out, yb)
+            total_loss += loss * xb.shape[1]
+            total_metric += float((out.argmax(axis=0) == yb).sum()) if kind == CLASSIFICATION else loss * xb.shape[1]
+        assert evaluate(net, Dataset(x, y, kind), batch_size=3) == (total_loss / 10, total_metric / 10)
+
     def test_regression_metric_is_mse(self):
         net = NetworkModel((np.array([[2.0]]),), loss_kind=MSE)
         x = np.array([[1.0, 2.0]])
@@ -365,6 +393,23 @@ class TestEvaluate:
         loss, metric = evaluate(net, ds, batch_size=10)
         assert loss == pytest.approx(0.5)
         assert metric == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("batch_size", [0, -1])
+@pytest.mark.parametrize("call", ["train_epoch", "evaluate"])
+def test_batch_size_below_one_raises_value_error(call, batch_size):
+    # 0 divided by zero in train_epoch and -1 left its batch unbound; evaluate returned (0.0, 0.0) at -1
+    ds = class_dataset(20, n=5)
+    net = init_network((6, 2), make_rng(21))
+    state = TrainRunState(
+        net=net,
+        plan=block_partition(1),
+        engines=[SgdEngine(0.1)],
+        rng_main=make_rng(22),
+        rng_meta=make_rng(23),
+    )
+    with pytest.raises(ValueError, match="batch size"):
+        train_epoch(state, ds, batch_size) if call == "train_epoch" else evaluate(net, ds, batch_size)
 
 
 @st.composite
