@@ -11,8 +11,9 @@ shape.  `meta_gradients` composes the heads into a step
 `stepsize.candidate_weights` and the block's gradient dict.  The model
 is trained in place (`psi_step`) by plain gradient descent on the loss
 those weights achieve on a held-aside mini-batch, its output layer's
-updates deferred and folded in PSI_PENDING at a time.  The model
-carries the step-size kind; a `psi_bypass` run builds none.
+updates deferred and folded in PSI_PENDING at a time, stored in float32
+in a run and in float64 for the gradient checks; the heads stay float64.
+The model carries the step-size kind; a `psi_bypass` run builds none.
 """
 
 from __future__ import annotations
@@ -46,15 +47,19 @@ PSI_PENDING = 8
 # and at most PSI_CHUNK_ENTRIES entries (4,096 rows of a 64-wide matrix, 2 MiB).
 PSI_TILE_MIN_ROWS = 512
 PSI_CHUNK_ENTRIES = 4096 * 64
+# B is drawn in pieces of this many float64 entries (512 KiB).
+PSI_DRAW_ENTRIES = 2**16
 
 
 @dataclass
 class _Pending:
     """Updates not yet folded into w3: psi's output layer is w3 - u[:, :n] @ v[:, :n].T,
-    and [w3 | u[:, :n]] = joint[:, : hidden + n], so each psi matvec is one BLAS call."""
+    and [w3 | u[:, :n]] = joint[:, : hidden + n], so each psi matvec is one BLAS call.
+    joint and v have psi's storage dtype (float32 in a run); `heads` is float64."""
 
-    joint: Matrix  # 2k x (hidden + PSI_PENDING), column-major; allocated with psi, as is v
+    joint: Matrix  # 2k x (hidden + PSI_PENDING), column-major; allocated with psi, as are v and heads
     v: Matrix  # hidden x PSI_PENDING, meta learning rate folded in
+    heads: Matrix  # 2k x 1: each psi_forward's raw heads, then their slope, then meta_gradients' du3
     n: int = 0
 
     @property
@@ -69,7 +74,7 @@ class EtaModel:
 
     The weight arrays and pending updates are owned by the one adaptive
     engine that holds the model and are mutated in place by `psi_step`,
-    and every `psi_forward` call writes the next pending column.  A
+    and every `psi_forward` call writes `pending.heads`.  A
     `dataclasses.replace` copy shares every array it does not replace,
     the pending updates included.
     """
@@ -115,36 +120,39 @@ def init_eta_model(
     activation_slope: float = DEFAULT_ACTIVATION_SLOPE,
     projection_style: str = TANH,
     meta_learning_rate: float = DEFAULT_META_LEARNING_RATE,
+    dtype=np.float64,
 ) -> EtaModel:
     head_shape = kind.shape_for(layer_shape)
     k = head_shape[0] * head_shape[1]
     w1, w2 = glorot_init((hidden, NUM_FEATURES), rng), glorot_init((hidden, hidden), rng)
-    joint = np.empty((2 * k, hidden + PSI_PENDING), order="F")
-    glorot_init((hidden, 2 * k), rng, out=joint[:, :hidden].T)  # the row-major draws of a (hidden, 2k) init
+    joint = np.empty((2 * k, hidden + PSI_PENDING), dtype, order="F")
+    b = joint[:, :hidden].T.reshape(-1)  # a view: B in the row-major order of a (hidden, 2k) init
+    for s in range(0, b.size, PSI_DRAW_ENTRIES):
+        b[s : s + PSI_DRAW_ENTRIES] = glorot_init((hidden, 2 * k), rng, size=min(PSI_DRAW_ENTRIES, b.size - s))
     return EtaModel(
         w1, w2, kind, head_shape, activation_slope, projection_style, meta_learning_rate,
-        pending=_Pending(joint, np.empty((hidden, PSI_PENDING))),
+        pending=_Pending(joint, np.empty((hidden, PSI_PENDING), dtype), np.empty((2 * k, 1))),
     )
 
 
 def psi_forward(psi: EtaModel, d_col: Matrix) -> tuple[Matrix, Matrix, Matrix, Matrix]:
     """Scale factor beta and candidate step eta_hat, in the step's shape, and the
     hidden outputs h1, h2 for one (5, 1) feature column.  Every call writes the
-    raw heads, then their slope, into psi's next pending column, `pending.u[:, n]`.
-    Non-finite features or raw heads raise `FloatingPointError`."""
+    raw heads, then their slope, into `pending.heads`; the matvec reads h2 cast
+    to the storage dtype.  Non-finite features or raw heads raise `FloatingPointError`."""
     if not np.isfinite(d_col).all():
         values = ", ".join(f"{v:.3g}" for v in d_col.ravel())
         raise FloatingPointError(f"psi input is not finite: [{values}]")
     h1 = leaky_relu(psi.w1 @ d_col, psi.activation_slope)
     h2 = leaky_relu(psi.w2 @ h1, psi.activation_slope)
     p = psi.pending
-    u3 = p.u[:, p.n : p.n + 1]
-    np.matmul(p.joint[:, : h2.shape[0] + p.n], np.concatenate((h2, -(p.v[:, : p.n].T @ h2))), out=u3)
-    if not np.isfinite(u3).all():
+    x = h2.astype(p.joint.dtype, copy=False)  # cast the vector: a float64 one would copy the array
+    np.matmul(p.joint[:, : x.shape[0] + p.n], np.concatenate((x, -(p.v[:, : p.n].T @ x))), out=p.heads)
+    if not np.isfinite(p.heads).all():
         raise FloatingPointError("psi raw heads are not finite")
     k = psi.entry_count
-    heads, _ = project_unit(u3, psi.projection_style, out=u3)
-    beta, eta_hat = (h.reshape(psi.head_shape) for h in (heads[:k], heads[k:]))
+    unit, _ = project_unit(p.heads, psi.projection_style, out=p.heads)
+    beta, eta_hat = (h.reshape(psi.head_shape) for h in (unit[:k], unit[k:]))
     return beta, eta_hat, h1, h2
 
 
@@ -155,8 +163,8 @@ class MetaStep:
     The model's input is one feature column, so each of its weight
     gradients is an outer product: `psi_grads` holds one factor pair
     (u, v) per layer, whose gradient is u @ v.T.  The (2k x hidden)
-    output-layer gradient is never built; its u is psi's next pending
-    column, where `psi_step` keeps it; any `psi_forward` call before that rewrites it.
+    output-layer gradient is never built; its u is `pending.heads`, which `psi_step`
+    copies into the next pending column; any `psi_forward` call before that rewrites it.
     """
 
     psi_grads: tuple[tuple[Matrix, Matrix], ...]
@@ -183,7 +191,7 @@ def meta_gradients(
     step; the candidate weights w' = w - step (*) g are substituted into
     the network; the loss on `meta_batch` is differentiated back through
     the substitution, the composition, the unit projection and the MLP.
-    Its `psi_forward` call writes psi's next pending column; du3 is built there.
+    Its `psi_forward` call writes psi's `pending.heads`; du3 is built there.
 
     Args:
         d_col: the (5, 1) feature column of the block's gradient.
@@ -195,7 +203,7 @@ def meta_gradients(
     block = tuple(block)
     k, p = psi.entry_count, psi.pending
     beta, eta_hat, h1, h2 = psi_forward(psi, d_col)
-    du3 = p.u[:, p.n : p.n + 1]  # psi_step keeps it there
+    du3 = p.heads
     step_cand, dstep_dbeta, dstep_deta = compose_step(arm, beta, eta0, eta_hat)
 
     w_prime = candidate_weights(net, block, grads, step_cand)
@@ -211,8 +219,8 @@ def meta_gradients(
         head *= np.multiply(dstep_dhead, dstep, out=dstep_dhead).reshape(k, 1)
 
     hidden = h2.shape[0]
-    dh2 = p.joint[:, : hidden + p.n].T @ du3
-    dh2 = dh2[:hidden] - p.v[:, : p.n] @ dh2[hidden:]
+    dh2 = p.joint[:, : hidden + p.n].T @ du3.astype(p.joint.dtype, copy=False)
+    dh2 = dh2[:hidden].astype(np.float64, copy=False) - p.v[:, : p.n] @ dh2[hidden:]
     du2 = leaky_relu_backward(h2, dh2, psi.activation_slope)
     du1 = leaky_relu_backward(h1, psi.w2.T @ du2, psi.activation_slope)
 
@@ -229,7 +237,7 @@ def psi_step(psi: EtaModel, grads) -> None:
     the PSI_PENDING-th folds them into w3, one matmul per tile of whole
     rows (an eighth of them, at least PSI_TILE_MIN_ROWS, at most
     PSI_CHUNK_ENTRIES entries and at least one row), so each tile reads
-    its rows of u once.  The model's arrays are mutated in place.
+    its rows of u once, in the storage dtype.  The model's arrays are mutated in place.
     """
     for (u, v), w in zip(grads, psi.weights, strict=True):
         if u.shape != (w.shape[0], 1) or v.shape != (w.shape[1], 1):
@@ -240,13 +248,13 @@ def psi_step(psi: EtaModel, grads) -> None:
     for (u, v), w in zip(grads[:2], psi.weights):
         w -= lr * (u @ v.T)
     (u3, h2), w3, p = grads[2], psi.w3, psi.pending
-    p.u[:, p.n : p.n + 1] = u3  # numpy skips the copy when meta_gradients wrote u3 there
+    p.u[:, p.n : p.n + 1] = u3
     p.v[:, p.n] = lr * h2[:, 0]
     p.n += 1
     if p.n == PSI_PENDING:
         rows, cols = w3.shape
         height = max(1, min(rows, max(PSI_TILE_MIN_ROWS, rows // 8), PSI_CHUNK_ENTRIES // cols))
-        buf = np.empty((height, cols), order="F")
+        buf = np.empty((height, cols), w3.dtype, order="F")
         for s in range(0, rows, height):
             w3[s : s + height] -= np.matmul(p.u[s : s + height], p.v.T, out=buf[: min(height, rows - s)])
         p.n = 0

@@ -349,6 +349,7 @@ def build_state(config: TrainConfig, train_ds: Dataset) -> TrainRunState:
                 activation_slope=config.activation_slope,
                 projection_style=config.projection_style,
                 meta_learning_rate=config.meta_learning_rate,
+                dtype=np.float32,
             )
             step = StepSize.initial(kind, layer_shape, config.eta0)
             state = OagdState(step, psi, meta_lag=config.meta_lag, arm=config.ablation)
@@ -556,7 +557,7 @@ def fd_layer_gradients(net: NetworkModel, batch) -> float:
 def fd_meta_gradients(psi, feats, block, grads, eta0, meta_batch, net, arm="full") -> float:
     """Worst relative error between the meta chain and central differences, bumping psi's weights."""
     meta = meta_gradients(psi, feats, block, grads, eta0, meta_batch, net, arm=arm)
-    analytic = [u @ v.T for u, v in meta.psi_grads]  # before psi_forward below overwrites du3's column
+    analytic = [u @ v.T for u, v in meta.psi_grads]  # before psi_forward below overwrites du3
 
     def meta_loss() -> float:
         beta, eta_hat, _, _ = psi_forward(psi, feats)

@@ -63,10 +63,11 @@ class NetworkModel:
         return NetworkModel(tuple(new), self.activation_slope, self.loss_kind)
 
 
-def glorot_init(shape: tuple[int, int], rng: np.random.Generator, out: Matrix | None = None) -> Matrix:
-    """Uniform init in +-sqrt(6 / (fan_in + fan_out)), into `out` if given; rng.uniform's draws and bytes."""
+def glorot_init(shape: tuple[int, int], rng: np.random.Generator, size: int | None = None) -> Matrix:
+    """Uniform init in +-sqrt(6 / (fan_in + fan_out)), rng.uniform's draws and bytes; with `size`,
+    only the next `size` draws of that init, flat, so consecutive calls draw it piece by piece."""
     limit = np.sqrt(6.0 / sum(shape))
-    w = rng.random(size=shape, out=out)
+    w = rng.random(size=shape if size is None else size)
     w *= 2.0 * limit
     w -= limit
     return w

@@ -1,10 +1,10 @@
 """The matrix type and seeded randomness.
 
 A `Matrix` is a 2-D float64 array (vectors are n x 1), row-major except
-the step-size model's output layer, which is column-major (see
-`etamodel`).  Not every array is one: class labels are (N,) int64 and
-glyph corpora (n, side, side) uint8.  The step-size broadcast rule lives
-in `stepsize`.
+the step-size model's joint output array, column-major and float32 in a
+run, as is its pending v (see `etamodel`; its heads buffer is float64).
+Not every array is one: class labels are (N,) int64 and glyph corpora
+(n, side, side) uint8.  The step-size broadcast rule lives in `stepsize`.
 """
 
 from __future__ import annotations

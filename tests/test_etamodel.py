@@ -28,10 +28,11 @@ def effective_w3(psi):
 
 def materialised(psi):
     """A copy of psi whose output-layer base is psi's effective output layer
-    and that holds no pending terms, in a copy of psi's joint array."""
+    and that holds no pending terms, in a copy of psi's joint array and with
+    a heads buffer of its own."""
     joint, hidden = psi.pending.joint.copy(order="F"), psi.w3.shape[1]
     joint[:, :hidden] = effective_w3(psi)
-    return replace(psi, pending=replace(psi.pending, joint=joint, n=0))
+    return replace(psi, pending=replace(psi.pending, joint=joint, heads=psi.pending.heads.copy(), n=0))
 
 
 def make_setup(kind, seed=0, widths=(4, 5, 3), block=(1,), hidden=6):
@@ -79,23 +80,22 @@ class TestPsiForward:
             psi_forward(psi, grad_features(np.ones((2, 3))))
 
     @pytest.mark.parametrize("style", PROJECTION_STYLES)
-    def test_leaves_the_slope_at_the_raw_heads_in_the_next_pending_column(self, style):
+    def test_leaves_the_slope_at_the_raw_heads_in_the_heads_buffer(self, style):
         hidden = 5
         psi = replace(init_eta_model(StepSizeKind.ROW, (3, 4), make_rng(6), hidden=hidden), projection_style=style)
-        psi_step(psi, factors_like(psi, 0.1))  # one pending term, so the next column is u[:, 1]
+        psi_step(psi, factors_like(psi, 0.1))  # one pending term
         p, before = psi.pending, psi.pending.joint.copy(order="F")
         beta, eta_hat, _, h2 = psi_forward(psi, grad_features(make_rng(7).standard_normal((3, 4))))
         raw = p.joint[:, : hidden + 1] @ np.concatenate((h2, -(p.v[:, :1].T @ h2)))
         heads, slope = project_unit(raw, style)
-        assert p.n == 1 and p.u[:, 1:2].tobytes() == slope.tobytes()
+        assert p.n == 1 and p.heads.tobytes() == slope.tobytes()
         assert np.concatenate((beta, eta_hat)).tobytes() == heads.tobytes()
-        p.u[:, 1] = before[:, hidden + 1]  # no other entry of the joint array changed
-        assert p.joint.tobytes() == before.tobytes()
+        assert p.joint.tobytes() == before.tobytes()  # the joint array is only read
 
     def test_desk_element_forward_holds_three_head_sized_arrays(self):
         # at most 3 x 1.20 MiB on a 100x784 element head; the tanh heads
-        # hold 1, as the raw heads and their slope go to psi's next
-        # pending column (six temporaries in project_unit took it to 5.98 MiB)
+        # hold 1, as the raw heads and their slope go to psi's heads
+        # buffer (six temporaries in project_unit took it to 5.98 MiB)
         psi = init_eta_model(StepSizeKind.ELEMENT, (100, 784), make_rng(4), hidden=8)
         feats = grad_features(make_rng(5).standard_normal((100, 784)))
         psi_forward(psi, feats)
@@ -156,13 +156,42 @@ class TestInitEtaModel:
         glorot_init((2 * k, hidden), reference)
         assert rng.random() == reference.random()
 
-    @pytest.mark.parametrize("hidden", [1, 5, 64])
-    def test_output_layer_holds_the_bytes_of_a_row_major_init(self, hidden):
-        psi = init_eta_model(StepSizeKind.ROW, (30, 4), make_rng(hidden), hidden=hidden)
+    @pytest.mark.parametrize(
+        "kind,layer_shape,hidden",
+        [
+            (StepSizeKind.ROW, (30, 4), 1),
+            (StepSizeKind.ROW, (30, 4), 5),
+            (StepSizeKind.ROW, (30, 4), 64),
+            # 1,254,400 entries: 19 whole pieces of PSI_DRAW_ENTRIES and a part
+            (StepSizeKind.ELEMENT, (100, 784), 8),
+        ],
+    )
+    def test_output_layer_holds_the_bytes_of_a_row_major_init(self, kind, layer_shape, hidden):
+        psi = init_eta_model(kind, layer_shape, make_rng(hidden), hidden=hidden)
         reference = make_rng(hidden)
         glorot_init((hidden, NUM_FEATURES), reference)
         glorot_init((hidden, hidden), reference)
-        assert psi.w3.tobytes(order="F") == glorot_init((hidden, 60), reference).tobytes()
+        rows = psi.w3.shape[0]
+        assert psi.w3.tobytes(order="F") == glorot_init((hidden, rows), reference).tobytes()
+        assert psi.pending.joint.dtype == psi.pending.v.dtype == np.float64
+        assert psi.pending.heads.shape == (rows, 1) and psi.pending.heads.dtype == np.float64
+
+    @pytest.mark.parametrize(
+        "kind,layer_shape,hidden", [(StepSizeKind.ROW, (30, 4), 5), (StepSizeKind.ELEMENT, (100, 784), 8)]
+    )
+    def test_float32_output_layer_is_the_float64_one_rounded(self, kind, layer_shape, hidden):
+        # the same draws, rounded once; psi's later draws and the network's
+        # come from the same rng, so the stream must not depend on the dtype
+        rng64, rng32 = make_rng(9), make_rng(9)
+        psi64 = init_eta_model(kind, layer_shape, rng64, hidden=hidden)
+        psi32 = init_eta_model(kind, layer_shape, rng32, hidden=hidden, dtype=np.float32)
+        assert psi32.pending.joint.dtype == psi32.pending.v.dtype == np.float32
+        assert psi32.pending.heads.dtype == np.float64
+        assert psi32.w3.flags.f_contiguous
+        assert psi32.w3.tobytes() == psi64.w3.astype(np.float32).tobytes()
+        for a, b in zip(psi32.weights[:2], psi64.weights[:2]):
+            assert a.dtype == np.float64 and a.tobytes() == b.tobytes()
+        assert rng32.random() == rng64.random()
 
     def test_output_layer_is_the_joint_arrays_leading_columns_and_cannot_be_replaced(self):
         # a separate w3 would be read with the pending columns of another array
@@ -183,16 +212,19 @@ class TestInitEtaModel:
         with pytest.raises(ValueError, match="projection_style"):
             init_eta_model(StepSizeKind.SCALAR, (3, 4), make_rng(0), hidden=5, projection_style="relu")
 
-    def test_desk_element_head_allocates_no_transient_copy(self):
-        # w3 of an element head on a 100x784 layer is 156,800 x 64 (80 MB)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_desk_element_head_allocates_no_transient_copy(self, dtype):
+        # w3 of an element head on a 100x784 layer is 156,800 x 64 (80 MB in
+        # float64); B is drawn in 512 KiB pieces, so the peak is psi's own arrays
         tracemalloc.start()
         try:
-            psi = init_eta_model(StepSizeKind.ELEMENT, (100, 784), make_rng(2))
+            psi = init_eta_model(StepSizeKind.ELEMENT, (100, 784), make_rng(2), dtype=dtype)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        p = psi.pending
         assert psi.w3.shape == (156_800, 64)
-        assert peak <= psi.w3.nbytes + psi.pending.u.nbytes + psi.pending.v.nbytes + 2**20
+        assert peak <= psi.w3.nbytes + p.u.nbytes + p.v.nbytes + p.heads.nbytes + 2**20
 
 
 class TestMetaGradients:
@@ -393,13 +425,14 @@ class TestPsiStep:
         assert psi.pending.n == 1
         assert peak < psi.w3.nbytes / 2
 
-    def test_desk_element_head_peaks_at_most_5_mib_over_a_fold(self):
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_desk_element_head_peaks_at_most_5_mib_over_a_fold(self, dtype):
         # the desk net's layer-0 element head at the default hidden 64: a
         # step allocates the heads, the composed step, w' and the meta
         # pass's gradient, and the fold adds its scratch tile
         rng = make_rng(42)
         net = init_network((784, 100, 10), rng)
-        psi = init_eta_model(StepSizeKind.ELEMENT, net.layer_weights[0].shape, rng)
+        psi = init_eta_model(StepSizeKind.ELEMENT, net.layer_weights[0].shape, rng, dtype=dtype)
         batches = [
             ((rng.standard_normal((784, 64)), rng.integers(0, 10, 64)),) * 2 for _ in range(PSI_PENDING + 1)
         ]
@@ -418,14 +451,16 @@ class TestPsiStep:
         assert psi.w3.shape == (156_800, 64) and psi.pending.n == 1
         assert max(peaks) <= 5 * 2**20
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("layer_shape,tile_rows", [((32, 64), 512), ((16, 32), 512), ((100, 784), 4096)])
-    def test_fold_scratch_is_one_tile_of_an_eighth_of_the_rows_within_bounds(self, layer_shape, tile_rows):
+    def test_fold_scratch_is_one_tile_of_an_eighth_of_the_rows_within_bounds(self, layer_shape, tile_rows, dtype):
         # 4,096 rows (tiny_mix's layer-0 head) fold in eighths, 1,024 rows
         # at the 512-row floor and the desk head's 156,800 rows at the
-        # 4,096-row ceiling.  Besides the scratch tile, the fold's peak
-        # holds only the iteration buffers (about 129 KiB) numpy's in-place
-        # subtraction allocates for a strided tile of rows
-        psi = init_eta_model(StepSizeKind.ELEMENT, layer_shape, make_rng(3))
+        # 4,096-row ceiling.  Besides the scratch tile, in the storage
+        # dtype, the fold's peak holds only the iteration buffers (about
+        # 129 KiB) numpy's in-place subtraction allocates for a strided
+        # tile of rows
+        psi = init_eta_model(StepSizeKind.ELEMENT, layer_shape, make_rng(3), dtype=dtype)
         rows, cols = psi.w3.shape
         grads = factors_like(psi, 1.0)
         for _ in range(PSI_PENDING - 1):
@@ -437,9 +472,9 @@ class TestPsiStep:
         finally:
             tracemalloc.stop()
         assert psi.pending.n == 0
-        scratch = tile_rows * cols * 8
+        scratch = tile_rows * cols * np.dtype(dtype).itemsize
         assert scratch <= peak <= scratch + 2**18
-        if rows == 4096:
+        if rows == 4096 and dtype is np.float64:
             assert scratch == 2**18  # 256 KiB
 
     def test_one_step_reduces_meta_loss(self):
@@ -499,9 +534,9 @@ class TestPendingUpdates:
         dense = materialised(psi)
         for got, want in zip(psi_forward(psi, feats)[:2], psi_forward(dense, feats)[:2]):
             assert np.abs(got - want).max() <= 1e-15
-        # each call left its slope in its own psi's next pending column
-        slope, want = (q.pending.u[:, q.pending.n] for q in (psi, dense))
-        assert np.abs(slope - want).max() <= 1e-15
+        # each call left its slope in its own psi's heads buffer
+        slope, want = (q.pending.heads for q in (psi, dense))
+        assert slope is not want and np.abs(slope - want).max() <= 1e-15
 
     def test_replaced_copy_shares_the_pending_terms(self):
         psi, _ = self.stepped(StepSizeKind.ROW, 1)
@@ -554,3 +589,111 @@ def test_meta_gradients_over_multi_layer_scalar_block():
 
     worst = fd_meta_gradients(psi, feats, block, grads, eta0, (mx, my), net)
     assert worst <= 1e-5
+
+
+def desk_element_step(seed=50):
+    """The desk net, one layer-0 main-batch gradient and a meta batch, each of 64 samples."""
+    rng = make_rng(seed)
+    net = init_network((784, 100, 10), rng)
+    main_batch, meta_batch = ((rng.standard_normal((784, 64)), rng.integers(0, 10, 64)) for _ in range(2))
+    _, grads = block_loss_and_gradients(net, main_batch, (0,))
+    return net, grads, meta_batch
+
+
+class TestFloat32Storage:
+    def test_desk_element_chain_stays_within_float32_rounding_of_the_float64_chain(self):
+        # Both psis draw the same weights; the float32 one rounds its joint
+        # array once (u = eps32 / 2 per entry).  The only float32 arithmetic
+        # is the two matvecs; everything head-sized is float64 in both.
+        #   raw heads: each is a dot product of n = hidden terms of B and h2,
+        #     both rounded to float32 and summed in float32.  Rounding the
+        #     inputs costs 2u |B| |h2| and the sum gamma_n |B| |h2| with
+        #     gamma_n = n u / (1 - n u) < (n + 1) u, so |d raw| is below
+        #     (n + 3) u |B| |h2| = (n + 3) eps32 / 2 |B| |h2|; the bound below
+        #     takes eps32 for u, twice that, which also covers float64's own rounding.
+        #   beta, eta_hat: 0.5 (tanh(raw) + 1) is 1/2-Lipschitz, and the clip 1-Lipschitz.
+        #   step = beta eta0 + (1 - beta) eta_hat moves by
+        #     d_beta (eta0 - eta_hat) + (1 - beta) d_eta_hat - d_beta d_eta_hat,
+        #     plus a few eps64 of float64 rounding on either side.
+        #   d_col, h1, h2: w1 and w2 are float64 in both, so they are bitwise equal.
+        #   du3 = slope * d step / d head * d loss / d step: each factor is a
+        #     smooth float64 function of the heads, so to first order du3
+        #     inherits their relative error; the bound is (n + 3) eps32 of its
+        #     largest entry.
+        #   du2: dh2 = B^T du3 sums 2k terms in float32, so |d dh2| is below
+        #     |B|^T |d du3| + (2k + 3) eps32 |B|^T |du3|, and du2 masks dh2 as
+        #     h2 does, with h2 equal in both.  du1 = mask(w2^T du2) in float64
+        #     moves by at most |w2|^T |d du2|; float64's own rounding of both
+        #     chains' B^T du3 and w2^T du2 is far inside the eps32 terms.
+        net, grads, meta_batch = desk_element_step()
+        feats, eta0 = grad_features(grads[0]), 0.1
+        steps = []
+        for dtype in (np.float64, np.float32):
+            psi = init_eta_model(StepSizeKind.ELEMENT, (100, 784), make_rng(51), dtype=dtype)
+            g = {0: grads[0].copy()}  # meta_gradients consumes nothing of grads, but keep them apart
+            steps.append((psi, meta_gradients(psi, feats, (0,), g, eta0, meta_batch, net)))
+        (psi64, a), (psi32, b) = steps
+        assert psi32.w3.tobytes() == psi64.w3.astype(np.float32).tobytes()
+        eps32, eps64 = np.finfo(np.float32).eps, np.finfo(np.float64).eps
+        (du1, d_col), (du2, h1), (du3, h2) = a.psi_grads
+        hidden, rows = h2.shape[0], du3.shape[0]
+        abs_b = np.abs(psi64.w3)
+
+        d_head = 0.5 * (hidden + 3) * eps32 * (abs_b @ np.abs(h2)).reshape(2, *a.beta.shape) + 4 * eps64
+        d_beta, d_eta = d_head
+        assert (np.abs(b.beta - a.beta) <= d_beta).all()
+        assert (np.abs(b.eta_hat - a.eta_hat) <= d_eta).all()
+        d_step = d_beta * np.abs(eta0 - a.eta_hat) + (1 - a.beta) * d_eta + d_beta * d_eta + 8 * eps64
+        assert (np.abs(b.step_candidate - a.step_candidate) <= d_step).all()
+
+        (du1_32, d_col_32), (du2_32, h1_32), (du3_32, h2_32) = b.psi_grads
+        for got, want in ((d_col_32, d_col), (h1_32, h1), (h2_32, h2)):
+            assert got.tobytes() == want.tobytes()
+        assert all(f.dtype == np.float64 for pair in b.psi_grads for f in pair)
+        assert np.abs(du3_32 - du3).max() <= (hidden + 3) * eps32 * np.abs(du3).max()
+        d_dh2 = abs_b.T @ np.abs(du3_32 - du3) + (rows + 3) * eps32 * (abs_b.T @ np.abs(du3))
+        assert (np.abs(du2_32 - du2) <= d_dh2).all()
+        d_du1 = np.abs(psi64.w2).T @ d_dh2
+        assert (np.abs(du1_32 - du1) <= d_du1).all()
+        # the bounds are loose, but each quantity did move
+        assert (du3_32 != du3).any() and (b.step_candidate != a.step_candidate).any()
+
+    def test_a_run_stores_psi_in_float32_and_gradcheck_in_float64(self, capsys):
+        # with float32 weights the element and row meta checks read 8.7e-5
+        # and 2.9e-5 against their 1e-5 bound: central differences at
+        # FD_STEP = 1e-5 cannot resolve them, so a passing gradcheck is float64's
+        from samt.data import CLASSIFICATION, Dataset
+        from samt.harness import TrainConfig, build_state, run_gradcheck
+
+        config = TrainConfig(widths=(4, 3, 2), optimizer="samt_e", train_batch=2)
+        ds = Dataset(np.zeros((4, 2)), np.zeros(2, dtype=np.int64), CLASSIFICATION)
+        for engine in build_state(config, ds).engines:
+            p = engine.state.psi.pending
+            assert (p.joint.dtype, p.v.dtype, p.heads.dtype) == (np.float32, np.float32, np.float64)
+        assert run_gradcheck(0) == 0 and "FAIL" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("phase", ["psi_forward", "meta_gradients", "psi_step", "fold"])
+    def test_desk_element_head_never_copies_the_joint_array(self, phase):
+        # a float64 operand in either matvec or the fold would make numpy
+        # copy the float32 joint array to float64 (90 MB); the peak must
+        # stay below one float32 copy of it (45 MB)
+        net, grads, meta_batch = desk_element_step(52)
+        psi = init_eta_model(StepSizeKind.ELEMENT, (100, 784), make_rng(53), dtype=np.float32)
+        feats = grad_features(grads[0])
+        for _ in range(PSI_PENDING - 1 if phase == "fold" else 1):
+            psi_step(psi, meta_gradients(psi, feats, (0,), grads, 0.1, meta_batch, net).psi_grads)
+        meta = meta_gradients(psi, feats, (0,), grads, 0.1, meta_batch, net)
+        call = {
+            "psi_forward": lambda: psi_forward(psi, feats),
+            "meta_gradients": lambda: meta_gradients(psi, feats, (0,), grads, 0.1, meta_batch, net),
+            "psi_step": lambda: psi_step(psi, meta.psi_grads),
+            "fold": lambda: psi_step(psi, meta.psi_grads),
+        }[phase]
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert psi.pending.n == {"psi_forward": 1, "meta_gradients": 1, "psi_step": 2, "fold": 0}[phase]
+        assert peak < psi.pending.joint.nbytes / 8

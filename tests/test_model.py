@@ -289,12 +289,36 @@ def test_forward_is_pure():
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (4, 7), (100, 784)])
-def test_glorot_init_fills_and_returns_out_with_the_draws_of_rng_uniform(shape):
+def test_glorot_init_draws_rng_uniform_whole_or_piece_by_piece(shape):
     limit = np.sqrt(6.0 / (shape[0] + shape[1]))
     want = make_rng(3).uniform(-limit, limit, size=shape)
     assert glorot_init(shape, make_rng(3)).tobytes() == want.tobytes()
-    out = np.empty(shape)
-    rng = make_rng(3)
-    assert glorot_init(shape, rng, out=out) is out
-    assert out.tobytes() == want.tobytes()
-    assert rng.random() == make_rng(3).uniform(size=shape[0] * shape[1] + 1)[-1]
+    # pieces of 7 entries and a shorter last one, each scaled by the whole shape's limit
+    rng, n = make_rng(3), shape[0] * shape[1]
+    pieces = [glorot_init(shape, rng, size=min(7, n - s)) for s in range(0, n, 7)]
+    assert all(piece.shape == (len(piece),) for piece in pieces)
+    assert np.concatenate(pieces).tobytes() == want.tobytes()
+    assert rng.random() == make_rng(3).uniform(size=n + 1)[-1]
+
+
+class TestNetworkArguments:
+    def test_no_layers_raise_shape_error(self):
+        with pytest.raises(ShapeError, match="at least one layer"):
+            NetworkModel(())
+
+    @pytest.mark.parametrize("slope", [0.0, 1.0, -0.01, np.nan])
+    def test_activation_slope_outside_open_unit_interval_raises(self, slope):
+        # leaky_relu's max(x, slope * x) form is the activation only inside (0,1)
+        with pytest.raises(ValueError, match="activation_slope"):
+            NetworkModel((np.ones((2, 3)),), activation_slope=slope)
+
+    def test_unknown_loss_kind_raises(self):
+        with pytest.raises(ValueError, match="loss_kind"):
+            NetworkModel((np.ones((2, 3)),), loss_kind="hinge")
+
+    @pytest.mark.parametrize("widths", [(), (784,)])
+    def test_init_network_needs_two_widths(self, widths):
+        rng = make_rng(0)
+        with pytest.raises(ShapeError, match="at least two widths"):
+            init_network(widths, rng)
+        assert rng.random() == make_rng(0).random()  # nothing drawn

@@ -335,6 +335,22 @@ class TestOagdNonScalar:
 
 
 class TestEngineContracts:
+    def test_non_finite_meta_loss_raises_before_psi_is_touched(self):
+        # the main batch is tame, so psi's features and heads are finite; the
+        # meta batch's squared error overflows
+        state = make_oagd(StepSizeKind.SCALAR, (1, 2), seed=3)
+        before = [w.copy() for w in state.psi.weights]
+        net, x = scalar_net([[0.5, -0.25]]), np.array([[1.0], [2.0]])
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="meta loss is inf"):
+            oagd_step(state, net, (0,), (x, np.array([[1.0]])), (x, np.array([[1e200]])))
+        assert state.psi.pending.n == 0
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(before, state.psi.weights))
+
+    @pytest.mark.parametrize("meta_lag", [-1, 2])
+    def test_meta_lag_other_than_0_or_1_raises(self, meta_lag):
+        with pytest.raises(ValueError, match=f"meta_lag must be 0 or 1, got {meta_lag}"):
+            make_oagd(StepSizeKind.SCALAR, (2, 2), meta_lag=meta_lag)
+
     def test_deterministic_given_seed(self):
         def run():
             widths = (5, 4, 3)

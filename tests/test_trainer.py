@@ -45,6 +45,20 @@ class TestBlockPartition:
         with pytest.raises(PlanError):
             block_partition(2, inner_steps=0)
 
+    @pytest.mark.parametrize("grouping", [None, [()]])
+    def test_no_layers_rejected(self, grouping):
+        with pytest.raises(PlanError, match="layer_count must be >= 1, got 0"):
+            block_partition(0, grouping=grouping)
+
+    def test_empty_block_rejected(self):
+        with pytest.raises(PlanError, match="empty block"):
+            block_partition(2, grouping=[(0, 1), ()])
+
+    @pytest.mark.parametrize("index", [-1, 3])
+    def test_index_outside_the_layers_rejected(self, index):
+        with pytest.raises(PlanError, match=rf"layer index {index} outside \[0, 3\)"):
+            block_partition(3, grouping=[(0, 1), (2, index)])
+
 
 def class_dataset(seed, n, d=6, classes=3):
     rng = make_rng(seed)
