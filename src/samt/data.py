@@ -69,8 +69,6 @@ def pixel_dataset(pixels: np.ndarray, labels: np.ndarray) -> Dataset:
 
 def meta_subset(dataset: Dataset) -> Dataset:
     """Samples 0, 2, 4, ... of `dataset`: a view by basic slicing, no copy."""
-    if dataset.num_samples == 0:
-        raise ValueError("dataset is empty")
     return dataset.take(slice(0, None, 2))
 
 
@@ -178,8 +176,6 @@ def synth_regression(seed, n: int, d: int, noise_sd: float) -> tuple[Dataset, Ma
     Returns the dataset and the true weights W* of shape (1, d), so the
     optimal 1-layer network is known exactly.
     """
-    if n < 1 or d < 1:
-        raise ValueError(f"need n, d >= 1, got n={n} d={d}")
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((d, n))
     w_true = rng.standard_normal((1, d))
@@ -249,7 +245,5 @@ def sample_minibatch(dataset: Dataset, b: int, rng: np.random.Generator):
     """Draw b samples uniformly with replacement; deterministic per seed."""
     if b < 1:
         raise ValueError(f"batch size must be >= 1, got {b}")
-    if dataset.num_samples == 0:
-        raise ValueError("cannot sample from an empty dataset")
     idx = rng.integers(0, dataset.num_samples, size=b)
     return dataset.features[:, idx], dataset.targets[..., idx]

@@ -118,7 +118,7 @@ def _parse_bool(s: str) -> bool:
 
 
 def _parse_ints(s: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in s.split(",") if p.strip())
+    return tuple(int(p) for p in s.split(","))
 
 
 def _optional(convert):

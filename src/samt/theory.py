@@ -121,16 +121,12 @@ def random_problem(seed, dims, coupling: float = 0.1):
     rng = np.random.default_rng(seed)
     m = sum(dims)
     w_star = [rng.standard_normal((n, 1)) for n in dims]
-    while True:  # redraw until every diagonal block is positive definite
-        factor = np.eye(m) + 0.3 * rng.standard_normal((m, m)) / math.sqrt(m)
-        for sl in _slices(dims):
-            mask = np.ones(m, dtype=bool)
-            mask[sl] = False
-            factor[sl, mask] *= coupling
-        try:
-            return make_problem(factor, dims, w_star, 0.0, PROBLEM_RADIUS)
-        except ValueError:
-            continue
+    factor = np.eye(m) + 0.3 * rng.standard_normal((m, m)) / math.sqrt(m)
+    for sl in _slices(dims):
+        mask = np.ones(m, dtype=bool)
+        mask[sl] = False
+        factor[sl, mask] *= coupling
+    return make_problem(factor, dims, w_star, 0.0, PROBLEM_RADIUS)
 
 
 def isotropic_problem(seed, dims, coupling: float = 0.1, noise_sd: float = 0.05):

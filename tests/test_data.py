@@ -235,6 +235,11 @@ class TestSynthRegression:
         mse = float((residual**2).mean())
         assert mse == pytest.approx(noise_sd**2, rel=3.0 / np.sqrt(n))
 
+    def test_no_samples_give_an_empty_dataset(self):
+        ds, w = synth_regression(3, 0, 3, 0.1)
+        assert ds.num_samples == 0
+        assert ds.features.shape == (3, 0) and ds.targets.shape == (1, 0) and w.shape == (1, 3)
+
 
 class TestSampleMinibatch:
     def test_singleton_source(self):
@@ -268,6 +273,12 @@ class TestSampleMinibatch:
         ds, _ = synth_regression(5, n=3, d=2, noise_sd=0.0)
         with pytest.raises(ValueError):
             sample_minibatch(ds, 0, make_rng(0))
+
+    def test_empty_dataset_rejected(self):
+        # the generator refuses the empty range [0, 0)
+        ds, _ = synth_regression(5, n=0, d=2, noise_sd=0.0)
+        with pytest.raises(ValueError):
+            sample_minibatch(ds, 1, make_rng(0))
 
 
 # (features, targets) of n samples: 1-D int labels, or a (k, n) matrix with k >= 1
@@ -318,6 +329,11 @@ class TestMetaSubset:
         assert sub.features.tolist() == [[0.0, 2.0, 4.0], [5.0, 7.0, 9.0]]
         assert sub.targets.tolist() == [0, 2, 4]
         assert np.shares_memory(sub.features, ds.features) and np.shares_memory(sub.targets, ds.targets)
+
+    def test_empty_dataset_gives_an_empty_subset(self):
+        ds = Dataset(np.zeros((2, 0)), np.zeros(0, dtype=np.int64), CLASSIFICATION)
+        sub = meta_subset(ds)
+        assert sub.num_samples == 0 and sub.features.shape == (2, 0) and sub.targets.shape == (0,)
 
     def test_singleton(self):
         ds, _ = synth_regression(7, n=1, d=2, noise_sd=0.0)

@@ -201,6 +201,12 @@ class TestInitEtaModel:
         with pytest.raises(TypeError, match="w3"):
             replace(psi, w3=psi.w3.copy(order="F"))
 
+    def test_head_shape_needing_other_rows_raises(self):
+        # an element head on a 3x4 layer has 2 * 12 output rows; a 1x1 head would read 2 of them
+        psi = init_eta_model(StepSizeKind.ELEMENT, (3, 4), make_rng(0), hidden=5)
+        with pytest.raises(ShapeError, match=r"24 rows, head shape \(1, 1\) needs 2"):
+            replace(psi, head_shape=(1, 1))
+
     @pytest.mark.parametrize("slope", [0.0, 1.0, -0.01, 1.5, np.nan])
     def test_activation_slope_outside_open_unit_interval_raises(self, slope):
         # leaky_relu's max(x, slope * x) form is the activation only inside (0,1)

@@ -533,6 +533,10 @@ class TestCli:
             # uint8 glyph labels wrapped above 255, at exit 0
             (["optimizer=sgd", "dataset=synthetic_images", "img_side=4", "img_classes=300", "widths=16,8,300",
               "n_train=256", "n_test=64", "epochs=1"], "img_classes"),
+            # empty list entries were dropped: widths=10,,1 trained a 10-1 net at exit 0
+            (["optimizer=sgd", "widths=10,,1"], "widths"),
+            (["optimizer=sgd", "widths=10,1,"], "widths"),
+            (["optimizer=sgd", "widths=10,3,2,1", "grouping=0,,1;2"], "grouping"),
         ],
     )
     def test_bad_rate_or_width_exits_one_naming_the_key(self, args, key, tmp_path, capsys):

@@ -117,6 +117,11 @@ class TestForward:
         with pytest.raises(ShapeError, match="layer 0"):
             forward(net, np.ones((5, 1)))
 
+    def test_batch_must_be_two_dimensional(self):
+        net = tiny_net(np.ones((3, 5)))
+        with pytest.raises(ShapeError, match=r"2-D, got shape \(5,\)"):
+            forward(net, np.zeros(5))
+
     def test_layer_outputs_start_with_input_and_end_with_forward(self):
         net = init_network((3, 5, 2), make_rng(1))
         x = make_rng(2).standard_normal((3, 4))
@@ -174,6 +179,11 @@ class TestSoftmaxCeLoss:
     def test_out_of_range_label(self):
         with pytest.raises(LabelError, match="7"):
             softmax_ce_loss(np.zeros((3, 1)), [7])
+
+    @pytest.mark.parametrize("labels", [[0, 1], [[0]]])
+    def test_one_label_per_column(self, labels):
+        with pytest.raises(ShapeError, match="one label per column"):
+            softmax_ce_loss(np.zeros((3, 1)), labels)
 
     @settings(max_examples=200)
     @given(st.data(), small_shape)
@@ -242,6 +252,12 @@ class TestBlockGradient:
         net = tiny_net([[1.0]])
         with pytest.raises(ValueError):
             block_loss_and_gradients(net, (np.array([[1.0]]), [0]), ())
+
+    @pytest.mark.parametrize("index", [-1, 2])
+    def test_index_outside_the_layers_rejected(self, index):
+        net = init_network((3, 4, 2), make_rng(5))
+        with pytest.raises(ValueError, match=rf"layer index {index} outside \[0, 2\)"):
+            block_loss_and_gradients(net, (np.zeros((3, 1)), np.zeros((2, 1))), (0, index))
 
     def test_only_block_layers_returned(self):
         net = init_network((3, 4, 2), make_rng(5))
@@ -315,6 +331,11 @@ class TestNetworkArguments:
     def test_unknown_loss_kind_raises(self):
         with pytest.raises(ValueError, match="loss_kind"):
             NetworkModel((np.ones((2, 3)),), loss_kind="hinge")
+
+    def test_with_layers_rejects_a_replacement_of_another_shape(self):
+        net = init_network((3, 4, 2), make_rng(0))
+        with pytest.raises(ShapeError, match=r"layer 1 has shape \(4, 2\), expected \(2, 4\)"):
+            net.with_layers({1: np.zeros((4, 2))})
 
     @pytest.mark.parametrize("widths", [(), (784,)])
     def test_init_network_needs_two_widths(self, widths):

@@ -66,6 +66,11 @@ class TestGradFeatures:
         assert col.shape == (5, 1) and col.dtype == np.float64
         assert np.array_equal(col, [[g.mean()], [g.var()], [g.max()], [g.min()], [np.sqrt(50.0)]])
 
+    def test_empty_gradient_raises(self):
+        # the mean and variance are 0/0; the max has no identity to start from
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+            grad_features(np.zeros((0, 3)))
+
 
 class TestProjectUnit:
     @pytest.mark.parametrize("style", ["tanh", "sigmoid"])

@@ -59,6 +59,18 @@ class TestSpectralConstants:
         problem = random_problem(2, dims=(3, 4), coupling=0.0)
         assert problem.gammas == (0.0, 0.0)
 
+    def test_singular_diagonal_block_rejected(self):
+        # zero rows of the factor give block 0 a zero covariance, so lambda_0 = 0
+        factor = np.eye(4)
+        factor[:2] = 0.0
+        with pytest.raises(ValueError, match="positive definite"):
+            make_problem(factor, (2, 2), [np.zeros((2, 1))] * 2, 0.0, 1.0)
+
+    def test_isotropic_coupling_past_one_rejected(self):
+        # a cross block of norm 1.5 between identity blocks gives cov the eigenvalue 1 - 1.5
+        with pytest.raises(ValueError, match="coupling 1.5 too large"):
+            isotropic_problem(0, (3, 3), coupling=1.5)
+
 
 class TestBallProject:
     def test_interior_point_unchanged(self):
@@ -94,6 +106,15 @@ class TestBallProject:
             assert np.array_equal(out[:, [j]], ball_project(z[:, [j]], centers[:, [j]], 1.0))
         assert np.array_equal(out[:, 0], z[:, 0])
         assert np.allclose(out[:, 1], [0.6, 0.8])
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0, np.nan])
+    def test_radius_must_be_positive(self, radius):
+        with pytest.raises(ValueError, match="radius must be positive"):
+            ball_project(np.ones((2, 1)), np.zeros((2, 1)), radius)
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match=r"shape mismatch: \(2, 1\) vs \(2, 2\)"):
+            ball_project(np.ones((2, 1)), np.zeros((2, 2)), 1.0)
 
 
 class TestAmOperator:

@@ -59,6 +59,12 @@ class TestBlockPartition:
         with pytest.raises(PlanError, match=rf"layer index {index} outside \[0, 3\)"):
             block_partition(3, grouping=[(0, 1), (2, index)])
 
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_one_engine_per_block(self, count):
+        net = init_network((6, 2), make_rng(0))
+        with pytest.raises(PlanError, match=f"{count} engine states for 1 blocks"):
+            TrainRunState(net, block_partition(1), [SgdEngine(0.1)] * count, make_rng(1), make_rng(2))
+
 
 def class_dataset(seed, n, d=6, classes=3):
     rng = make_rng(seed)
