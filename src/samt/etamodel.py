@@ -138,15 +138,19 @@ def init_eta_model(
 def psi_forward(psi: EtaModel, d_col: Matrix) -> tuple[Matrix, Matrix, Matrix, Matrix]:
     """Scale factor beta and candidate step eta_hat, in the step's shape, and the
     hidden outputs h1, h2 for one (5, 1) feature column.  Every call writes the
-    raw heads, then their slope, into `pending.heads`; the matvec reads h2 cast
-    to the storage dtype.  Non-finite features or raw heads raise `FloatingPointError`."""
+    raw heads, then their slope, into `pending.heads`; the matvec reads h2 cast to the
+    storage dtype.  Non-finite features or raw heads, or an h2 the cast overflows, raise `FloatingPointError`."""
     if not np.isfinite(d_col).all():
         values = ", ".join(f"{v:.3g}" for v in d_col.ravel())
         raise FloatingPointError(f"psi input is not finite: [{values}]")
     h1 = leaky_relu(psi.w1 @ d_col, psi.activation_slope)
     h2 = leaky_relu(psi.w2 @ h1, psi.activation_slope)
     p = psi.pending
-    x = h2.astype(p.joint.dtype, copy=False)  # cast the vector: a float64 one would copy the array
+    try:  # cast the vector: a float64 one would copy the array
+        with np.errstate(over="raise"):
+            x = h2.astype(p.joint.dtype, copy=False)
+    except FloatingPointError:
+        raise FloatingPointError(f"psi hidden output h2 overflows its {p.joint.dtype} cast") from None
     np.matmul(p.joint[:, : x.shape[0] + p.n], np.concatenate((x, -(p.v[:, : p.n].T @ x))), out=p.heads)
     if not np.isfinite(p.heads).all():
         raise FloatingPointError("psi raw heads are not finite")
@@ -209,7 +213,7 @@ def meta_gradients(
     w_prime = candidate_weights(net, block, grads, step_cand)
     meta_loss, dW = block_loss_and_gradients(net.with_layers(w_prime), meta_batch, block)
 
-    dstep = 0.0  # x + 0.0 turns -0 into +0, as zeros + x did
+    dstep = 0.0  # x + 0.0 turns -0 into +0
     for l in block:  # built in each popped dW: -(dW * g) is -dW * g exactly
         d = dW.pop(l)
         d = reduce_to_kind(np.negative(np.multiply(d, grads[l], out=d), out=d), psi.kind)

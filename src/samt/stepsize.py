@@ -29,7 +29,8 @@ OPEN_EPS = 1e-12
 
 TANH = "tanh"
 SIGMOID = "sigmoid"
-PROJECTION_STYLES = (TANH, SIGMOID)
+PROJECTION_SCALES = {TANH: 1.0, SIGMOID: 0.5}  # each style's input scale c in tanh(c * u)
+PROJECTION_STYLES = tuple(PROJECTION_SCALES)
 
 
 class StepSizeKind(enum.Enum):
@@ -87,24 +88,18 @@ def grad_features(g: Matrix) -> Matrix:
 def project_unit(u: Matrix, style: str, out: Matrix | None = None) -> tuple[Matrix, Matrix]:
     """Raw values u squashed into the open interval (0,1), and the slope there.
 
-    tanh style: 0.5 * (tanh(u) + 1), slope 0.5 * (1 - tanh(u)^2); sigmoid
-    style: p = 1 / (1 + exp(-u)), slope p * (1 - p).  Values are clipped
-    away from the endpoints by OPEN_EPS; the sigmoid slope reads the
-    clipped p, the tanh slope ignores the clip.  The slope is written to
-    `out` when it is given, which may be u itself.
+    Every style is 0.5 * (tanh(c * u) + 1), slope 0.5 * c * (1 - tanh(c * u)^2), at its
+    scale c in PROJECTION_SCALES (sigmoid's 1 / (1 + exp(-u)) is tanh's at c = 1/2), clipped
+    away from the endpoints by OPEN_EPS; the slope ignores the clip.  The slope is written
+    to `out` when it is given, which may be u itself.
     """
-    if style == TANH:  # in place: two head-sized arrays, the same bytes
-        t = np.tanh(u, out=out)
-        v = t + 1.0
-        v *= 0.5
-        slope = np.multiply(np.subtract(1.0, np.square(t, out=t), out=t), 0.5, out=t)
-        return np.clip(v, OPEN_EPS, 1.0 - OPEN_EPS, out=v), slope
-    if style == SIGMOID:
-        # exp on the negative side only, so large |u| cannot overflow
-        e = np.exp(-np.abs(u))
-        p = np.clip(np.where(u >= 0, 1.0 / (1.0 + e), e / (1.0 + e)), OPEN_EPS, 1.0 - OPEN_EPS)
-        return p, np.multiply(p, 1.0 - p, out=out)
-    raise ValueError(f"projection style must be one of {PROJECTION_STYLES}, got {style!r}")
+    if (c := PROJECTION_SCALES.get(style)) is None:
+        raise ValueError(f"projection style must be one of {PROJECTION_STYLES}, got {style!r}")
+    t = np.tanh(u if c == 1.0 else np.multiply(u, c, out=out), out=out)  # in place: two head-sized arrays
+    v = t + 1.0
+    v *= 0.5
+    slope = np.multiply(np.subtract(1.0, np.square(t, out=t), out=t), 0.5 * c, out=t)
+    return np.clip(v, OPEN_EPS, 1.0 - OPEN_EPS, out=v), slope
 
 
 def candidate_weights(net, block, grads, step: Matrix | float) -> dict[int, Matrix]:

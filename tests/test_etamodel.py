@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from samt.etamodel import (
     psi_step,
 )
 from samt.harness import fd_meta_gradients
-from samt.model import batch_loss, block_loss_and_gradients, glorot_init, init_network
+from samt.model import batch_loss, block_loss_and_gradients, glorot_init, init_network, leaky_relu
 from samt.numerics import make_rng
 from samt.stepsize import PROJECTION_STYLES, StepSizeKind, grad_features, project_unit, reduce_to_kind
 
@@ -78,6 +79,17 @@ class TestPsiForward:
         psi.w3[4, 2] = bad
         with pytest.raises(FloatingPointError, match="psi raw heads"):
             psi_forward(psi, grad_features(np.ones((2, 3))))
+
+    def test_h2_past_float32s_range_raises_naming_the_cast_without_a_warning(self):
+        psi = init_eta_model(StepSizeKind.ELEMENT, (2, 3), make_rng(5), hidden=4, dtype=np.float32)
+        psi.w2 *= 1e300  # h2 stays finite in float64, far past float32's largest value
+        feats = grad_features(np.ones((2, 3)))
+        h1 = leaky_relu(psi.w1 @ feats, psi.activation_slope)
+        assert np.isfinite(psi.w2 @ h1).all() and np.abs(psi.w2 @ h1).max() > np.finfo(np.float32).max
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="psi hidden output h2 overflows its float32 cast"):
+                psi_forward(psi, feats)
 
     @pytest.mark.parametrize("style", PROJECTION_STYLES)
     def test_leaves_the_slope_at_the_raw_heads_in_the_heads_buffer(self, style):

@@ -2,7 +2,8 @@
 
 `fingerprint.py` hashes every step and evaluation of a set of small runs;
 two processes with different hash seeds and the same OpenBLAS thread
-count must print the same lines.  `fingerprint_diff.py` pairs two trees'
+count must print the same lines, and at least one run must still end in
+a deliberate `DivergenceError`.  `fingerprint_diff.py` pairs two trees'
 lines by run name, and it and `pairbench.py` reject a revision that
 cannot be exported.
 """
@@ -33,6 +34,7 @@ def test_two_processes_print_the_same_fingerprint():
     assert all(p.returncode == 0 for p in procs), err
     lines = first.splitlines()
     assert len(lines) == 54 and all(len(line.split()) == 4 for line in lines)
+    assert any(line.endswith(" DivergenceError") for line in lines)
     assert first == second
 
 

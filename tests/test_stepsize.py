@@ -10,6 +10,7 @@ from samt.stepsize import (
     ARM_FULL,
     ARM_LEFT,
     ARM_RIGHT,
+    OPEN_EPS,
     StepSize,
     StepSizeKind,
     compose_step,
@@ -109,6 +110,16 @@ class TestProjectUnit:
         got_values, got_slope = project_unit(raw, style, out=raw)
         assert got_slope is raw
         assert got_values.tobytes() == values.tobytes() and got_slope.tobytes() == slope.tobytes()
+
+    def test_sigmoid_style_is_the_logistic_function(self):
+        u = np.concatenate((np.linspace(-40.0, 40.0, 8001), [-1e6, -745.0, 745.0, 1e6])).reshape(-1, 1)
+        e = np.exp(-np.abs(u))  # exp on the negative side only, so large |u| cannot overflow
+        p = np.clip(np.where(u >= 0, 1.0 / (1.0 + e), e / (1.0 + e)), OPEN_EPS, 1.0 - OPEN_EPS)
+        values, slope = project_unit(u, "sigmoid")
+        assert np.abs(values - p).max() <= 2.3e-16
+        # the slope ignores the clip, so it differs from p (1 - p) by up to OPEN_EPS there
+        slope_error, inside = np.abs(slope - p * (1.0 - p)), (OPEN_EPS < p) & (p < 1.0 - OPEN_EPS)
+        assert slope_error.max() <= 1e-12 and slope_error[inside].max() <= 1e-15 and not inside.all()
 
     def test_unknown_style(self):
         with pytest.raises(ValueError, match="tanh"):
